@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform, parse_complementary_file, write_complementary_file
 from .dataset import LabelSpace, MultiLabelDataset, parse_multilabel_file, preprocess_topk_labels, write_multilabel_file
@@ -343,7 +342,7 @@ def cmd_convert(args) -> int:
     Y = np.atleast_2d(np.genfromtxt(args.labels_csv, delimiter=","))
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
-    ds = MultiLabelDataset(sp.csr_matrix(X), Y.astype(np.uint8), LabelSpace(Y.shape[1]))
+    ds = MultiLabelDataset(X, Y.astype(np.uint8), LabelSpace(Y.shape[1]))
     write_multilabel_file(ds, args.out)
     print(f"wrote {ds.n_instances} instances ({ds.n_features} features, {ds.n_labels} labels) to {args.out}")
     return 0

@@ -18,10 +18,12 @@ from .dataset import (
     LabelSpace,
     MultiLabelDataset,
     _freeze,
-    _parse_feature_tokens,
-    _parse_header,
     _parse_label_field,
+    _parse_lines,
+    _read_lines,
     _sample_rows_categorical,
+    _write_lines,
+    store_features,
 )
 
 __all__ = [
@@ -47,13 +49,13 @@ class ComplementaryDataset:
     relevant set, never containing the complementary label).
     """
 
-    features: sp.csr_matrix
+    features: np.ndarray | sp.csr_matrix
     cl: np.ndarray  # (n,)
     labels: LabelSpace
     relevant: np.ndarray | None = None  # (n, K) in {0, 1}
 
     def __post_init__(self):
-        feats = sp.csr_matrix(self.features)
+        feats = store_features(self.features)
         object.__setattr__(self, "features", feats)
         cl = np.asarray(self.cl, dtype=np.int64)
         K = self.labels.n_labels
@@ -145,19 +147,16 @@ def biased_selection_probs(y: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     uniform draw over its candidates.
     """
     y = np.asarray(y)
-    n, K = y.shape
-    probs = np.empty((n, K), dtype=np.float64)
-    for i in range(n):
-        rel = np.flatnonzero(y[i])
-        w = 1.0 - cooc[:, rel].max(axis=1)
-        w[rel] = 0.0
-        w = np.maximum(w, 0.0)
-        total = w.sum()
-        if total <= 0.0:
-            w = (1.0 - y[i]).astype(np.float64)
-            total = w.sum()
-        probs[i] = w / total
-    return probs
+    rel = y != 0
+    if not np.all(rel.any(axis=1)):
+        raise ValueError("every instance needs a relevant label")
+    top = np.full(y.shape, -np.inf)  # top[i, j] = max over relevant k of cooc[j, k]
+    for k in range(y.shape[1]):
+        top[rel[:, k]] = np.maximum(top[rel[:, k]], cooc[:, k])
+    w = np.maximum(np.where(rel, 0.0, 1.0 - top), 0.0)
+    empty = w.sum(axis=1) <= 0.0
+    w[empty] = 1.0 - y[empty]  # no weight left: uniform over the candidates
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def corrupt_biased(ds: MultiLabelDataset, seed: int) -> tuple[ComplementaryDataset, CorruptionRecord]:
@@ -203,25 +202,11 @@ def attach_relevant_subset(
 
 
 def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetFormatError("line 1: empty file")
-    n, d, K = _parse_header(lines[0])
-    body = lines[1:]
-    while body and body[-1].strip() == "":
-        body.pop()
-    if len(body) != n:
-        raise DatasetFormatError(f"header declares {n} instances but file has {len(body)} data lines")
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    n, d, K, body = _read_lines(path)
     cl = np.zeros(n, dtype=np.int64)
     rel = np.zeros((n, K), dtype=np.uint8)
-    any_rel = False
-    for row, line in enumerate(body):
-        lineno = row + 2
-        tokens = line.split()
+
+    def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
         if not tokens or ";" not in tokens[0]:
             raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
         cl_part, _, rel_part = tokens[0].partition(";")
@@ -235,30 +220,17 @@ def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
         rel_labels = _parse_label_field(rel_part, K, lineno)
         if cl_idx in rel_labels:
             raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
-        if rel_labels:
-            any_rel = True
-            rel[row, rel_labels] = 1
-        fi, fv = _parse_feature_tokens(tokens[1:], d, lineno)
-        indices.extend(fi)
-        data.extend(fv)
-        indptr.append(len(indices))
+        rel[row, rel_labels] = 1
+        return tokens[1:]
 
-    if any_rel and np.any(rel.sum(axis=1) < 1):
-        missing = int(np.flatnonzero(rel.sum(axis=1) < 1)[0])
+    feats = _parse_lines(body, d, label_field)
+    has_rel = rel.any(axis=1)
+    if has_rel.any() and not has_rel.all():
+        missing = int(np.flatnonzero(~has_rel)[0])
         raise DatasetFormatError(f"instance {missing} lacks a relevant label while others carry one")
-    feats = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)),
-        shape=(n, d),
-    )
-    return ComplementaryDataset(feats, cl, LabelSpace(K), relevant=rel if any_rel else None)
+    return ComplementaryDataset(feats, cl, LabelSpace(K), relevant=rel if has_rel.any() else None)
 
 
 def write_complementary_file(cds: ComplementaryDataset, path: str | Path) -> None:
-    out = [f"{cds.n_instances} {cds.n_features} {cds.n_labels}"]
-    feats = cds.features
-    for i in range(cds.n_instances):
-        rel = "" if cds.relevant is None else ",".join(str(k) for k in np.flatnonzero(cds.relevant[i]))
-        start, end = feats.indptr[i], feats.indptr[i + 1]
-        toks = [f"{feats.indices[j]}:{feats.data[j]:.17g}" for j in range(start, end)]
-        out.append(" ".join([f"{cds.cl[i]};{rel}"] + toks))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    rel = [""] * cds.n_instances if cds.relevant is None else (",".join(map(str, np.flatnonzero(r).tolist())) for r in cds.relevant)
+    _write_lines(path, cds.features, cds.n_labels, (f"{c};{r}" for c, r in zip(cds.cl.tolist(), rel)))

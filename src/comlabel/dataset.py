@@ -1,12 +1,13 @@
 """Multi-label datasets: parsing, validation, preprocessing, splitting, synthesis.
 
-A dataset couples a sparse feature matrix with a binary relevance matrix.
-Every relevance row must name at least one relevant and one irrelevant label,
-so that a complementary label always exists.
+A dataset couples a feature matrix, dense or CSR by `store_features`, with a
+binary relevance matrix.  Every relevance row must name at least one relevant
+and one irrelevant label, so that a complementary label always exists.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,7 @@ MIN_LABELS = 3  # label spaces with fewer than 3 classes admit no interesting co
 __all__ = [
     "DatasetFormatError",
     "LabelSpace",
+    "store_features",
     "MultiLabelDataset",
     "FoldSplit",
     "FeatureScaler",
@@ -61,19 +63,37 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def store_features(X) -> np.ndarray | sp.csr_matrix:
+    """Store features as a read-only C-contiguous float64 ndarray when at least
+    2/3 of the cells are stored (nonzero), else as float64 CSR: from 2/3 on, 8
+    bytes per dense cell cost no more than 12 per CSR entry (value and int32
+    column).  A C-contiguous float64 ndarray is frozen in place, like `y`."""
+    sparse = sp.issparse(X)
+    X = sp.csr_matrix(X, dtype=np.float64) if sparse else np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
+    if 3 * (X.nnz if sparse else np.count_nonzero(X)) < 2 * X.shape[0] * X.shape[1]:
+        return X if sparse else sp.csr_matrix(X)
+    return _freeze(_dense(X))
+
+
+def _dense(X) -> np.ndarray:
+    return X.toarray() if sp.issparse(X) else X
+
+
 @dataclass(frozen=True)
 class MultiLabelDataset:
-    """Instances with sparse features and full relevance vectors.
+    """Instances with features and full relevance vectors.
 
     Immutable after construction; safe to share across fold workers.
     """
 
-    features: sp.csr_matrix
+    features: np.ndarray | sp.csr_matrix
     y: np.ndarray  # (n, K) in {0, 1}
     labels: LabelSpace
 
     def __post_init__(self):
-        feats = sp.csr_matrix(self.features)
+        feats = store_features(self.features)
         object.__setattr__(self, "features", feats)
         y = np.asarray(self.y, dtype=np.uint8)
         if y.ndim != 2 or y.shape[1] != self.labels.n_labels:
@@ -127,6 +147,8 @@ def take_instances(ds: MultiLabelDataset, idx: np.ndarray) -> MultiLabelDataset:
 #                 increasing per line.
 # ---------------------------------------------------------------------------
 
+PARSE_CHUNK_ROWS = 256  # data lines converted per bulk step; bounds the parser's transient memory
+
 
 def _parse_header(line: str) -> tuple[int, int, int]:
     parts = line.split()
@@ -160,9 +182,7 @@ def _parse_label_field(text: str, K: int, lineno: int) -> list[int]:
     return out
 
 
-def _parse_feature_tokens(tokens: list[str], d: int, lineno: int) -> tuple[list[int], list[float]]:
-    idxs: list[int] = []
-    vals: list[float] = []
+def _check_feature_tokens(tokens: list[str], d: int, lineno: int) -> None:
     prev = -1
     for tok in tokens:
         pair = tok.split(":")
@@ -180,17 +200,30 @@ def _parse_feature_tokens(tokens: list[str], d: int, lineno: int) -> tuple[list[
         if not np.isfinite(v):
             raise DatasetFormatError(f"line {lineno}: non-finite feature value {pair[1]!r}")
         prev = i
-        idxs.append(i)
-        vals.append(v)
-    return idxs, vals
 
 
-def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
-    """Parse the canonical sparse multi-label text format.
+def _convert_tokens(rows: list[list[str]], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of a chunk of lines' feature tokens, checked in
+    bulk as `_check_feature_tokens` checks them; ValueError or OverflowError on failure."""
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    n_tokens = int(counts.sum())
+    text = " ".join(itertools.chain.from_iterable(rows))
+    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = b[(b == ord(":")) | (b == ord(" "))]
+    if seps.size != max(2 * n_tokens - 1, 0) or np.any(seps[0::2] != ord(":")):
+        raise ValueError("a feature token does not hold exactly one colon")
+    pieces = text.replace(" ", ":").split(":") if n_tokens else []
+    idx = np.fromiter(map(int, pieces[0::2]), dtype=np.int64, count=n_tokens)
+    val = np.fromiter(map(float, pieces[1::2]), dtype=np.float64, count=n_tokens)
+    # for indices in range, idx + line * (d + 1) increases iff every line's indices do
+    key = idx + np.repeat(np.arange(len(rows)), counts) * (d + 1)
+    if not (np.all((idx >= 0) & (idx < d)) and np.all(np.diff(key) > 0) and np.all(np.isfinite(val))):
+        raise ValueError("a feature index or value fails its check")
+    return idx.astype(np.int32), val
 
-    Raises DatasetFormatError with the offending line number on any
-    malformed line, out-of-range index, or empty/full label set.
-    """
+
+def _read_lines(path: str | Path) -> tuple[int, int, int, list[str]]:
+    """The header's (n, d, K) and the n data lines; trailing blank lines are dropped."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DatasetFormatError("line 1: empty file")
@@ -200,50 +233,73 @@ def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
         body.pop()
     if len(body) != n:
         raise DatasetFormatError(f"header declares {n} instances but file has {len(body)} data lines")
+    return n, d, K, body
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+
+def _parse_lines(body: list[str], d: int, label_field) -> sp.csr_matrix:
+    """CSR features of the data lines.  `label_field(row, lineno, line, tokens)`
+    records a line's label field and returns its feature tokens.  A chunk that
+    fails a check reruns line by line, raising for the first offending line."""
+    indices, data, counts = [], [], []
+    for start in range(0, len(body), PARSE_CHUNK_ROWS):
+        chunk = range(start, min(start + PARSE_CHUNK_ROWS, len(body)))
+        try:
+            rows = [label_field(r, r + 2, body[r], body[r].split()) for r in chunk]
+            idx, val = _convert_tokens(rows, d)
+        except (ValueError, OverflowError):  # DatasetFormatError is a ValueError
+            idx = None
+        if idx is None:
+            for r in chunk:
+                _check_feature_tokens(label_field(r, r + 2, body[r], body[r].split()), d, r + 2)
+            raise AssertionError("bulk feature checks rejected lines the line-by-line checks accept")
+        indices.append(idx)
+        data.append(val)
+        counts.extend(map(len, rows))
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(len(body), d))
+
+
+def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> None:
+    """Write the header and one "<label field> <idx>:<val> ..." line per row: a
+    dense row's nonzero cells or a CSR row's stored entries, at 17 significant
+    digits so that parsing restores them bit-exactly."""
+    X = sp.csr_matrix(features)  # a dense matrix's stored entries are its nonzero cells
+    out = [f"{X.shape[0]} {X.shape[1]} {n_labels}"]
+    for i, text in enumerate(label_fields):
+        span = slice(X.indptr[i], X.indptr[i + 1])
+        out.append(" ".join([text] + [f"{j}:{v:.17g}" for j, v in zip(X.indices[span].tolist(), X.data[span].tolist())]))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
+    """Parse the canonical sparse multi-label text format.
+
+    Raises DatasetFormatError with the offending line number on any
+    malformed line, out-of-range index, or empty/full label set.
+    """
+    n, d, K, body = _read_lines(path)
     y = np.zeros((n, K), dtype=np.uint8)
-    for row, line in enumerate(body):
-        lineno = row + 2
+
+    def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
         # a leading space means the label field is empty
-        leading_blank = line[:1].isspace()
-        tokens = line.split()
-        if leading_blank or (tokens and ":" in tokens[0]):
-            label_field, feat_tokens = "", tokens
-        elif tokens:
-            label_field, feat_tokens = tokens[0], tokens[1:]
+        if line[:1].isspace() or not tokens or ":" in tokens[0]:
+            text, feat_tokens = "", tokens
         else:
-            label_field, feat_tokens = "", []
-        labels = _parse_label_field(label_field, K, lineno)
+            text, feat_tokens = tokens[0], tokens[1:]
+        labels = _parse_label_field(text, K, lineno)
         if not labels:
             raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
         if len(labels) == K:
             raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
         y[row, labels] = 1
-        fi, fv = _parse_feature_tokens(feat_tokens, d, lineno)
-        indices.extend(fi)
-        data.extend(fv)
-        indptr.append(len(indices))
+        return feat_tokens
 
-    feats = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)),
-        shape=(n, d),
-    )
-    return MultiLabelDataset(feats, y, LabelSpace(K))
+    return MultiLabelDataset(_parse_lines(body, d, label_field), y, LabelSpace(K))
 
 
 def write_multilabel_file(ds: MultiLabelDataset, path: str | Path) -> None:
     """Serialize to the canonical format; parse() round-trips bit-exactly."""
-    out = [f"{ds.n_instances} {ds.n_features} {ds.n_labels}"]
-    feats = ds.features
-    for i in range(ds.n_instances):
-        labels = ",".join(str(k) for k in np.flatnonzero(ds.y[i]))
-        start, end = feats.indptr[i], feats.indptr[i + 1]
-        toks = [f"{feats.indices[j]}:{feats.data[j]:.17g}" for j in range(start, end)]
-        out.append(" ".join([labels] + toks))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_lines(path, ds.features, ds.n_labels, (",".join(map(str, np.flatnonzero(r).tolist())) for r in ds.y))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +368,7 @@ class FeatureScaler:
     scale: np.ndarray  # 1.0 where the training variance was zero
 
     def apply(self, ds: MultiLabelDataset) -> MultiLabelDataset:
-        dense = np.asarray(ds.features.todense(), dtype=np.float64)
-        dense = (dense - self.mean) / self.scale
-        return MultiLabelDataset(sp.csr_matrix(dense), ds.y, ds.labels)
+        return MultiLabelDataset((_dense(ds.features) - self.mean) / self.scale, ds.y, ds.labels)
 
 
 def normalize_features(ds: MultiLabelDataset) -> tuple[MultiLabelDataset, FeatureScaler]:
@@ -322,10 +376,9 @@ def normalize_features(ds: MultiLabelDataset) -> tuple[MultiLabelDataset, Featur
 
     The returned scaler re-applies the training statistics to test folds.
     """
-    X = ds.features
-    mean = np.asarray(X.mean(axis=0)).ravel()
-    sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-    var = np.maximum(sq - mean**2, 0.0)
+    X = _dense(ds.features)
+    mean = X.mean(axis=0)
+    var = np.maximum((X * X).mean(axis=0) - mean**2, 0.0)
     std = np.sqrt(var)
     constant = std <= 1e-12
     scale = np.where(constant, 1.0, std)
@@ -457,7 +510,7 @@ def sample_from_generative(
     centers = center_rng.standard_normal((spec.n_subsets, d)) * (spec.cluster_separation / np.sqrt(2.0 * d))
     X = centers[subset_idx] + rng.standard_normal((n, d))
     y = members[subset_idx]
-    feats = sp.csr_matrix(X)
+    feats = store_features(X)
     full = MultiLabelDataset(feats, y, LabelSpace(K))
     comp = ComplementaryDataset(feats, cl.astype(np.int64), LabelSpace(K))
     return full, comp

@@ -185,6 +185,7 @@ def batch_objective(
     *,
     y: np.ndarray | None = None,
     cl: np.ndarray | None = None,
+    ybar: np.ndarray | None = None,
     relevant: np.ndarray | None = None,
     T: np.ndarray | None = None,
     beta: float = 1.0,
@@ -193,7 +194,8 @@ def batch_objective(
     """Mean loss over the batch and its gradients (dW, db).
 
     `kind` selects the loss; `cl` holds complementary label indices where
-    needed, `y` full relevance targets, `relevant` partial relevant vectors.
+    needed (or `ybar` their one-hot rows, which training loops build once),
+    `y` full relevance targets, `relevant` partial relevant vectors.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -207,8 +209,7 @@ def batch_objective(
         values, G_f = _ce_softmax_batch(F, np.asarray(cl, dtype=np.int64), clamp)
     else:
         T = np.asarray(T, dtype=np.float64)
-        Ybar = np.zeros((n, K))
-        Ybar[np.arange(n), np.asarray(cl, dtype=np.int64)] = 1.0
+        Ybar = np.eye(K)[np.asarray(cl, dtype=np.int64)] if ybar is None else ybar
         if kind == "cl_bce":
             values, G_f = _cl_bce_batch(T, F, Ybar, clamp)
         elif kind == "cl_mse":

@@ -64,15 +64,8 @@ def init_linear(d: int, n_labels: int, head: str, seed: int) -> LinearModel:
 
 
 def _logits(model: LinearModel, x) -> tuple[np.ndarray, bool]:
-    single = False
-    if sp.issparse(x):
-        X = x.tocsr()
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim == 1:
-            single = True
-            arr = arr[None, :]
-        X = arr
+    single = not sp.issparse(x) and np.ndim(x) == 1
+    X = x if sp.issparse(x) else np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise ValueError(f"input has {X.shape[1]} features, model expects {model.n_features}")
     Z = np.asarray(X @ model.weights.T + model.bias)

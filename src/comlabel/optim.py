@@ -2,7 +2,7 @@
 
 Training is a pure function of (data, config, seed): the model init, the
 epoch shuffles, and the update arithmetic are all driven by the config seed,
-so reruns are bit-identical.
+so reruns at a fixed BLAS thread count are bit-identical.
 """
 
 from __future__ import annotations
@@ -109,36 +109,32 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def _run_loop(X, n: int, d: int, n_labels: int, head: str, cfg: TrainConfig, batch_kwargs_fn) -> TrainResult:
-    """Shared minibatch loop.  `batch_kwargs_fn(idx)` supplies the loss kind and
-    targets for a batch of instance indices."""
-    model = init_linear(d, n_labels, head, cfg.seed)
+def _run_loop(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, **fixed) -> TrainResult:
+    """Shared minibatch loop for the loss `kind`.  Each batch gets the rows of
+    the `per_instance` arrays it covers; the `fixed` arguments, prepared once
+    per training call, go to every batch unchanged."""
+    model = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
     state = init_adam([model.weights, model.bias])
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
     curve: list[float] = []
     for _ in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
+        perm = shuffle_rng.permutation(ds.n_instances)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for start in range(0, ds.n_instances, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            kind, kwargs = batch_kwargs_fn(idx)
-            value, gW, gb = batch_objective(model, X[idx], kind, **kwargs)
+            rows = {name: a[idx] for name, a in per_instance.items()}
+            value, gW, gb = batch_objective(model, ds.features[idx], kind, **rows, **fixed)
             (model.weights, model.bias), state = adam_step(
                 [model.weights, model.bias], [gW, gb], state, cfg
             )
             epoch_loss += value * idx.size
-        curve.append(epoch_loss / n)
+        curve.append(epoch_loss / ds.n_instances)
     return TrainResult(model=model, epoch_losses=curve)
 
 
 def train_cl_predictor(cds: ComplementaryDataset, cfg: TrainConfig) -> TrainResult:
     """Softmax predictor of the complementary label, trained with cross entropy."""
-    cl = cds.cl
-
-    def batch(idx):
-        return "ce_softmax", {"cl": cl[idx]}
-
-    return _run_loop(cds.features, cds.n_instances, cds.n_features, cds.n_labels, "softmax", cfg, batch)
+    return _run_loop(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl})
 
 
 def train_mlcl(
@@ -147,22 +143,13 @@ def train_mlcl(
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
     validate_transition(T)
-    cl = cds.cl
-
-    def batch(idx):
-        return "mlcl", {"cl": cl[idx], "T": T, "beta": cfg.beta, "clamp": clamp}
-
-    return _run_loop(cds.features, cds.n_instances, cds.n_features, cds.n_labels, "sigmoid", cfg, batch)
+    ybar = np.eye(cds.n_labels)[cds.cl]  # one-hot complementary labels
+    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"ybar": ybar}, T=np.asarray(T, dtype=np.float64), beta=cfg.beta, clamp=clamp)
 
 
 def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig) -> TrainResult:
     """Fully supervised sigmoid classifier under binary cross entropy."""
-    y = ds.y.astype(np.float64)
-
-    def batch(idx):
-        return "bce_supervised", {"y": y[idx]}
-
-    return _run_loop(ds.features, ds.n_instances, ds.n_features, ds.n_labels, "sigmoid", cfg, batch)
+    return _run_loop(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)})
 
 
 def train_clrl(
@@ -172,10 +159,5 @@ def train_clrl(
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")
     validate_transition(T)
-    cl = cds.cl
-    rel = cds.relevant.astype(np.float64)
-
-    def batch(idx):
-        return "clrl", {"cl": cl[idx], "relevant": rel[idx], "T": T, "clamp": clamp}
-
-    return _run_loop(cds.features, cds.n_instances, cds.n_features, cds.n_labels, "sigmoid", cfg, batch)
+    per_instance = {"ybar": np.eye(cds.n_labels)[cds.cl], "relevant": cds.relevant.astype(np.float64)}
+    return _run_loop(cds, "sigmoid", cfg, "clrl", per_instance, T=np.asarray(T, dtype=np.float64), clamp=clamp)

@@ -162,7 +162,8 @@ class TestConvert:
 
         ds = parse_multilabel_file(out)
         np.testing.assert_array_equal(ds.y, Y)
-        np.testing.assert_allclose(ds.features.toarray(), X, atol=1e-15)
+        assert isinstance(ds.features, np.ndarray)  # dense rows are stored dense
+        np.testing.assert_allclose(ds.features, X, atol=1e-15)
 
 
 class TestConfigFile:

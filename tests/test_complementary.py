@@ -99,6 +99,37 @@ class TestBiased:
         assert probs[0, 2] == max(probs[0])
         np.testing.assert_allclose(probs[0], [0.0, 0.0, 1.0 / 1.3, 0.3 / 1.3])
 
+    @staticmethod
+    def _loop_reference(y, cooc):
+        """The per-instance loop the vectorized sampler replaced."""
+        probs = np.empty(y.shape)
+        for i in range(y.shape[0]):
+            rel = np.flatnonzero(y[i])
+            w = 1.0 - cooc[:, rel].max(axis=1)
+            w[rel] = 0.0
+            w = np.maximum(w, 0.0)
+            total = w.sum()
+            if total <= 0.0:
+                w = (1.0 - y[i]).astype(np.float64)
+                total = w.sum()
+            probs[i] = w / total
+        return probs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_bit_identical_to_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(3, 16))
+        y = (rng.random((400, K)) < rng.uniform(0.1, 0.6)).astype(np.uint8)
+        y[y.sum(1) == 0, 0] = 1
+        y[y.sum(1) == K, K - 1] = 0
+        y[0] = 0
+        y[0, :2] = 1  # labels 0 and 1 always co-occur below, so row 0 falls back to uniform
+        cooc = cooccurrence_rates(y)
+        cooc[:, :2] = np.maximum(cooc[:, :2], 1.0)
+        expected = self._loop_reference(y, cooc)
+        assert np.all(expected[0, 2:] == 1.0 / (K - 2))
+        assert np.array_equal(biased_selection_probs(y, cooc), expected)
+
     def test_all_zero_weights_fall_back_to_uniform(self):
         # both candidates fully co-occur with the relevant label
         cooc = np.eye(3)
@@ -187,7 +218,8 @@ class TestComplementaryIO:
         back = parse_complementary_file(path)
         np.testing.assert_array_equal(back.cl, cds.cl)
         np.testing.assert_array_equal(back.relevant, cds.relevant)
-        assert (back.features != cds.features).nnz == 0
+        assert isinstance(back.features, np.ndarray)
+        assert np.array_equal(back.features, cds.features)
 
     def test_roundtrip_without_relevant(self, tmp_path):
         y = np.tile([[1, 0, 1]], (5, 1))

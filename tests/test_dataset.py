@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from comlabel.complementary import parse_complementary_file
 from comlabel.dataset import (
     DatasetFormatError,
     FeatureScaler,
     GenerativeSpec,
     LabelSpace,
     MultiLabelDataset,
+    PARSE_CHUNK_ROWS,
     enumerate_subsets,
     kfold_split,
     make_exclusive_spec,
@@ -16,10 +18,15 @@ from comlabel.dataset import (
     parse_multilabel_file,
     preprocess_topk_labels,
     sample_from_generative,
+    store_features,
     subset_membership,
     uniform_cl_rows,
     write_multilabel_file,
 )
+
+
+def _dense(X):
+    return X.toarray() if sp.issparse(X) else X
 
 
 def _ds(y, d=2, seed=0):
@@ -79,14 +86,73 @@ class TestParser:
             ("7 0:1.0", "out of range"),
             ("0 0:abc", "bad feature token"),
             ("0,x 0:1.0", "bad label index"),
+            ("0 0:", "bad feature token '0:'"),
+            ("0 :1.0", "bad feature token ':1.0'"),
+            ("0 0:1:2", "bad feature token '0:1:2'"),
+            ("0 1:1.0 0:1", "strictly increasing"),
+            ("0 0:nan", "non-finite feature value 'nan'"),
+            ("0 0:inf", "non-finite feature value 'inf'"),
+            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0 0:1.0 2:x", "bad feature token '2:x'", id="past-first-chunk"),
+            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0 0:1.0 1:inf", "non-finite", id="past-first-chunk-inf"),
+            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0,0 1:1.0", "duplicate label", id="past-first-chunk-label"),
+            # a ';' in the last line's label field selects the complementary format
+            ("x; 0:1.0", "bad complementary label 'x'"),
+            ("3; 0:1.0", "complementary label 3 out of range"),
+            ("1;1 0:1.0", "complementary label listed as relevant"),
+            ("1;0,x 0:1.0", "bad label index 'x'"),
+            ("1; 0:1:2", "bad feature token '0:1:2'"),
+            ("1; 0:nan", "non-finite feature value 'nan'"),
+            pytest.param("0; 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "1; 0:1.0 0:2.0", "strictly increasing", id="cl-past-first-chunk"),
         ],
     )
     def test_malformed_lines_report_line_number(self, tmp_path, line, msg):
+        lines = line.split("\n")
+        parse = parse_complementary_file if ";" in lines[-1].split(" ")[0] else parse_multilabel_file
         path = tmp_path / "data.txt"
-        path.write_text(f"1 3 3\n{line}\n")
+        path.write_text(f"{len(lines)} 3 3\n{line}\n")
         with pytest.raises(DatasetFormatError, match=msg) as err:
+            parse(path)
+        assert str(err.value).startswith(f"line {len(lines) + 1}:")
+
+    def test_first_offending_line_wins(self, tmp_path):
+        # a feature error on line 3 precedes a label error on line 4 of the same chunk
+        path = tmp_path / "data.txt"
+        path.write_text("3 3 3\n0 0:1.0\n0 0:x\n9 0:1.0\n")
+        with pytest.raises(DatasetFormatError, match="line 3: bad feature token"):
             parse_multilabel_file(path)
-        assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,dense",
+        [
+            ("3 3 3\n0,2 0:1.0 1:-2.5 2:0.5\n1 0:3.0 2:1e-300\n2 1:7.0 2:0.1\n", True),  # 8 of 9 cells
+            ("3 3 3\n0,2 0:1.0 2:0.5\n1 1:2.0\n2 1:7.0 2:0.1\n", False),  # 5 of 9 cells
+        ],
+    )
+    def test_storage_follows_density(self, tmp_path, text, dense):
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        ds = parse_multilabel_file(path)
+        if dense:
+            assert isinstance(ds.features, np.ndarray)
+            assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+            assert not ds.features.flags.writeable
+        else:
+            assert sp.issparse(ds.features) and ds.features.format == "csr"
+        p1, p2 = tmp_path / "b.txt", tmp_path / "c.txt"
+        write_multilabel_file(ds, p1)
+        ds2 = parse_multilabel_file(p1)
+        write_multilabel_file(ds2, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert type(ds2.features) is type(ds.features)
+        assert np.array_equal(_dense(ds2.features), _dense(ds.features))
+
+    @pytest.mark.parametrize("stored,dense", [(6, True), (5, False)])
+    def test_storage_threshold_is_two_thirds(self, stored, dense):
+        X = np.zeros((3, 3))
+        X.flat[:stored] = 1.0
+        for stored_as in (store_features(X.copy()), store_features(sp.csr_matrix(X))):
+            assert isinstance(stored_as, np.ndarray) == dense
+            assert sp.issparse(stored_as) != dense
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -195,13 +261,13 @@ class TestNormalize:
         X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
         ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[1, 0, 1]], (5, 1)), LabelSpace(3))
         out, _ = normalize_features(ds)
-        np.testing.assert_allclose(out.features.toarray()[:, 0], 3.0)
+        np.testing.assert_allclose(out.features[:, 0], 3.0)
 
     def test_shift_by_mean(self):
         X = np.column_stack([np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0])])
         ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[0, 1, 1]], (3, 1)), LabelSpace(3))
         out, scaler = normalize_features(ds)
-        col = out.features.toarray()[:, 0]
+        col = out.features[:, 0]
         np.testing.assert_allclose(col.mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(scaler.mean[0], 2.0)
 
@@ -213,7 +279,7 @@ class TestNormalize:
         train = MultiLabelDataset(sp.csr_matrix(Xtr), ytr, LabelSpace(3))
         test = MultiLabelDataset(sp.csr_matrix(Xte), yte, LabelSpace(3))
         _, scaler = normalize_features(train)
-        scaled = scaler.apply(test).features.toarray()
+        scaled = scaler.apply(test).features
         expected = (Xte - Xtr.mean()) / Xtr.std()
         np.testing.assert_allclose(scaled, expected)
 
@@ -278,7 +344,7 @@ class TestGenerative:
         b_full, b_comp = sample_from_generative(spec, 50, 6, seed=3)
         np.testing.assert_array_equal(a_full.y, b_full.y)
         np.testing.assert_array_equal(a_comp.cl, b_comp.cl)
-        assert (a_full.features != b_full.features).nnz == 0
+        assert np.array_equal(a_full.features, b_full.features)
 
     def test_same_distribution_across_seeds(self):
         # cluster centers depend on the spec, not the sampling seed
