@@ -202,28 +202,28 @@ def attach_relevant_subset(
 
 
 def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
-    n, d, K, body = _read_lines(path)
-    cl = np.zeros(n, dtype=np.int64)
-    rel = np.zeros((n, K), dtype=np.uint8)
+    with _read_lines(path) as (n, d, K, body):
+        cl = np.zeros(n, dtype=np.int64)
+        rel = np.zeros((n, K), dtype=np.uint8)
 
-    def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
-        if not tokens or ";" not in tokens[0]:
-            raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
-        cl_part, _, rel_part = tokens[0].partition(";")
-        try:
-            cl_idx = int(cl_part)
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
-        if not 0 <= cl_idx < K:
-            raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
-        cl[row] = cl_idx
-        rel_labels = _parse_label_field(rel_part, K, lineno)
-        if cl_idx in rel_labels:
-            raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
-        rel[row, rel_labels] = 1
-        return tokens[1:]
+        def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
+            if not tokens or ";" not in tokens[0]:
+                raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
+            cl_part, _, rel_part = tokens[0].partition(";")
+            try:
+                cl_idx = int(cl_part)
+            except ValueError:
+                raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
+            if not 0 <= cl_idx < K:
+                raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
+            cl[row] = cl_idx
+            rel_labels = _parse_label_field(rel_part, K, lineno)
+            if cl_idx in rel_labels:
+                raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
+            rel[row, rel_labels] = 1
+            return tokens[1:]
 
-    feats = _parse_lines(body, d, label_field)
+        feats = _parse_lines(body, n, d, label_field)
     has_rel = rel.any(axis=1)
     if has_rel.any() and not has_rel.all():
         missing = int(np.flatnonzero(~has_rel)[0])

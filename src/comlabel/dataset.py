@@ -8,6 +8,8 @@ and one irrelevant label, so that a complementary label always exists.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,13 +125,23 @@ class MultiLabelDataset:
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """One train/test partition of a dataset."""
+    """One train/test partition of a dataset, kept as the dataset and two
+    frozen index arrays.  `.train` and `.test` copy their rows out of the
+    dataset on each read and cache nothing, so a caller holding one split at a
+    time holds one fold's rows."""
 
-    train: MultiLabelDataset
-    test: MultiLabelDataset
+    dataset: MultiLabelDataset = field(repr=False)
     fold_index: int
-    train_indices: np.ndarray = field(repr=False, default=None)
-    test_indices: np.ndarray = field(repr=False, default=None)
+    train_indices: np.ndarray = field(repr=False)
+    test_indices: np.ndarray = field(repr=False)
+
+    @property
+    def train(self) -> MultiLabelDataset:
+        return take_instances(self.dataset, self.train_indices)
+
+    @property
+    def test(self) -> MultiLabelDataset:
+        return take_instances(self.dataset, self.test_indices)
 
 
 def take_instances(ds: MultiLabelDataset, idx: np.ndarray) -> MultiLabelDataset:
@@ -222,41 +234,72 @@ def _convert_tokens(rows: list[list[str]], d: int) -> tuple[np.ndarray, np.ndarr
     return idx.astype(np.int32), val
 
 
-def _read_lines(path: str | Path) -> tuple[int, int, int, list[str]]:
-    """The header's (n, d, K) and the n data lines; trailing blank lines are dropped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DatasetFormatError("line 1: empty file")
-    n, d, K = _parse_header(lines[0])
-    body = lines[1:]
-    while body and body[-1].strip() == "":
-        body.pop()
-    if len(body) != n:
-        raise DatasetFormatError(f"header declares {n} instances but file has {len(body)} data lines")
-    return n, d, K, body
+@contextmanager
+def _read_lines(path: str | Path) -> Iterator[tuple[int, int, int, Iterator[str]]]:
+    """Open a data file for one pass: the header's (n, d, K) and an iterator over
+    its data lines, split as `str.splitlines()` splits the whole text, with
+    trailing blank lines dropped."""
+    with open(path, encoding="utf-8", newline="") as f:
+        # newline="" ends physical lines at "\n", "\r" or "\r\n" untranslated;
+        # splitlines() then breaks each one at the other separators it knows
+        lines = (line for physical in f for line in physical.splitlines())
+        header = next(lines, None)
+        if header is None:
+            raise DatasetFormatError("line 1: empty file")
+        n, d, K = _parse_header(header)
+        yield n, d, K, _drop_trailing_blanks(lines)
 
 
-def _parse_lines(body: list[str], d: int, label_field) -> sp.csr_matrix:
-    """CSR features of the data lines.  `label_field(row, lineno, line, tokens)`
-    records a line's label field and returns its feature tokens.  A chunk that
-    fails a check reruns line by line, raising for the first offending line."""
+def _drop_trailing_blanks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines without the file's trailing blank ones: each run of blank
+    lines is held back until a non-blank line follows it."""
+    blanks: list[str] = []
+    for line in lines:
+        if line.strip() == "":
+            blanks.append(line)
+            continue
+        yield from blanks
+        blanks.clear()
+        yield line
+
+
+def _check_count(n: int, found: int) -> None:
+    if found != n:
+        raise DatasetFormatError(f"header declares {n} instances but file has {found} data lines")
+
+
+def _parse_lines(body: Iterator[str], n: int, d: int, label_field) -> sp.csr_matrix:
+    """CSR features of the n data lines, read `PARSE_CHUNK_ROWS` at a time.
+    `label_field(row, lineno, line, tokens)` records a line's label field and
+    returns its feature tokens; it is never called for a row past n.  A chunk
+    that fails a check reruns line by line, raising for the first offending
+    line.  A line count other than n wins over any line error, so after a line
+    error the rest of the file is counted before either is raised."""
     indices, data, counts = [], [], []
-    for start in range(0, len(body), PARSE_CHUNK_ROWS):
-        chunk = range(start, min(start + PARSE_CHUNK_ROWS, len(body)))
-        try:
-            rows = [label_field(r, r + 2, body[r], body[r].split()) for r in chunk]
-            idx, val = _convert_tokens(rows, d)
-        except (ValueError, OverflowError):  # DatasetFormatError is a ValueError
-            idx = None
-        if idx is None:
-            for r in chunk:
-                _check_feature_tokens(label_field(r, r + 2, body[r], body[r].split()), d, r + 2)
-            raise AssertionError("bulk feature checks rejected lines the line-by-line checks accept")
-        indices.append(idx)
-        data.append(val)
-        counts.extend(map(len, rows))
+    read = 0  # data lines taken from body
+    try:
+        while chunk := list(itertools.islice(body, PARSE_CHUNK_ROWS)):
+            start, read = read, read + len(chunk)
+            if read > n:  # the count check below raises once the rest is counted
+                break
+            try:
+                rows = [label_field(r, r + 2, line, line.split()) for r, line in enumerate(chunk, start)]
+                idx, val = _convert_tokens(rows, d)
+            except (ValueError, OverflowError):  # DatasetFormatError is a ValueError
+                idx = None
+            if idx is None:
+                for r, line in enumerate(chunk, start):
+                    _check_feature_tokens(label_field(r, r + 2, line, line.split()), d, r + 2)
+                raise AssertionError("bulk feature checks rejected lines the line-by-line checks accept")
+            indices.append(idx)
+            data.append(val)
+            counts.extend(map(len, rows))
+    except DatasetFormatError:
+        _check_count(n, read + sum(1 for _ in body))
+        raise
+    _check_count(n, read + sum(1 for _ in body))
     indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(len(body), d))
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d))
 
 
 def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> None:
@@ -277,24 +320,25 @@ def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
     Raises DatasetFormatError with the offending line number on any
     malformed line, out-of-range index, or empty/full label set.
     """
-    n, d, K, body = _read_lines(path)
-    y = np.zeros((n, K), dtype=np.uint8)
+    with _read_lines(path) as (n, d, K, body):
+        y = np.zeros((n, K), dtype=np.uint8)
 
-    def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
-        # a leading space means the label field is empty
-        if line[:1].isspace() or not tokens or ":" in tokens[0]:
-            text, feat_tokens = "", tokens
-        else:
-            text, feat_tokens = tokens[0], tokens[1:]
-        labels = _parse_label_field(text, K, lineno)
-        if not labels:
-            raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
-        if len(labels) == K:
-            raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
-        y[row, labels] = 1
-        return feat_tokens
+        def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
+            # a leading space means the label field is empty
+            if line[:1].isspace() or not tokens or ":" in tokens[0]:
+                text, feat_tokens = "", tokens
+            else:
+                text, feat_tokens = tokens[0], tokens[1:]
+            labels = _parse_label_field(text, K, lineno)
+            if not labels:
+                raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
+            if len(labels) == K:
+                raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
+            y[row, labels] = 1
+            return feat_tokens
 
-    return MultiLabelDataset(_parse_lines(body, d, label_field), y, LabelSpace(K))
+        feats = _parse_lines(body, n, d, label_field)
+    return MultiLabelDataset(feats, y, LabelSpace(K))
 
 
 def write_multilabel_file(ds: MultiLabelDataset, path: str | Path) -> None:
@@ -333,7 +377,8 @@ def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int = 15) -> Multi
 
 
 def kfold_split(ds: MultiLabelDataset, k: int, seed: int) -> list[FoldSplit]:
-    """Deterministic shuffled k-fold partition; test sizes differ by at most 1."""
+    """Deterministic shuffled k-fold partition; test sizes differ by at most 1.
+    No rows are copied here: each split builds its rows when read."""
     if k < 2:
         raise ValueError("k must be at least 2")
     n = ds.n_instances
@@ -347,15 +392,7 @@ def kfold_split(ds: MultiLabelDataset, k: int, seed: int) -> list[FoldSplit]:
         size = base + (1 if fold_index < extra else 0)
         test_idx = np.sort(perm[start : start + size])
         train_idx = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        folds.append(
-            FoldSplit(
-                train=take_instances(ds, train_idx),
-                test=take_instances(ds, test_idx),
-                fold_index=fold_index,
-                train_indices=_freeze(train_idx),
-                test_indices=_freeze(test_idx),
-            )
-        )
+        folds.append(FoldSplit(ds, fold_index, _freeze(train_idx), _freeze(test_idx)))
         start += size
     return folds
 

@@ -192,7 +192,8 @@ def select_learning_rate(
     if val_idx.size == 0 or fit_idx.size == 0:
         return base.learning_rate
     fit_cds = _subset_cds(cds, fit_idx)
-    fit_ds = MultiLabelDataset(train_ds.features[fit_idx], train_ds.y[fit_idx], train_ds.labels)
+    # cds carries train_ds's features, so fit_cds already holds the fit rows
+    fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx], train_ds.labels)
     val_X = train_ds.features[val_idx]
     val_y = train_ds.y[val_idx]
     best_lr, best_ap = None, -np.inf

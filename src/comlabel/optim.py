@@ -65,10 +65,17 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    # two parameter-shaped buffers per parameter for the update's temporaries,
+    # so that a step allocates nothing
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    return AdamState(
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
+        scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
+    )
 
 
 def adam_step(
@@ -77,11 +84,17 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update with coupled L2 weight decay.
+    """One bias-corrected Adam update with coupled L2 weight decay, applied in
+    place to `params` and `state`, which are returned.
 
-    Weight decay is added to the gradient before the moment updates.
+    Weight decay is added to the gradient before the moment updates.  Every
+    gradient is checked before anything is written.  The operations run in the
+    order of the out-of-place expression, so the results are bit-identical to it:
+
+        g' = g + wd * p;  m = b1 * m + (1 - b1) * g';  v = b2 * v + (1 - b2) * g' * g'
+        p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise ValueError("params, grads, and state shapes disagree")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
@@ -89,18 +102,26 @@ def adam_step(
             raise NonFiniteGradientError(
                 f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})"
             )
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = g + cfg.weight_decay * p
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1**t)
-        v_hat = v / (1.0 - cfg.adam_beta2**t)
-        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    state.t += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        np.multiply(p, cfg.weight_decay, out=a)
+        np.add(g, a, out=a)  # a = g + wd * p
+        np.multiply(m, b1, out=m)
+        np.multiply(a, 1.0 - b1, out=b)
+        np.add(m, b, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(a, 1.0 - b2, out=b)
+        np.multiply(b, a, out=b)
+        np.add(v, b, out=v)
+        np.divide(m, 1.0 - b1**state.t, out=a)  # m_hat
+        np.divide(v, 1.0 - b2**state.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, cfg.adam_eps, out=b)
+        np.multiply(a, cfg.learning_rate, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
+    return params, state
 
 
 @dataclass
@@ -114,7 +135,8 @@ def _run_loop(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, **
     the `per_instance` arrays it covers; the `fixed` arguments, prepared once
     per training call, go to every batch unchanged."""
     model = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
-    state = init_adam([model.weights, model.bias])
+    params = [model.weights, model.bias]  # updated in place
+    state = init_adam(params)
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
     curve: list[float] = []
     for _ in range(cfg.epochs):
@@ -124,9 +146,7 @@ def _run_loop(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, **
             idx = perm[start : start + cfg.batch_size]
             rows = {name: a[idx] for name, a in per_instance.items()}
             value, gW, gb = batch_objective(model, ds.features[idx], kind, **rows, **fixed)
-            (model.weights, model.bias), state = adam_step(
-                [model.weights, model.bias], [gW, gb], state, cfg
-            )
+            adam_step(params, [gW, gb], state, cfg)
             epoch_loss += value * idx.size
         curve.append(epoch_loss / ds.n_instances)
     return TrainResult(model=model, epoch_losses=curve)

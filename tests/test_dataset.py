@@ -1,8 +1,11 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from comlabel.complementary import parse_complementary_file
+from comlabel.complementary import parse_complementary_file, write_complementary_file
 from comlabel.dataset import (
     DatasetFormatError,
     FeatureScaler,
@@ -20,6 +23,7 @@ from comlabel.dataset import (
     sample_from_generative,
     store_features,
     subset_membership,
+    take_instances,
     uniform_cl_rows,
     write_multilabel_file,
 )
@@ -172,6 +176,128 @@ class TestParser:
         assert (ds.features != ds2.features).nnz == 0
 
 
+# per format: parser, writer, three valid data lines, one malformed data line, the error a blank data line raises
+READER_FORMATS = {
+    "multilabel": (parse_multilabel_file, write_multilabel_file, ("0 0:1.0", "1,2 1:2.0", "2 2:3.0"), "0 0:x", "empty label set"),
+    "complementary": (
+        parse_complementary_file,
+        write_complementary_file,
+        ("1; 0:1.0", "0; 1:2.0", "2; 2:3.0"),
+        "1; 0:x",
+        "expected '<cl>;<rel>' label field",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(READER_FORMATS))
+def reader_format(request):
+    return READER_FORMATS[request.param]
+
+
+def _write_lines_raw(path, lines, sep="\n"):
+    # bytes, so that no newline translation happens on the way to the file
+    path.write_bytes((sep.join(lines) + sep).encode("utf-8"))
+
+
+def _parse_outcome(parse, write, path):
+    """The error message, or the parsed data as the writer formats it."""
+    try:
+        parsed = parse(path)
+    except DatasetFormatError as err:
+        return str(err)
+    out = path.with_suffix(".out")
+    write(parsed, out)
+    return out.read_bytes()
+
+
+class TestReaderLines:
+    """Whole-file behaviour of the reader both formats share: how lines split,
+    trailing blank lines, and the line-count check and its precedence."""
+
+    @pytest.mark.parametrize(
+        "declared,found",
+        [(3, 2), (1, 2), (2, 3), (1, PARSE_CHUNK_ROWS + 5), (PARSE_CHUNK_ROWS + 5, PARSE_CHUNK_ROWS)],
+    )
+    def test_count_mismatch(self, tmp_path, reader_format, declared, found):
+        parse, _, good, _, _ = reader_format
+        path = tmp_path / "d.txt"
+        _write_lines_raw(path, [f"{declared} 3 3", *(good[i % 3] for i in range(found))])
+        with pytest.raises(DatasetFormatError) as err:
+            parse(path)
+        assert str(err.value) == f"header declares {declared} instances but file has {found} data lines"
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n"])
+    def test_trailing_blank_lines_dropped(self, tmp_path, reader_format, sep):
+        parse, _, good, _, _ = reader_format
+        path = tmp_path / "d.txt"
+        _write_lines_raw(path, ["3 3 3", *good, "", "   ", "\t", ""], sep)
+        assert parse(path).n_instances == 3
+        _write_lines_raw(path, ["4 3 3", *good, "", "  "], sep)
+        with pytest.raises(DatasetFormatError, match="^header declares 4 instances but file has 3 data lines$"):
+            parse(path)
+
+    @pytest.mark.parametrize("blank", ["", "   "])
+    def test_blank_line_mid_file(self, tmp_path, reader_format, blank):
+        parse, _, good, _, blank_msg = reader_format
+        path = tmp_path / "d.txt"
+        _write_lines_raw(path, ["4 3 3", good[0], blank, good[1], good[2]])
+        with pytest.raises(DatasetFormatError, match=blank_msg) as err:
+            parse(path)
+        assert str(err.value).startswith("line 3:")
+
+    def test_empty_file(self, tmp_path, reader_format):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"")
+        with pytest.raises(DatasetFormatError) as err:
+            reader_format[0](path)
+        assert str(err.value) == "line 1: empty file"
+
+    @pytest.mark.parametrize(
+        "declared,layout",
+        [
+            (3, ["bad", "good"]),  # too few lines, bad line first
+            (1, ["good", "bad"]),  # too many lines, all in one chunk
+            (1, ["bad"] + ["good"] * (PARSE_CHUNK_ROWS + 5)),  # the surplus shows only past the first chunk
+            (PARSE_CHUNK_ROWS + 10, ["good"] * (PARSE_CHUNK_ROWS + 3) + ["bad"]),  # bad line in the last chunk
+        ],
+    )
+    def test_count_error_wins_over_line_error(self, tmp_path, reader_format, declared, layout):
+        parse, _, good, bad, _ = reader_format
+        path = tmp_path / "d.txt"
+        _write_lines_raw(path, [f"{declared} 3 3", *(bad if kind == "bad" else good[0] for kind in layout)])
+        with pytest.raises(DatasetFormatError) as err:
+            parse(path)
+        assert str(err.value) == f"header declares {declared} instances but file has {len(layout)} data lines"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("3 3 3\r\n{0}\r\n{1}\r\n{2}\r\n", id="crlf"),
+            pytest.param("3 3 3\r{0}\r{1}\r{2}\r", id="cr"),
+            pytest.param("3 3 3\n{0}\x0c{1}\n{2}", id="formfeed-inside-line"),
+            pytest.param("3 3 3\n{0}\u2028{1}\u2028{2}\n", id="line-separator-inside-line"),
+            pytest.param("3 3 3\x0b{0}\x85{1}\r\n{2}\x1e", id="mixed"),
+            pytest.param("3 3 3\r\r\n{0}\n{1}\n{2}\n", id="cr-then-crlf"),  # a blank line: 4 data lines
+        ],
+    )
+    def test_lines_split_as_str_splitlines(self, tmp_path, reader_format, text):
+        parse, write, good, _, _ = reader_format
+        text = text.format(*good)
+        path, canonical = tmp_path / "d.txt", tmp_path / "c.txt"
+        path.write_bytes(text.encode("utf-8"))
+        _write_lines_raw(canonical, text.splitlines())
+        assert _parse_outcome(parse, write, path) == _parse_outcome(parse, write, canonical)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_crlf_straddling_the_read_buffer(self, tmp_path, reader_format, shift):
+        parse, _, good, _, _ = reader_format
+        # pad the header so that its "\r" lands at the last byte of the first buffer (shift 0)
+        header = "3 3 3".ljust(io.DEFAULT_BUFFER_SIZE - 1 + shift)
+        path = tmp_path / "d.txt"
+        _write_lines_raw(path, [header, *good], "\r\n")
+        assert parse(path).n_instances == 3
+
+
 class TestPreprocess:
     def test_small_label_space_unchanged(self):
         ds = _ds([[1, 0, 1, 0, 0, 0], [0, 1, 0, 0, 1, 0]])
@@ -254,6 +380,40 @@ class TestKfold:
         ds = _ds(np.tile([[1, 0, 1]], (3, 1)))
         with pytest.raises(ValueError):
             kfold_split(ds, 4, seed=0)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_splits_are_the_indexed_rows(self, dense):
+        rng = np.random.default_rng(5)
+        y = np.tile([[1, 0, 1], [0, 1, 1]], (9, 1))
+        X = rng.standard_normal((18, 4)) if dense else sp.random(18, 4, density=0.3, random_state=1, format="csr")
+        ds = MultiLabelDataset(X, y, LabelSpace(3))
+        folds = kfold_split(ds, 4, seed=3)
+        assert len(folds) == 4 and folds[-1] is folds[3]
+        for _ in range(2):  # the list can be iterated again
+            for i, f in enumerate(folds):
+                assert f.fold_index == i
+                for split, idx in ((f.train, f.train_indices), (f.test, f.test_indices)):
+                    want = take_instances(ds, idx)
+                    assert type(split.features) is type(want.features)
+                    assert np.array_equal(_dense(split.features), _dense(want.features))
+                    assert np.array_equal(split.y, want.y) and split.labels == want.labels
+
+    def test_peak_memory_is_one_fold(self):
+        # dense n=1000, d=100: 0.8 MB of features; building all ten folds up
+        # front would hold about ten copies of them
+        rng = np.random.default_rng(0)
+        y = np.tile([[1, 0, 1], [0, 1, 1]], (500, 1))
+        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y, LabelSpace(3))
+        feature_bytes = ds.features.nbytes
+        tracemalloc.start()
+        try:
+            for fold in kfold_split(ds, 10, seed=1):  # one fold's rows at a time, as run_cv reads them
+                assert fold.train.n_instances == 900
+                assert fold.test.n_instances == 100
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * feature_bytes
 
 
 class TestNormalize:

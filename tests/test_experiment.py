@@ -87,6 +87,30 @@ class TestRunCV:
         report = run_cv(cfg)
         assert len(report.fold_reports) == 2
 
+    def test_grid_fit_split_copied_once(self, data_file, monkeypatch):
+        # each grid training sees the fit rows once, shared by both views and
+        # paired with their own labels
+        import comlabel.experiment as experiment
+        from comlabel.complementary import corrupt_uniform
+
+        train_ds = parse_multilabel_file(data_file)
+        cds, _ = corrupt_uniform(train_ds, seed=4)
+        seen, real = [], experiment._train_for_regime
+
+        def spy(fit_cds, fit_ds, *args):
+            seen.append((fit_cds, fit_ds))
+            return real(fit_cds, fit_ds, *args)
+
+        monkeypatch.setattr(experiment, "_train_for_regime", spy)
+        cfg = quick_config(data_file, learning_rate=None)
+        experiment.select_learning_rate(cds, train_ds, cfg, TrainConfig(epochs=2, seed=3))
+        assert len(seen) == 3
+        for fit_cds, fit_ds in seen:
+            assert fit_ds.features is fit_cds.features
+            rows = [np.flatnonzero((train_ds.features == r).all(axis=1)) for r in fit_ds.features]
+            assert all(len(m) == 1 for m in rows)
+            np.testing.assert_array_equal(fit_ds.y, train_ds.y[np.concatenate(rows)])
+
     def test_beats_random_scores(self, data_file):
         # chance-level average precision here is ~0.46; the full pipeline at
         # the standard epoch budget sits far above it

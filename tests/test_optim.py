@@ -43,15 +43,63 @@ def deterministic_cl_spec(K):
     return GenerativeSpec(K, probs, cl)
 
 
+def reference_adam_step(params, grads, state, cfg):
+    """The out-of-place update the in-place `adam_step` must reproduce bit for bit."""
+    t = state.t + 1
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        g = g + cfg.weight_decay * p
+        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
+        v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
+        m_hat = m / (1.0 - cfg.adam_beta1**t)
+        v_hat = v / (1.0 - cfg.adam_beta2**t)
+        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
+
+
 class TestAdamStep:
     def test_zero_gradient_no_decay_is_identity(self):
         cfg = TrainConfig(weight_decay=0.0)
         params = [np.array([[1.0, -2.0]]), np.array([0.5])]
+        before = [p.copy() for p in params]
         grads = [np.zeros((1, 2)), np.zeros(1)]
         out, state = adam_step(params, grads, init_adam(params), cfg)
-        np.testing.assert_array_equal(out[0], params[0])
-        np.testing.assert_array_equal(out[1], params[1])
+        np.testing.assert_array_equal(out[0], before[0])
+        np.testing.assert_array_equal(out[1], before[1])
         assert state.t == 1
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_in_place_update_bit_identical_to_reference(self, weight_decay):
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=weight_decay)
+        rng = np.random.default_rng(8)
+        params = [rng.standard_normal((4, 7)), rng.standard_normal(4)]  # (K, d) and (K,)
+        ref_params, ref_state = [p.copy() for p in params], init_adam(params)
+        state = init_adam(params)
+        for _ in range(50):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, cfg)
+            out, out_state = adam_step(params, grads, state, cfg)
+            assert out is params and out_state is state
+        assert state.t == ref_state.t == 50
+        for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want)
+
+    def test_nonfinite_gradient_leaves_params_and_moments_untouched(self):
+        cfg = TrainConfig(weight_decay=1e-2)
+        rng = np.random.default_rng(2)
+        params = [rng.standard_normal((3, 4)), rng.standard_normal(3)]
+        state = init_adam(params)
+        adam_step(params, [np.ones((3, 4)), np.ones(3)], state, cfg)
+        snapshot = [a.copy() for a in params + state.m + state.v]
+        # the good gradient comes first: nothing may be written before the bad one is seen
+        grads = [np.ones((3, 4)), np.array([0.0, np.nan, 0.0])]
+        with pytest.raises(NonFiniteGradientError, match=r"parameter 1 at index \(1,\) \(step 2\)"):
+            adam_step(params, grads, state, cfg)
+        assert state.t == 1
+        for got, want in zip(params + state.m + state.v, snapshot):
+            assert np.array_equal(got, want)
 
     def test_constant_gradient_reaches_lr_magnitude(self):
         # closed-form fixed point: with constant g, bias-corrected moments give
