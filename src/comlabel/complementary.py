@@ -202,14 +202,15 @@ def attach_relevant_subset(
 
 
 def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
-    with _read_lines(path) as (n, d, K, body):
+    with _read_lines(path) as (n, d, K, stored, body):
         cl = np.zeros(n, dtype=np.int64)
         rel = np.zeros((n, K), dtype=np.uint8)
 
-        def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
-            if not tokens or ";" not in tokens[0]:
+        def label_field(row: int, lineno: int, line: str) -> str:
+            parts = line.split(None, 1)
+            if not parts or ";" not in parts[0]:
                 raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
-            cl_part, _, rel_part = tokens[0].partition(";")
+            cl_part, _, rel_part = parts[0].partition(";")
             try:
                 cl_idx = int(cl_part)
             except ValueError:
@@ -221,9 +222,9 @@ def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
             if cl_idx in rel_labels:
                 raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
             rel[row, rel_labels] = 1
-            return tokens[1:]
+            return parts[1] if len(parts) == 2 else ""
 
-        feats = _parse_lines(body, n, d, label_field)
+        feats = _parse_lines(body, n, d, stored, label_field)
     has_rel = rel.any(axis=1)
     if has_rel.any() and not has_rel.all():
         missing = int(np.flatnonzero(~has_rel)[0])

@@ -3,11 +3,21 @@
 A dataset couples a feature matrix, dense or CSR by `store_features`, with a
 binary relevance matrix.  Every relevance row must name at least one relevant
 and one irrelevant label, so that a complementary label always exists.
+
+The reader streams a file in chunks of at most `PARSE_CHUNK_BYTES` of text.
+Each chunk's numbers are converted by one C-level call after byte-level
+checks, and a chunk failing them is redone line by line with `int()` and
+`float()`, which give the same values and name the first offending line.
+When the file's feature-token count meets the dense rule, chunks are
+scattered straight into the dense matrix; otherwise they are assembled into
+CSR.
 """
 
 from __future__ import annotations
 
-import itertools
+import io
+import math
+import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -69,14 +79,24 @@ def store_features(X) -> np.ndarray | sp.csr_matrix:
     """Store features as a read-only C-contiguous float64 ndarray when at least
     2/3 of the cells are stored (nonzero), else as float64 CSR: from 2/3 on, 8
     bytes per dense cell cost no more than 12 per CSR entry (value and int32
-    column).  A C-contiguous float64 ndarray is frozen in place, like `y`."""
+    column).  A C-contiguous float64 ndarray is frozen in place, like `y`, and
+    a frozen one is taken as stored already and returned as is: datasets built
+    on another's features keep its storage without counting its cells again,
+    and the parser's dense matrix, chosen by its stored-token count, stays
+    dense."""
+    if isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable:
+        return X
     sparse = sp.issparse(X)
     X = sp.csr_matrix(X, dtype=np.float64) if sparse else np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
-    if 3 * (X.nnz if sparse else np.count_nonzero(X)) < 2 * X.shape[0] * X.shape[1]:
+    if not _dense_enough(X.nnz if sparse else np.count_nonzero(X), *X.shape):
         return X if sparse else sp.csr_matrix(X)
     return _freeze(_dense(X))
+
+
+def _dense_enough(stored: int, n: int, d: int) -> bool:
+    return 3 * stored >= 2 * n * d
 
 
 def _dense(X) -> np.ndarray:
@@ -159,7 +179,18 @@ def take_instances(ds: MultiLabelDataset, idx: np.ndarray) -> MultiLabelDataset:
 #                 increasing per line.
 # ---------------------------------------------------------------------------
 
-PARSE_CHUNK_ROWS = 256  # data lines converted per bulk step; bounds the parser's transient memory
+PARSE_CHUNK_BYTES = 1 << 18  # text converted per bulk step; bounds the parser's transient memory
+
+# What the bulk conversion reads: token separators, the colon, digits and the
+# other characters of a decimal float.  Any other byte, and any non-ASCII
+# text, sends its chunk down the per-line path.
+_SPACE, _COLON, _DIGIT, _FLOAT = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t")] = _SPACE
+_BYTE_CLASS[ord(":")] = _COLON
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b".eE+-")] = _FLOAT
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
@@ -194,8 +225,10 @@ def _parse_label_field(text: str, K: int, lineno: int) -> list[int]:
     return out
 
 
-def _check_feature_tokens(tokens: list[str], d: int, lineno: int) -> None:
-    prev = -1
+def _convert_line(tokens: list[str], d: int, lineno: int) -> tuple[list[int], list[float]]:
+    """A line's feature indices and values, converted and checked token by token."""
+    idx: list[int] = []
+    val: list[float] = []
     for tok in tokens:
         pair = tok.split(":")
         if len(pair) != 2:
@@ -207,47 +240,89 @@ def _check_feature_tokens(tokens: list[str], d: int, lineno: int) -> None:
             raise DatasetFormatError(f"line {lineno}: bad feature token {tok!r}") from None
         if not 0 <= i < d:
             raise DatasetFormatError(f"line {lineno}: feature index {i} out of range [0, {d})")
-        if i <= prev:
+        if idx and i <= idx[-1]:
             raise DatasetFormatError(f"line {lineno}: feature indices must be strictly increasing")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DatasetFormatError(f"line {lineno}: non-finite feature value {pair[1]!r}")
-        prev = i
+        idx.append(i)
+        val.append(v)
+    return idx, val
 
 
-def _convert_tokens(rows: list[list[str]], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices and values of a chunk of lines' feature tokens, checked in
-    bulk as `_check_feature_tokens` checks them; ValueError or OverflowError on failure."""
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+def _bulk_readable(raw: bytes, n_tokens: int) -> bool:
+    """Whether the text `raw` is `n_tokens` tokens "<digits>:<float chars>",
+    apart by spaces or tabs.  Its byte masks are uint8 or bool and die here."""
+    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
+    if not cls.all():
+        return False
+    space = cls == _SPACE
+    colon = cls == _COLON
+    events = ~space  # the first byte of each token, then each colon
+    events[1:] &= space[:-1]
+    events |= colon
+    at_colon = colon[events]
+    if at_colon.size != 2 * n_tokens or at_colon[0::2].any() or not at_colon[1::2].all():
+        return False  # a token without exactly one colon
+    if colon[-1:].any() or np.any(colon[:-1] & space[1:]):
+        return False  # an empty value
+    # from a token's first byte up to its colon: its index, a nonempty run of digits
+    in_index = np.logical_xor.accumulate(events)
+    in_index &= cls != _DIGIT
+    return not in_index.any()
+
+
+def _convert_chunk(texts: list[str], counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column indices and values of a chunk of lines' feature texts, holding
+    `counts` tokens each, by one C-level conversion; None when the bulk checks
+    cannot vouch for the text.  They pass exactly the texts of ASCII-digit
+    indices and decimal values, apart by spaces or tabs, that `_convert_line`
+    passes, and the values are those it gives."""
+    try:
+        raw = " ".join(texts).encode("ascii")
+    except UnicodeEncodeError:
+        return None
     n_tokens = int(counts.sum())
-    text = " ".join(itertools.chain.from_iterable(rows))
-    b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    seps = b[(b == ord(":")) | (b == ord(" "))]
-    if seps.size != max(2 * n_tokens - 1, 0) or np.any(seps[0::2] != ord(":")):
-        raise ValueError("a feature token does not hold exactly one colon")
-    pieces = text.replace(" ", ":").split(":") if n_tokens else []
-    idx = np.fromiter(map(int, pieces[0::2]), dtype=np.int64, count=n_tokens)
-    val = np.fromiter(map(float, pieces[1::2]), dtype=np.float64, count=n_tokens)
+    if not _bulk_readable(raw, n_tokens):
+        return None
+    if n_tokens == 0:  # fromstring would read a blank text as [-1.0]
+        return np.zeros(0, dtype=np.int32), np.zeros(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older NumPy only warns on a partial read
+        try:
+            nums = np.fromstring(raw.translate(_COLON_TO_SPACE), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if nums.size != 2 * n_tokens:  # a value read as two numbers would misalign the rest
+        return None
+    idx, val = nums[0::2], nums[1::2]
     # for indices in range, idx + line * (d + 1) increases iff every line's indices do
-    key = idx + np.repeat(np.arange(len(rows)), counts) * (d + 1)
-    if not (np.all((idx >= 0) & (idx < d)) and np.all(np.diff(key) > 0) and np.all(np.isfinite(val))):
-        raise ValueError("a feature index or value fails its check")
-    return idx.astype(np.int32), val
+    key = idx + np.repeat(np.arange(len(texts)) * (d + 1.0), counts)
+    if not (np.all(idx < d) and np.all(np.diff(key) > 0) and np.all(np.isfinite(val))):
+        return None
+    return idx.astype(np.int32), val.copy()
 
 
 @contextmanager
-def _read_lines(path: str | Path) -> Iterator[tuple[int, int, int, Iterator[str]]]:
-    """Open a data file for one pass: the header's (n, d, K) and an iterator over
-    its data lines, split as `str.splitlines()` splits the whole text, with
-    trailing blank lines dropped."""
-    with open(path, encoding="utf-8", newline="") as f:
+def _read_lines(path: str | Path) -> Iterator[tuple[int, int, int, int | None, Iterator[str]]]:
+    """Open a data file for one pass: the header's (n, d, K), the file's
+    count of colons (one per feature token in a valid file; None when the
+    file cannot be rewound to count them first) and an iterator over its data
+    lines, split as `str.splitlines()` splits the whole text, with trailing
+    blank lines dropped."""
+    with open(path, "rb") as raw:
+        stored = None
+        if raw.seekable():
+            stored = sum(block.count(b":") for block in iter(lambda: raw.read(PARSE_CHUNK_BYTES), b""))
+            raw.seek(0)
         # newline="" ends physical lines at "\n", "\r" or "\r\n" untranslated;
         # splitlines() then breaks each one at the other separators it knows
-        lines = (line for physical in f for line in physical.splitlines())
-        header = next(lines, None)
-        if header is None:
-            raise DatasetFormatError("line 1: empty file")
-        n, d, K = _parse_header(header)
-        yield n, d, K, _drop_trailing_blanks(lines)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as f:
+            lines = (line for physical in f for line in physical.splitlines())
+            header = next(lines, None)
+            if header is None:
+                raise DatasetFormatError("line 1: empty file")
+            n, d, K = _parse_header(header)
+            yield n, d, K, stored, _drop_trailing_blanks(lines)
 
 
 def _drop_trailing_blanks(lines: Iterator[str]) -> Iterator[str]:
@@ -263,42 +338,81 @@ def _drop_trailing_blanks(lines: Iterator[str]) -> Iterator[str]:
         yield line
 
 
+def _chunks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """Runs of consecutive lines, each holding at most `PARSE_CHUNK_BYTES` of
+    text with its newlines, or a longer line alone."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        if chunk and size + len(line) >= PARSE_CHUNK_BYTES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(line)
+        size += len(line) + 1
+    if chunk:
+        yield chunk
+
+
 def _check_count(n: int, found: int) -> None:
     if found != n:
         raise DatasetFormatError(f"header declares {n} instances but file has {found} data lines")
 
 
-def _parse_lines(body: Iterator[str], n: int, d: int, label_field) -> sp.csr_matrix:
-    """CSR features of the n data lines, read `PARSE_CHUNK_ROWS` at a time.
-    `label_field(row, lineno, line, tokens)` records a line's label field and
-    returns its feature tokens; it is never called for a row past n.  A chunk
-    that fails a check reruns line by line, raising for the first offending
-    line.  A line count other than n wins over any line error, so after a line
-    error the rest of the file is counted before either is raised."""
-    indices, data, counts = [], [], []
-    read = 0  # data lines taken from body
+def _convert(chunk: list[str], start: int, d: int, label_field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column indices, values and per-line token counts of the data lines
+    `chunk`, the first of them row `start`: in bulk, or when the bulk path
+    rejects the chunk, line by line, raising for the first offending line."""
     try:
-        while chunk := list(itertools.islice(body, PARSE_CHUNK_ROWS)):
+        texts = [label_field(r, r + 2, line) for r, line in enumerate(chunk, start)]
+    except DatasetFormatError:
+        pass
+    else:
+        counts = np.fromiter((t.count(":") for t in texts), dtype=np.int64, count=len(texts))
+        if (got := _convert_chunk(texts, counts, d)) is not None:
+            return *got, counts
+    idx: list[int] = []
+    val: list[float] = []
+    counts = np.zeros(len(chunk), dtype=np.int64)
+    for r, line in enumerate(chunk, start):
+        i, v = _convert_line(label_field(r, r + 2, line).split(), d, r + 2)
+        idx += i
+        val += v
+        counts[r - start] = len(i)
+    return np.array(idx, dtype=np.int32), np.array(val, dtype=np.float64), counts
+
+
+def _parse_lines(body: Iterator[str], n: int, d: int, stored: int | None, label_field) -> np.ndarray | sp.csr_matrix:
+    """Features of the n data lines, converted `PARSE_CHUNK_BYTES` of text
+    at a time.  `label_field(row, lineno, line)` records a line's label field
+    and returns the rest of the line, its feature tokens; it is never called
+    for a row past n.  When `stored`, the file's feature-token count, meets the
+    2/3 rule of `store_features`, each chunk goes straight into the frozen
+    dense matrix returned; otherwise the chunks make a CSR matrix with every
+    stored token.  A line count other than n wins over any line error, so
+    after a line error the rest of the file is counted before either is raised."""
+    X = np.zeros((n, d)) if stored is not None and _dense_enough(stored, n, d) else None
+    indices, data, counts = [], [], []
+    read = 0  # data lines in the chunks taken
+    chunks = _chunks(body)
+    try:
+        for chunk in chunks:
             start, read = read, read + len(chunk)
             if read > n:  # the count check below raises once the rest is counted
                 break
-            try:
-                rows = [label_field(r, r + 2, line, line.split()) for r, line in enumerate(chunk, start)]
-                idx, val = _convert_tokens(rows, d)
-            except (ValueError, OverflowError):  # DatasetFormatError is a ValueError
-                idx = None
-            if idx is None:
-                for r, line in enumerate(chunk, start):
-                    _check_feature_tokens(label_field(r, r + 2, line, line.split()), d, r + 2)
-                raise AssertionError("bulk feature checks rejected lines the line-by-line checks accept")
-            indices.append(idx)
-            data.append(val)
-            counts.extend(map(len, rows))
+            idx, val, row_counts = _convert(chunk, start, d, label_field)
+            if X is not None:
+                X[np.repeat(np.arange(start, read), row_counts), idx] = val
+            else:
+                indices.append(idx)
+                data.append(val)
+                counts.append(row_counts)
     except DatasetFormatError:
-        _check_count(n, read + sum(1 for _ in body))
+        _check_count(n, read + sum(map(len, chunks)))
         raise
-    _check_count(n, read + sum(1 for _ in body))
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    _check_count(n, read + sum(map(len, chunks)))
+    if X is not None:
+        return _freeze(X)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int64)])
     return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d))
 
 
@@ -320,24 +434,25 @@ def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
     Raises DatasetFormatError with the offending line number on any
     malformed line, out-of-range index, or empty/full label set.
     """
-    with _read_lines(path) as (n, d, K, body):
+    with _read_lines(path) as (n, d, K, stored, body):
         y = np.zeros((n, K), dtype=np.uint8)
 
-        def label_field(row: int, lineno: int, line: str, tokens: list[str]) -> list[str]:
+        def label_field(row: int, lineno: int, line: str) -> str:
+            parts = line.split(None, 1)
             # a leading space means the label field is empty
-            if line[:1].isspace() or not tokens or ":" in tokens[0]:
-                text, feat_tokens = "", tokens
+            if line[:1].isspace() or not parts or ":" in parts[0]:
+                text, features = "", line
             else:
-                text, feat_tokens = tokens[0], tokens[1:]
+                text, features = parts[0], parts[1] if len(parts) == 2 else ""
             labels = _parse_label_field(text, K, lineno)
             if not labels:
                 raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
             if len(labels) == K:
                 raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
             y[row, labels] = 1
-            return feat_tokens
+            return features
 
-        feats = _parse_lines(body, n, d, label_field)
+        feats = _parse_lines(body, n, d, stored, label_field)
     return MultiLabelDataset(feats, y, LabelSpace(K))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,11 @@ class RunConfig:
         if self.relevant_count < 1:
             raise ValueError("relevant_count must be at least 1")
 
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """The matrix at `transition_path`, read and checked on first use."""
+        return load_transition_csv(self.transition_path)
+
 
 @dataclass(frozen=True)
 class AggregateReport:
@@ -136,7 +142,7 @@ def _corrupt(train: MultiLabelDataset, mode: str, seed: int) -> tuple[Complement
 
 def _fold_transition(cds: ComplementaryDataset, cfg: RunConfig, tcfg: TrainConfig) -> np.ndarray:
     if cfg.transition_source == "load":
-        return load_transition_csv(cfg.transition_path)
+        return cfg.transition
     if cfg.transition_source == "oracle":
         return uniform_transition(cds.n_labels)
     predictor = train_cl_predictor(cds, tcfg).model
@@ -245,7 +251,10 @@ def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
 
 def run_cv(cfg: RunConfig) -> AggregateReport:
     """Cross-validate the configured pipeline; corruption, transition
-    estimation, and training all see the training fold only."""
+    estimation, and training all see the training fold only.  A transition
+    file is read and checked once, before the data."""
+    if cfg.transition_source == "load":
+        cfg.transition  # read and check the file before the data
     reports = []
     for fold in _load_and_fold(cfg):
         try:

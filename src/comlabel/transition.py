@@ -33,17 +33,25 @@ __all__ = [
 _ZERO_ROW_TOL = 1e-12
 
 
-def validate_transition(T: np.ndarray, tol: float = 1e-9) -> None:
-    """Assert the row-stochastic zero-diagonal contract."""
+def validate_transition(T: np.ndarray, tol: float = 1e-9, lines: list[int] | None = None) -> None:
+    """Assert the row-stochastic zero-diagonal contract: finite non-negative
+    entries, an exactly zero diagonal and rows summing to 1 within `tol`.  The
+    error names the first offending row, as its entry of `lines` (the file
+    line of each row) when given."""
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("transition matrix must be square")
-    if np.any(T < 0):
-        raise ValueError("transition matrix has negative entries")
-    if np.any(np.diagonal(T) != 0.0):
-        raise ValueError("transition matrix diagonal must be exactly zero")
-    if np.any(np.abs(T.sum(axis=1) - 1.0) > tol):
-        raise ValueError("transition matrix rows must sum to 1")
+    _reject_rows(~np.isfinite(T).all(axis=1), "has non-finite entries", lines)
+    _reject_rows((T < 0).any(axis=1), "has negative entries", lines)
+    _reject_rows(np.diagonal(T) != 0.0, "diagonal must be exactly zero", lines)
+    _reject_rows(np.abs(T.sum(axis=1) - 1.0) > tol, "rows must sum to 1", lines)
+
+
+def _reject_rows(bad: np.ndarray, what: str, lines: list[int] | None) -> None:
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        where = f"line {lines[row]}" if lines is not None else f"row {row}"
+        raise ValueError(f"{where}: transition matrix {what}")
 
 
 def uniform_transition(n_labels: int) -> np.ndarray:
@@ -183,11 +191,23 @@ def save_transition_csv(T: np.ndarray, path: str | Path) -> None:
 
 
 def load_transition_csv(path: str | Path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            rows.append([float(t) for t in line.split(",")])
+    """Read a transition CSV and check it as `validate_transition` does; each
+    error names the offending line of the file."""
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(t) for t in line.split(",")]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: {len(row)} entries, but line {lines[0]} has {len(rows[0])}")
+        rows.append(row)
+        lines.append(lineno)
     T = np.asarray(rows, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"transition CSV must be square, got {T.shape}")
+    validate_transition(T, lines=lines)
     return T

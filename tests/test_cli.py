@@ -112,6 +112,19 @@ class TestCV:
         rep = read_report(out)
         assert len(rep.fold_reports) == 3
 
+    def test_bad_transition_file_fails_before_training(self, data_file, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a fold was fitted before the transition file was checked")
+
+        monkeypatch.setattr(experiment, "fit_fold", no_training)
+        tfile = tmp_path / "t.csv"
+        tfile.write_text("0,0.5,0.25,0.25\n0.5,0,0.25,0.25\n0.5,0.25,0,0.25\n0.5,0.25,0.5,0\n")
+        with pytest.raises(ValueError, match="^line 4: transition matrix rows must sum to 1"):
+            run("cv", "--data", data_file, "--folds", "3", "--epochs", "5", "--lr", "0.01",
+                "--transition-in", tfile, "--out", tmp_path / "cv.csv")  # fmt: skip
+
     def test_ablate_writes_three_reports(self, data_file, tmp_path):
         out = tmp_path / "ab.csv"
         assert run("ablate", "--data", data_file, "--folds", "2", "--epochs", "10", "--lr", "0.01", "--out", out) == 0

@@ -1,10 +1,13 @@
 import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import comlabel.dataset as dataset_module
 from comlabel.complementary import parse_complementary_file, write_complementary_file
 from comlabel.dataset import (
     DatasetFormatError,
@@ -12,7 +15,7 @@ from comlabel.dataset import (
     GenerativeSpec,
     LabelSpace,
     MultiLabelDataset,
-    PARSE_CHUNK_ROWS,
+    PARSE_CHUNK_BYTES,
     enumerate_subsets,
     kfold_split,
     make_exclusive_spec,
@@ -27,6 +30,13 @@ from comlabel.dataset import (
     uniform_cl_rows,
     write_multilabel_file,
 )
+
+
+# lines of 8 bytes with the newline, such as "0 0:1.0", that fill one parse
+# chunk; longer lines fill it sooner
+CHUNK_LINES = PARSE_CHUNK_BYTES // 8
+# the same for the reader tests, which shrink the chunk to keep their files small
+READER_CHUNK_LINES = 256
 
 
 def _dense(X):
@@ -96,9 +106,9 @@ class TestParser:
             ("0 1:1.0 0:1", "strictly increasing"),
             ("0 0:nan", "non-finite feature value 'nan'"),
             ("0 0:inf", "non-finite feature value 'inf'"),
-            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0 0:1.0 2:x", "bad feature token '2:x'", id="past-first-chunk"),
-            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0 0:1.0 1:inf", "non-finite", id="past-first-chunk-inf"),
-            pytest.param("0 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "0,0 1:1.0", "duplicate label", id="past-first-chunk-label"),
+            pytest.param("0 0:1.0\n" * (CHUNK_LINES + 3) + "0 0:1.0 2:x", "bad feature token '2:x'", id="past-first-chunk"),
+            pytest.param("0 0:1.0\n" * (CHUNK_LINES + 3) + "0 0:1.0 1:inf", "non-finite", id="past-first-chunk-inf"),
+            pytest.param("0 0:1.0\n" * (CHUNK_LINES + 3) + "0,0 1:1.0", "duplicate label", id="past-first-chunk-label"),
             # a ';' in the last line's label field selects the complementary format
             ("x; 0:1.0", "bad complementary label 'x'"),
             ("3; 0:1.0", "complementary label 3 out of range"),
@@ -106,7 +116,7 @@ class TestParser:
             ("1;0,x 0:1.0", "bad label index 'x'"),
             ("1; 0:1:2", "bad feature token '0:1:2'"),
             ("1; 0:nan", "non-finite feature value 'nan'"),
-            pytest.param("0; 0:1.0\n" * (PARSE_CHUNK_ROWS + 3) + "1; 0:1.0 0:2.0", "strictly increasing", id="cl-past-first-chunk"),
+            pytest.param("0; 0:1.0\n" * (CHUNK_LINES + 3) + "1; 0:1.0 0:2.0", "strictly increasing", id="cl-past-first-chunk"),
         ],
     )
     def test_malformed_lines_report_line_number(self, tmp_path, line, msg):
@@ -158,6 +168,51 @@ class TestParser:
             assert isinstance(stored_as, np.ndarray) == dense
             assert sp.issparse(stored_as) != dense
 
+    @pytest.mark.parametrize("zeros,dense", [("0:0 1:-0.0 2:5.0", True), ("0:-0.0", False)])
+    def test_storage_counts_stored_tokens(self, tmp_path, zeros, dense):
+        # explicit zero tokens count as stored cells: 6 of 9 stored (4 nonzero) is dense
+        path = tmp_path / "a.txt"
+        path.write_text(f"3 3 3\n0 {zeros}\n1 0:1.0 1:2.0\n2 2:3.0\n")
+        X = parse_multilabel_file(path).features
+        assert isinstance(X, np.ndarray) == dense
+        if not dense:  # the explicit zero stays stored, with its sign
+            assert X.nnz == 4 and X.data[0] == 0.0 and np.signbit(X.data[0])
+
+    def test_frozen_array_kept_as_is(self):
+        X = np.zeros((3, 3))
+        X[0, 0] = 1.0  # 1 of 9 cells: a writable array goes to CSR
+        assert sp.issparse(store_features(X.copy()))
+        X.setflags(write=False)
+        assert store_features(X) is X
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 3 3\n0,2 0:1.0 1:-2.5 2:0.5\n1 0:3.0 1:0 2:1e-300\n2 1:7.0 2:0.1\n",  # 8 of 9 stored, one a zero
+            "3 3 3\n0,2 0:1.0 2:0\n1 1:2.0\n2 1:7.0 2:0.1\n",  # 5 of 9 stored, one a zero
+        ],
+    )
+    def test_unseekable_file_parses_the_same(self, tmp_path, text):
+        # a pipe cannot be rewound to count its tokens first; its matrix is the same
+        path, pipe = tmp_path / "a.txt", tmp_path / "pipe"
+        path.write_text(text)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,))
+        writer.start()
+        try:
+            piped = parse_multilabel_file(pipe)
+        finally:
+            writer.join()
+        want = parse_multilabel_file(path)
+        assert type(piped.features) is type(want.features)
+        if sp.issparse(want.features):
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(piped.features, attr).tobytes() == getattr(want.features, attr).tobytes()
+        else:
+            assert piped.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(piped.y, want.y)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         y = np.zeros((20, 5), dtype=np.uint8)
@@ -174,6 +229,123 @@ class TestParser:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(ds.y, ds2.y)
         assert (ds.features != ds2.features).nnz == 0
+
+
+# Feature texts for the differential tests, d = 20.
+CANONICAL_VALUES = [
+    0.0, -0.0, 1.0, 0.1, 1 / 3, -2.5, 123456789.12345679, 9007199254740993.0,
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,  # subnormals and the smallest normal
+    1e-300, 1.7976931348623157e308, -1.7976931348623157e308,  # extremes
+]  # fmt: skip
+CANONICAL_TEXTS = [
+    " ".join(f"{j}:{v:.17g}" for j, v in enumerate(CANONICAL_VALUES)),
+    " ".join(f"{j}:{v!r}" for j, v in enumerate(CANONICAL_VALUES)),
+    " ".join(f"{j}:{v:.17g}" for j, v in enumerate(np.random.default_rng(8).standard_normal(20) * 10.0 ** np.arange(-10, 10))),
+    "0:1. 1:.5 2:1E5 3:1e+005 4:+.5 5:-0 6:+3 7:0.000 8:1e-400 9:00012 00010:7",
+    "0:1.0\t1:2.0",  # tabs and runs of spaces
+    "0:1.0   1:2.0",
+    " \t 0:1.0 \t 1:2.0 \t",
+    "",
+    "   ",
+]
+ODD_TEXTS = [
+    "1_0:1.0", "0:1_0", "-0:1.0", "+3:1.0", "0:-0", "0:+3",  # Python reads these
+    "0x10:1.0", "0:0x10", "3.0:1.0", "1e1:1.0",
+    "0:1e999", "0:" + "1" * 400, "0:nan", "0:NaN", "0:Infinity", "0:-inf",
+    "0:1e", "0:e1", "0:1.5-2", "0:1..2", "0:.", "0:-",
+    "\u0663:1.0", "0:\u0663.\u0665", "0:1.0\u20031:2.0", "0:1.0\xa01:2.0", "0:1.0\x1f1:2.0",  # non-ASCII digits, whitespace
+    ":1.0", "0:", "0:1:2", "0::1", "0 :1", "0: 1", "1:1.0 0:2.0", "0:1.0 0:2.0", "25:1.0", "0:1.0 1:x", "x", "0:1.0:",
+]  # fmt: skip
+
+
+def _line_outcome(text, d=20):
+    try:
+        idx, val = dataset_module._convert_line(text.split(), d, 2)
+    except DatasetFormatError as err:
+        return str(err)
+    return np.array(idx, dtype=np.int32), np.array(val, dtype=np.float64)
+
+
+class TestBulkConversion:
+    """The bulk path, one C-level conversion per chunk, against the per-line
+    path, Python's int() and float() per token."""
+
+    @pytest.mark.parametrize("text", CANONICAL_TEXTS + ODD_TEXTS)
+    def test_bulk_equals_per_line(self, text):
+        counts = np.array([text.count(":")])
+        bulk = dataset_module._convert_chunk([text], counts, 20)
+        line = _line_outcome(text)
+        if text in CANONICAL_TEXTS:
+            assert bulk is not None, "the bulk path rejected canonical tokens"
+        if bulk is not None:  # the bulk path vouches only for what the per-line path accepts
+            assert not isinstance(line, str), line
+            for got, want in zip(bulk, line):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "raw,n_tokens,readable",
+        [
+            (b"0:1.5 2:-3e4\t3:.5  ", 3, True),
+            (b"  \t ", 0, True),
+            (b"12", 0, False),  # a token without a colon
+            (b"0:1 5", 1, False),
+            (b"0:1x", 1, False),  # a byte no decimal float holds
+            (b"0: 1:2", 2, False),  # an empty value
+            (b"0:1 2:", 2, False),
+            (b"3.0:1", 1, False),  # an index that is not all digits
+            (b"0 :1", 1, False),
+        ],
+    )
+    def test_bulk_structure_checks(self, raw, n_tokens, readable):
+        # each case fails one check only; the per-line path decides the rest
+        assert dataset_module._bulk_readable(raw, n_tokens) == readable
+
+    def test_bulk_equals_per_line_across_lines(self):
+        # one chunk of several lines: indices may restart on each line only
+        texts = ["0:1.0 5:2.0", "", "0:3.0", "19:4.0"]
+        counts = np.array([t.count(":") for t in texts])
+        idx, val = dataset_module._convert_chunk(texts, counts, 20)
+        assert idx.tolist() == [0, 5, 0, 19] and val.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert dataset_module._convert_chunk(["0:1.0 5:2.0", "5:3.0 4:1.0"], np.array([2, 2]), 20) is None
+
+    @pytest.mark.parametrize("text", CANONICAL_TEXTS + ODD_TEXTS)
+    def test_parse_equals_per_line_parse(self, tmp_path, monkeypatch, text):
+        # the same matrix bit for bit, or the same message at the same line
+        path = tmp_path / "a.txt"
+        path.write_text(f"3 20 3\n0 0:1.0\n1 {text}\n2 3:2.0\n", encoding="utf-8")
+        outcomes = []
+        for per_line_only in (False, True):
+            if per_line_only:
+                monkeypatch.setattr(dataset_module, "_convert_chunk", lambda *args: None)
+            try:
+                ds = parse_multilabel_file(path)
+            except DatasetFormatError as err:
+                outcomes.append(str(err))
+                continue
+            X = ds.features
+            parts = (X,) if isinstance(X, np.ndarray) else (X.data, X.indices, X.indptr)
+            outcomes.append((type(X), [(p.dtype, p.tobytes()) for p in parts], ds.y.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("n,d", [(3000, 100), (30, 10000)], ids=["narrow", "wide"])
+    def test_peak_memory_bounded_by_the_features(self, tmp_path, n, d):
+        # 2.4 MB of dense features either way, at 25 bytes of text per cell.
+        # The parse holds the dense matrix and one chunk of text with its
+        # compact arrays: about 2.1x here for narrow and wide rows alike.
+        # Chunks of 256 whole rows of token strings, concatenated before the
+        # dense copy, hold 4.7x on the narrow file and 41x on the wide one.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "a.txt"
+        y = np.tile([[1, 0, 1], [0, 1, 1]], (n // 2, 1))
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((n, d)), y, LabelSpace(3)), path)
+        tracemalloc.start()
+        try:
+            ds = parse_multilabel_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ds.features, np.ndarray)
+        assert peak < 3 * ds.features.nbytes
 
 
 # per format: parser, writer, three valid data lines, one malformed data line, the error a blank data line raises
@@ -214,9 +386,13 @@ class TestReaderLines:
     """Whole-file behaviour of the reader both formats share: how lines split,
     trailing blank lines, and the line-count check and its precedence."""
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "PARSE_CHUNK_BYTES", 8 * READER_CHUNK_LINES)
+
     @pytest.mark.parametrize(
         "declared,found",
-        [(3, 2), (1, 2), (2, 3), (1, PARSE_CHUNK_ROWS + 5), (PARSE_CHUNK_ROWS + 5, PARSE_CHUNK_ROWS)],
+        [(3, 2), (1, 2), (2, 3), (1, READER_CHUNK_LINES + 5), (READER_CHUNK_LINES + 5, READER_CHUNK_LINES)],
     )
     def test_count_mismatch(self, tmp_path, reader_format, declared, found):
         parse, _, good, _, _ = reader_format
@@ -257,8 +433,8 @@ class TestReaderLines:
         [
             (3, ["bad", "good"]),  # too few lines, bad line first
             (1, ["good", "bad"]),  # too many lines, all in one chunk
-            (1, ["bad"] + ["good"] * (PARSE_CHUNK_ROWS + 5)),  # the surplus shows only past the first chunk
-            (PARSE_CHUNK_ROWS + 10, ["good"] * (PARSE_CHUNK_ROWS + 3) + ["bad"]),  # bad line in the last chunk
+            (1, ["bad"] + ["good"] * (READER_CHUNK_LINES + 5)),  # the surplus shows only past the first chunk
+            (READER_CHUNK_LINES + 10, ["good"] * (READER_CHUNK_LINES + 3) + ["bad"]),  # bad line in the last chunk
         ],
     )
     def test_count_error_wins_over_line_error(self, tmp_path, reader_format, declared, layout):

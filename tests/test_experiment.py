@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,23 +122,49 @@ class TestRunCV:
 
 class TestLeakageAudit:
     def test_test_fold_never_consumed(self, data_file):
-        ds = parse_multilabel_file(data_file)
-        cfg = quick_config(data_file)
-        from comlabel.dataset import kfold_split
+        # two datasets that agree on fold 0's training rows and differ on its
+        # test rows, split with the same seed, must fit bit-identical models
+        from comlabel.dataset import MultiLabelDataset, kfold_split
 
-        folds = kfold_split(ds, 3, cfg.train.seed)
-        fold = folds[0]
-        model_a, _ = fit_fold(fold.train, cfg, fold.fold_index)
-        # rebuild the same training split while garbling the held-out fold
-        model_b, _ = fit_fold(fold.train, cfg, fold.fold_index)
-        np.testing.assert_array_equal(model_a.weights, model_b.weights)
-        # fitting consumes only the training split by construction: the fit
-        # signature takes no test data, so injecting a poisoned test fold
-        # cannot change the model
-        garbled = folds[1]
-        model_c, _ = fit_fold(fold.train, cfg, fold.fold_index)
-        np.testing.assert_array_equal(model_a.weights, model_c.weights)
-        assert garbled.test is not fold.test
+        cfg = quick_config(data_file)
+        clean = parse_multilabel_file(data_file)
+        test_rows = kfold_split(clean, 3, cfg.train.seed)[0].test_indices
+        X = np.array(clean.features)
+        y = clean.y.copy()
+        X[test_rows] = np.random.default_rng(7).standard_normal((test_rows.size, X.shape[1])) * 100.0
+        y[test_rows] = 1 - y[test_rows]  # the complement of a nonempty proper subset is one too
+        garbled = MultiLabelDataset(X, y, clean.labels)
+
+        fold_a = kfold_split(clean, 3, cfg.train.seed)[0]
+        fold_b = kfold_split(garbled, 3, cfg.train.seed)[0]
+        assert np.array_equal(fold_a.test_indices, fold_b.test_indices)
+        assert not np.array_equal(fold_a.test.features, fold_b.test.features)
+        assert not np.array_equal(fold_a.test.y, fold_b.test.y)
+        model_a, _ = fit_fold(fold_a.train, cfg, fold_a.fold_index)
+        model_b, _ = fit_fold(fold_b.train, cfg, fold_b.fold_index)
+        assert model_a.weights.tobytes() == model_b.weights.tobytes()
+        assert model_a.bias.tobytes() == model_b.bias.tobytes()
+
+
+class TestTransitionFile:
+    def test_read_once_per_run(self, data_file, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+        from comlabel.transition import save_transition_csv
+
+        rng = np.random.default_rng(2)
+        T = rng.random((5, 5))
+        np.fill_diagonal(T, 0.0)
+        save_transition_csv(T / T.sum(axis=1, keepdims=True), tmp_path / "t.csv")
+        cfg = quick_config(data_file, learning_rate=None, transition_source="load", transition_path=tmp_path / "t.csv")
+        reads = []
+        load = experiment.load_transition_csv
+        monkeypatch.setattr(experiment, "load_transition_csv", lambda path: reads.append(path) or load(path))
+        report = run_cv(cfg)
+        assert len(reads) == 1  # not once per fold and grid candidate
+        # the same bytes as folds fitted one by one, each on a config of its own
+        by_fold = AggregateReport(tuple(experiment._run_fold(f, replace(cfg)) for f in experiment._load_and_fold(cfg)))
+        assert len(reads) == 1 + 3
+        assert report_to_csv(report) == report_to_csv(by_fold)
 
 
 class TestAblation:

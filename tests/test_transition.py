@@ -287,3 +287,46 @@ class TestEndToEnd:
         save_transition_csv(T, path)
         back = load_transition_csv(path)
         np.testing.assert_allclose(back, T, atol=1e-11)
+
+
+GOOD_T = "0,0.5,0.5\n0.25,0,0.75\n0.5,0.5,0\n"
+
+
+class TestLoadTransitionCSV:
+    @pytest.mark.parametrize(
+        "text,msg",
+        [
+            ("0,0.5,0.5\n0.25,x,0.75\n0.5,0.5,0\n", "line 2: non-numeric entry"),
+            ("0,0.5,0.5\n0.25,,0.75\n0.5,0.5,0\n", "line 2: non-numeric entry"),
+            ("0,0.5,0.5\n0.25,0,0.75\n0.5,0.5\n", "line 3: 2 entries, but line 1 has 3"),
+            ("0,0.5,0.5\n0.25,0,0.75,0\n0.5,0.5,0\n", "line 2: 4 entries, but line 1 has 3"),
+            ("0,0.5,0.5\n\n1.25,0,-0.25\n0.5,0.5,0\n", "line 3: transition matrix has negative entries"),
+            ("0.1,0.4,0.5\n0.25,0,0.75\n0.5,0.5,0\n", "line 1: transition matrix diagonal must be exactly zero"),
+            ("0,0.5,0.5\n0.25,0,0.75\n0.5,0.4,0\n", "line 3: transition matrix rows must sum to 1"),
+            ("0,0.5,0.5\n0.25,0,nan\n0.5,0.5,0\n", "line 2: transition matrix has non-finite entries"),
+            ("0,0.5,inf\n0.25,0,0.75\n0.5,0.5,0\n", "line 1: transition matrix has non-finite entries"),
+        ],
+    )
+    def test_bad_file_names_its_line(self, tmp_path, text, msg):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_transition_csv(path)
+        assert str(err.value).startswith(msg)
+
+    def test_not_square(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("0,0.5,0.5\n0.25,0,0.75\n")
+        with pytest.raises(ValueError, match="must be square"):
+            load_transition_csv(path)
+
+    def test_good_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n" + GOOD_T + "\n")
+        np.testing.assert_array_equal(load_transition_csv(path), [[0, 0.5, 0.5], [0.25, 0, 0.75], [0.5, 0.5, 0]])
+
+    def test_validate_names_the_row(self):
+        T = uniform_transition(4)
+        T[2, 2] = 0.5
+        with pytest.raises(ValueError, match="^row 2: transition matrix diagonal"):
+            validate_transition(T)
