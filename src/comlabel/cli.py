@@ -181,6 +181,7 @@ def _train_config(args, lr_fallback: float = 1e-2) -> TrainConfig:
 
 
 def _run_config(args) -> RunConfig:
+    relevant = getattr(args, "relevant", None)  # of the commands built on run_cv, only clrl takes --relevant
     return RunConfig(
         data_path=args.data,
         corruption=args.mode,
@@ -192,7 +193,7 @@ def _run_config(args) -> RunConfig:
         train=_train_config(args),
         transition_source="load" if args.transition_in else "estimate",
         transition_path=args.transition_in,
-        relevant_count=getattr(args, "relevant", None) or 1,
+        relevant_count=1 if relevant is None else relevant,
     )
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import (
     DatasetFormatError,
@@ -25,6 +25,9 @@ from .dataset import (
     _write_lines,
     store_features,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ComplementaryDataset",

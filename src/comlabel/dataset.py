@@ -10,27 +10,33 @@ checks, and a chunk failing them is redone line by line with `int()` and
 `float()`, which give the same values and name the first offending line.
 When the file's feature-token count meets the dense rule, chunks are
 scattered straight into the dense matrix; otherwise they are assembled into
-CSR.
+CSR.  SciPy is imported only where a CSR matrix is built, so dense data
+needs NumPy alone.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MIN_LABELS = 3  # label spaces with fewer than 3 classes admit no interesting complement
 
 __all__ = [
     "DatasetFormatError",
     "LabelSpace",
+    "issparse",
     "store_features",
     "MultiLabelDataset",
     "FoldSplit",
@@ -75,6 +81,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def issparse(x) -> bool:
+    """Whether `x` is a SciPy sparse matrix or array, decided without
+    importing SciPy: one can exist only once `scipy.sparse` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
+
+
+def _csr(*args, **kwargs) -> sp.csr_matrix:
+    """`scipy.sparse.csr_matrix(*args, **kwargs)`; SciPy loads here, on the
+    first CSR matrix built, and only sparse data builds one."""
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix(*args, **kwargs)
+
+
 def store_features(X) -> np.ndarray | sp.csr_matrix:
     """Store features as a read-only C-contiguous float64 ndarray when at least
     2/3 of the cells are stored (nonzero), else as float64 CSR: from 2/3 on, 8
@@ -86,12 +107,12 @@ def store_features(X) -> np.ndarray | sp.csr_matrix:
     dense."""
     if isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable:
         return X
-    sparse = sp.issparse(X)
-    X = sp.csr_matrix(X, dtype=np.float64) if sparse else np.asarray(X, dtype=np.float64)
+    sparse = issparse(X)
+    X = _csr(X, dtype=np.float64) if sparse else np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
     if not _dense_enough(X.nnz if sparse else np.count_nonzero(X), *X.shape):
-        return X if sparse else sp.csr_matrix(X)
+        return X if sparse else _csr(X)
     return _freeze(_dense(X))
 
 
@@ -100,7 +121,7 @@ def _dense_enough(stored: int, n: int, d: int) -> bool:
 
 
 def _dense(X) -> np.ndarray:
-    return X.toarray() if sp.issparse(X) else X
+    return X.toarray() if issparse(X) else X
 
 
 @dataclass(frozen=True)
@@ -413,19 +434,26 @@ def _parse_lines(body: Iterator[str], n: int, d: int, stored: int | None, label_
     if X is not None:
         return _freeze(X)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int64)])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d))
+    return _csr((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d))
 
 
 def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> None:
     """Write the header and one "<label field> <idx>:<val> ..." line per row: a
     dense row's nonzero cells or a CSR row's stored entries, at 17 significant
-    digits so that parsing restores them bit-exactly."""
-    X = sp.csr_matrix(features)  # a dense matrix's stored entries are its nonzero cells
-    out = [f"{X.shape[0]} {X.shape[1]} {n_labels}"]
-    for i, text in enumerate(label_fields):
-        span = slice(X.indptr[i], X.indptr[i + 1])
-        out.append(" ".join([text] + [f"{j}:{v:.17g}" for j, v in zip(X.indices[span].tolist(), X.data[span].tolist())]))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    digits so that parsing restores them bit-exactly.  Lines go to the open
+    file one at a time, each built from its own row's cells alone."""
+    n, d = features.shape
+    sparse = issparse(features)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n} {d} {n_labels}\n")
+        for i, text in enumerate(label_fields):
+            if sparse:
+                span = slice(features.indptr[i], features.indptr[i + 1])
+                cols, vals = features.indices[span], features.data[span]
+            else:
+                cols = np.flatnonzero(features[i])
+                vals = features[i, cols]
+            fh.write(" ".join([text, *map("{}:{:.17g}".format, cols.tolist(), vals.tolist())]) + "\n")
 
 
 def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:

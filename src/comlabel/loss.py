@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .dataset import issparse
 from .model import LinearModel, forward
 
 __all__ = [
@@ -228,7 +228,7 @@ def batch_objective(
             G_f = g1 - 2.0 * R
 
     G_z = _chain_head(model, F, G_f) / n
-    Xm = X.tocsr() if sp.issparse(X) else np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Xm = X.tocsr() if issparse(X) else np.atleast_2d(np.asarray(X, dtype=np.float64))
     gW = np.asarray(G_z.T @ Xm)
     gb = G_z.sum(axis=0)
     return float(values.mean()), gW, gb

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
+
+from .dataset import issparse
 
 HEADS = ("sigmoid", "softmax")
 
@@ -64,12 +64,21 @@ def init_linear(d: int, n_labels: int, head: str, seed: int) -> LinearModel:
 
 
 def _logits(model: LinearModel, x) -> tuple[np.ndarray, bool]:
-    single = not sp.issparse(x) and np.ndim(x) == 1
-    X = x if sp.issparse(x) else np.atleast_2d(np.asarray(x, dtype=np.float64))
+    sparse = issparse(x)
+    single = not sparse and np.ndim(x) == 1
+    X = x if sparse else np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise ValueError(f"input has {X.shape[1]} features, model expects {model.n_features}")
     Z = np.asarray(X @ model.weights.T + model.bias)
     return Z, single
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function by `scipy.special.expit`'s own formula,
+    1 / (1 + exp(-z)), in NumPy.  Below z = -709.78, exp(-z) overflows to inf
+    and the result is 0.0, as expit's is; that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -79,9 +88,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: LinearModel, x) -> np.ndarray:
-    """Score an instance (1-d) or a batch (2-d / sparse); scores lie in [0, 1]."""
+    """Score an instance (1-d) or a batch (2-d / sparse); scores lie in [0, 1].
+
+    The sigmoid head is `sigmoid`, computed with NumPy alone.  Where NumPy's
+    `exp` is not the C library's (builds with AVX-512 kernels), its scores
+    can differ from `scipy.special.expit` by a few ulp; reruns on one machine
+    stay bit-identical."""
     Z, single = _logits(model, x)
-    F = expit(Z) if model.head == "sigmoid" else softmax(Z)
+    F = sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
     return F[0] if single else F
 
 

@@ -153,6 +153,24 @@ class TestCV:
         assert len(lines) == 1 + 3 * 5
 
 
+class TestRelevantCount:
+    # --relevant defaults to 1 only when absent; 0 is rejected, not run as 1
+    @pytest.mark.parametrize(
+        "command,msg", [("corrupt", "r must be at least 1"), ("clrl", "relevant_count must be at least 1")]
+    )
+    def test_zero_rejected(self, data_file, tmp_path, command, msg):
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=msg):
+            run(command, "--data", data_file, "--relevant", "0", "--folds", "2", "--epochs", "2", "--lr", "0.01", "--out", out)
+        assert not out.exists()
+
+    def test_zero_from_config_rejected(self, data_file, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("relevant = 0\n")
+        with pytest.raises(ValueError, match="relevant_count must be at least 1"):
+            run("clrl", "--config", cfg, "--data", data_file, "--out", tmp_path / "out.csv")
+
+
 class TestTheoryCheck:
     def test_passes_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import comlabel.dataset as dataset_module
-from comlabel.complementary import parse_complementary_file, write_complementary_file
+from comlabel.complementary import ComplementaryDataset, parse_complementary_file, write_complementary_file
 from comlabel.dataset import (
     DatasetFormatError,
     FeatureScaler,
@@ -346,6 +346,40 @@ class TestBulkConversion:
             tracemalloc.stop()
         assert isinstance(ds.features, np.ndarray)
         assert peak < 3 * ds.features.nbytes
+
+
+class TestWriter:
+    def test_bytes_of_both_formats(self, tmp_path):
+        # values at 17 significant digits; a dense row's zero cells are left
+        # out, a CSR row's stored entries are all written, an explicit -0 too
+        X = np.array([[0.411057, -2.5, 1e-300], [3.0, 0.0, 0.1], [0.0, 7.0, 2.0]])  # 7 of 9 cells: dense
+        ds = MultiLabelDataset(X, [[1, 0, 1], [0, 1, 0], [0, 0, 1]], LabelSpace(3))
+        assert isinstance(ds.features, np.ndarray)
+        write_multilabel_file(ds, tmp_path / "dense.txt")
+        assert (tmp_path / "dense.txt").read_bytes() == (
+            b"3 3 3\n0,2 0:0.41105700000000001 1:-2.5 2:1e-300\n1 0:3 2:0.10000000000000001\n2 1:7 2:2\n"
+        )
+        csr = sp.csr_matrix((np.array([-0.0, 2.5, 1.0]), np.array([1, 0, 4]), np.array([0, 1, 1, 3])), shape=(3, 5))
+        cds = ComplementaryDataset(csr, [2, 0, 1], LabelSpace(3), relevant=[[1, 0, 0], [0, 1, 1], [1, 0, 0]])
+        assert sp.issparse(cds.features)
+        write_complementary_file(cds, tmp_path / "sparse.txt")
+        assert (tmp_path / "sparse.txt").read_bytes() == b"3 5 3\n2;0 1:-0\n0;1,2\n1;0 0:2.5 4:1\n"
+
+    def test_peak_memory_below_the_features(self, tmp_path):
+        # lines go to the file one at a time: no CSR copy of the dense
+        # matrix, no list of all lines and no joined text, each of which
+        # alone is larger than the features
+        rng = np.random.default_rng(0)
+        y = np.tile([[1, 0, 1], [0, 1, 1]], (500, 1))
+        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y, LabelSpace(3))
+        tracemalloc.start()
+        try:
+            write_multilabel_file(ds, tmp_path / "a.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes
+        assert np.array_equal(parse_multilabel_file(tmp_path / "a.txt").features, ds.features)
 
 
 # per format: parser, writer, three valid data lines, one malformed data line, the error a blank data line raises

@@ -1,0 +1,80 @@
+"""SciPy loads only for sparse data: dense commands run on NumPy alone.
+
+Each check runs in a fresh interpreter, since this test process has SciPy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
+
+import comlabel
+from comlabel.dataset import LabelSpace, MultiLabelDataset, parse_multilabel_file, write_multilabel_file
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dense_without_scipy.py"
+
+# The CLI on argv[2:]; with argv[1] == "blocked", SciPy cannot be imported.
+RUN_CLI = r"""
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from comlabel.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+# Parses the file argv[1] and prints whether scipy.sparse was loaded before
+# and after, with the dtype and bytes of each CSR array.
+PARSE_SPARSE = r"""
+import json, sys
+from comlabel.dataset import parse_multilabel_file
+before = "scipy.sparse" in sys.modules
+X = parse_multilabel_file(sys.argv[1]).features
+arrays = {a: [str(getattr(X, a).dtype), getattr(X, a).tobytes().hex()] for a in ("data", "indices", "indptr")}
+print(json.dumps({"before": before, "after": "scipy.sparse" in sys.modules, "format": X.format, "arrays": arrays}))
+"""
+
+
+def _fresh(*argv) -> str:
+    """Run python with `argv` in a new interpreter that imports this comlabel; its stdout."""
+    src = str(Path(comlabel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+class TestDenseWithoutScipy:
+    def test_cli_round_trip_leaves_scipy_unloaded(self):
+        # convert, corrupt, train, eval and cv on dense data; the script fails if SciPy was imported
+        assert "ran without SciPy" in _fresh(SCRIPT)
+
+    def test_cv_report_identical_with_scipy_blocked(self, tmp_path):
+        rng = np.random.default_rng(3)
+        y = np.tile([[1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0]], (30, 1))
+        data = tmp_path / "full.txt"
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((90, 5)) + y[:, :1], y, LabelSpace(4)), data)
+        for mode in ("open", "blocked"):
+            _fresh("-c", RUN_CLI, mode, "cv", "--data", data, "--out", tmp_path / f"{mode}.csv",
+                   "--folds", "3", "--epochs", "3", "--lr", "0.01", "--seed", "4")  # fmt: skip
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+
+class TestSparseLoadsScipy:
+    def test_parse_loads_scipy_sparse_and_builds_the_same_csr(self, tmp_path):
+        rng = np.random.default_rng(2)
+        y = np.tile([[1, 0, 1], [0, 1, 0]], (20, 1))
+        X = sp.random(40, 30, density=0.1, random_state=rng, format="csr")
+        path = tmp_path / "sparse.txt"
+        write_multilabel_file(MultiLabelDataset(X, y, LabelSpace(3)), path)
+        got = json.loads(_fresh("-c", PARSE_SPARSE, path))
+        assert (got["before"], got["after"], got["format"]) == (False, True, "csr")
+        want = parse_multilabel_file(path).features  # here SciPy is loaded before the parse
+        for attr, (dtype, blob) in got["arrays"].items():
+            assert (dtype, blob) == (str(getattr(want, attr).dtype), getattr(want, attr).tobytes().hex())
+        assert (want != X).nnz == 0

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from comlabel.model import (
     LinearModel,
@@ -11,6 +14,7 @@ from comlabel.model import (
     rank_labels,
     rank_matrix,
     save_model,
+    sigmoid,
 )
 
 
@@ -73,6 +77,33 @@ class TestForward:
         m = init_linear(5, 3, "sigmoid", seed=0)
         with pytest.raises(ValueError, match="features"):
             forward(m, np.zeros(4))
+
+
+class TestSigmoid:
+    def test_exact_values(self):
+        z = np.array([0.0, 800.0, np.inf, -800.0, -np.inf, np.nan])
+        out = sigmoid(z)
+        np.testing.assert_array_equal(out[:5], [0.5, 1.0, 1.0, 0.0, 0.0])
+        assert np.isnan(out[5])
+
+    def test_no_warning_on_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(sigmoid(np.array([-800.0, -1e308])), [0.0, 0.0])
+
+    def test_within_four_ulp_of_expit(self):
+        # NumPy's exp may not be the C library's (AVX-512 kernels): a few ulp apart
+        rng = np.random.default_rng(0)
+        z = np.concatenate([np.linspace(-750.0, 750.0, 300001), rng.standard_normal(100000) * 10.0])
+        got, want = sigmoid(z), expit(z)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))  # both non-negative
+        assert ulps.max() <= 4
+
+    def test_sigmoid_head_is_sigmoid(self):
+        rng = np.random.default_rng(5)
+        m = init_linear(6, 4, "sigmoid", seed=2)
+        X = rng.standard_normal((7, 6))
+        assert forward(m, X).tobytes() == sigmoid(X @ m.weights.T + m.bias).tobytes()
 
 
 class TestPredict:
