@@ -27,7 +27,6 @@ from .complementary import (
     corrupt_uniform,
 )
 from .transition import (
-    apply_transition,
     check_invertible,
     correct_and_normalize,
     correlation_matrix,
@@ -35,8 +34,8 @@ from .transition import (
     estimate_transition,
     uniform_transition,
 )
-from .model import LinearModel, forward, init_linear, predict_labels, rank_labels
-from .loss import ClampPolicy, bce_supervised, ce_softmax, cl_bce, cl_mse, clrl_loss, gradient_check, mlcl_loss
+from .model import LinearModel, forward, init_linear, predict_labels
+from .loss import ClampPolicy, batch_objective, gradient_check, score_objective
 from .metrics import MetricsReport, evaluate_all
 from .optim import TrainConfig, adam_step, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .experiment import AggregateReport, RunConfig, run_ablation, run_clrl, run_cv, run_theory, sweep_beta

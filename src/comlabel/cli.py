@@ -20,7 +20,6 @@ from .experiment import (
     AggregateReport,
     RunConfig,
     TheoryCheckFailure,
-    report_to_csv,
     run_ablation,
     run_clrl,
     run_cv,
@@ -58,6 +57,13 @@ CONFIG_TYPES = {
     "trials": int,
 }
 
+# The allowed values of the keys whose flags take `choices`; a config file is held to them too.
+CONFIG_CHOICES = {
+    "mode": ("uniform", "biased"),
+    "regime": ("cl", "clrl", "supervised"),
+    "normalize_features": ("on", "off"),
+}
+
 DEFAULTS = {
     "mode": "uniform",
     "regime": "cl",
@@ -90,6 +96,9 @@ def load_config_file(path: str) -> dict:
             values[key] = CONFIG_TYPES[key](value)
         except ValueError:
             raise SystemExit(f"config {path}:{lineno}: bad value for {key}: {value!r}") from None
+        choices = CONFIG_CHOICES.get(key)
+        if choices and values[key] not in choices:
+            raise SystemExit(f"config {path}:{lineno}: {key} must be one of {', '.join(choices)}, got {value!r}")
     return values
 
 
@@ -97,7 +106,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value config file; flags override it")
     p.add_argument("--data", help="input data file")
-    p.add_argument("--mode", choices=["uniform", "biased"], help="corruption mode")
+    p.add_argument("--mode", choices=CONFIG_CHOICES["mode"], help="corruption mode")
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}")
     p.add_argument("--epochs", type=int)
@@ -110,7 +119,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     p.add_argument("--transition-in", dest="transition_in")
     p.add_argument("--transition-out", dest="transition_out")
     p.add_argument("--curve-out", dest="curve_out", help="per-epoch training-loss CSV")
-    p.add_argument("--normalize-features", dest="normalize_features", choices=["on", "off"])
+    p.add_argument("--normalize-features", dest="normalize_features", choices=CONFIG_CHOICES["normalize_features"])
     return p
 
 
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-correlation", action="store_true", help="skip the correlation correction")
 
     p = sub.add_parser("train", parents=[shared], help="train one model on one data file")
-    p.add_argument("--regime", choices=["cl", "clrl", "supervised"])
+    p.add_argument("--regime", choices=CONFIG_CHOICES["regime"])
     p.add_argument("--model-out", dest="model_out")
 
     p = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint on fully labeled data")

@@ -36,8 +36,6 @@ from .metrics import MetricsReport, evaluate_all
 from .model import LinearModel, forward
 from .optim import LEARNING_RATE_GRID, TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .theory import (
-    TheoremScenario,
-    chain_T_values,
     corollary3_bound,
     grid_scenarios,
     random_generative_spec,

@@ -1,8 +1,8 @@
 """The five multi-label evaluation criteria.
 
-All metrics consume raw score vectors and ground-truth relevance vectors and
-share one deterministic ranking pass (descending score, ties to the lower
-label index), so every value is reproducible bit-for-bit.
+`evaluate_all` computes all five from raw score vectors and ground-truth
+relevance vectors in one deterministic ranking pass (descending score, ties
+to the lower label index), so every value is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,15 +13,7 @@ import numpy as np
 
 from .model import predict_labels, rank_matrix
 
-__all__ = [
-    "MetricsReport",
-    "hamming_loss",
-    "ranking_loss",
-    "one_error",
-    "coverage",
-    "average_precision",
-    "evaluate_all",
-]
+__all__ = ["MetricsReport", "evaluate_all"]
 
 
 @dataclass(frozen=True)
@@ -34,9 +26,6 @@ class MetricsReport:
     n_evaluated: int
 
     METRIC_NAMES = ("hamming_loss", "ranking_loss", "one_error", "coverage", "average_precision")
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.METRIC_NAMES}
 
 
 def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -57,55 +46,6 @@ def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
     return S, Y.astype(np.float64)
 
 
-def hamming_loss(scores, truth) -> float:
-    """Fraction of label slots where the thresholded prediction disagrees."""
-    S, Y = _validated(scores, truth)
-    pred = predict_labels(S)
-    return float(np.mean(pred != Y.astype(np.uint8)))
-
-
-def ranking_loss(scores, truth) -> float:
-    """Mean fraction of (relevant, irrelevant) pairs ranked in the wrong order."""
-    S, Y = _validated(scores, truth)
-    ranks = rank_matrix(S).astype(np.float64)
-    rel = Y == 1
-    # pair (a relevant, b irrelevant) is reversed when rank(a) > rank(b)
-    reversed_pairs = ((ranks[:, :, None] > ranks[:, None, :]) & rel[:, :, None] & ~rel[:, None, :]).sum(axis=(1, 2))
-    totals = rel.sum(axis=1) * (~rel).sum(axis=1)
-    return float(np.mean(reversed_pairs / totals))
-
-
-def one_error(scores, truth) -> float:
-    """Fraction of instances whose top-ranked label is irrelevant."""
-    S, Y = _validated(scores, truth)
-    ranks = rank_matrix(S)
-    top = np.argmin(ranks, axis=1)
-    return float(np.mean(Y[np.arange(Y.shape[0]), top] == 0))
-
-
-def coverage(scores, truth) -> float:
-    """Mean depth of the ranking needed to cover all relevant labels, scaled to [0, 1)."""
-    S, Y = _validated(scores, truth)
-    K = Y.shape[1]
-    ranks = rank_matrix(S).astype(np.float64)
-    deepest = np.where(Y == 1, ranks, -np.inf).max(axis=1)
-    return float(np.mean((deepest - 1.0) / K))
-
-
-def average_precision(scores, truth) -> float:
-    """Mean over instances of the precision at each relevant label's rank."""
-    S, Y = _validated(scores, truth)
-    ranks = rank_matrix(S).astype(np.float64)
-    rel = Y == 1
-    n = Y.shape[0]
-    per_instance = np.empty(n)
-    for i in range(n):
-        r = ranks[i, rel[i]]
-        hits_at = (r[:, None] >= r[None, :]).sum(axis=1)  # relevant labels ranked at or above
-        per_instance[i] = np.mean(hits_at / r)
-    return float(np.mean(per_instance))
-
-
 def evaluate_all(scores, truth) -> MetricsReport:
     """All five criteria with a single ranking pass per instance."""
     S, Y = _validated(scores, truth)
@@ -116,9 +56,10 @@ def evaluate_all(scores, truth) -> MetricsReport:
     pred = predict_labels(S)
     ham = float(np.mean(pred != Y.astype(np.uint8)))
 
-    reversed_pairs = ((ranks[:, :, None] > ranks[:, None, :]) & rel[:, :, None] & ~rel[:, None, :]).sum(axis=(1, 2))
-    totals = rel.sum(axis=1) * (~rel).sum(axis=1)
-    rank_loss = float(np.mean(reversed_pairs / totals))
+    below = ranks[:, :, None] > ranks[:, None, :]  # below[i, a, b]: label a ranks below label b
+    counts = rel.sum(axis=1)
+    reversed_pairs = (below & rel[:, :, None] & ~rel[:, None, :]).sum(axis=(1, 2))
+    rank_loss = float(np.mean(reversed_pairs / (counts * (K - counts))))
 
     top = np.argmin(ranks, axis=1)
     one_err = float(np.mean(Y[np.arange(n), top] == 0))
@@ -126,11 +67,15 @@ def evaluate_all(scores, truth) -> MetricsReport:
     deepest = np.where(rel, ranks, -np.inf).max(axis=1)
     cov = float(np.mean((deepest - 1.0) / K))
 
+    # Precision at each relevant label's rank, packed left in label order, so
+    # row i's terms are terms[i, :counts[i]].  Each row is averaged by one
+    # reduction over exactly its terms, which gives the bits of np.mean on
+    # that row alone; a running sum would round differently.
+    hits = 1 + (below & rel[:, None, :]).sum(axis=2)  # relevant labels ranked at or above
+    terms = np.take_along_axis(hits / ranks, np.argsort(~rel, axis=1, kind="stable"), axis=1)
     ap_terms = np.empty(n)
-    for i in range(n):
-        r = ranks[i, rel[i]]
-        hits_at = (r[:, None] >= r[None, :]).sum(axis=1)
-        ap_terms[i] = np.mean(hits_at / r)
+    for m in range(1, K):
+        np.copyto(ap_terms, np.add.reduce(terms[:, :m], axis=1) / m, where=counts == m)
     ap = float(np.mean(ap_terms))
 
     return MetricsReport(ham, rank_loss, one_err, cov, ap, n_evaluated=n)

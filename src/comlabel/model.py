@@ -16,7 +16,6 @@ __all__ = [
     "init_linear",
     "forward",
     "predict_labels",
-    "rank_labels",
     "rank_matrix",
     "save_model",
     "load_model",
@@ -104,16 +103,9 @@ def predict_labels(scores: np.ndarray) -> np.ndarray:
     return (np.asarray(scores) > 0.5).astype(np.uint8)
 
 
-def rank_labels(scores: np.ndarray) -> np.ndarray:
-    """Labels ordered by descending score; ties go to the lower label index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("rank_labels takes a single score vector")
-    return np.argsort(-scores, kind="stable")
-
-
 def rank_matrix(scores: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of 1-based ranks per instance, with the same tie rule."""
+    """(n, K) matrix of 1-based ranks per instance: descending score, ties to
+    the lower label index."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     order = np.argsort(-scores, axis=1, kind="stable")
     ranks = np.empty_like(order)

@@ -7,7 +7,7 @@ so reruns at a fixed BLAS thread count are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

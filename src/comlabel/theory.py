@@ -29,7 +29,6 @@ from .dataset import (
     MAX_ENUM_LABELS,
     MIN_LABELS,
     GenerativeSpec,
-    enumerate_subsets,
     subset_membership,
     uniform_cl_rows,
 )
@@ -37,16 +36,10 @@ from .dataset import (
 __all__ = [
     "AnchorAssumptionError",
     "TheoremScenario",
-    "enumerate_subsets",
-    "full_transition",
-    "exact_cl_probability",
     "theorem1_gap",
-    "pairwise_T_formula",
     "chain_T_values",
     "anchor_Q",
-    "distortion",
     "scenario_distortion",
-    "scenario_matrices",
     "corollary3_bound",
     "grid_scenarios",
     "random_generative_spec",
@@ -63,43 +56,6 @@ class AnchorAssumptionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def full_transition(spec: GenerativeSpec) -> np.ndarray:
-    """The (2^K - 2) x K subset-conditioned transition table.
-
-    Row i gives the complementary-label distribution for the subset with mask
-    i + 1; entries on subset members are zero and each row sums to 1.  This
-    table is enumeration-only: it is never used for learning.
-    """
-    return np.array(spec.cl_given_subset, copy=True)
-
-
-def _posterior_to_array(spec: GenerativeSpec, posterior) -> np.ndarray:
-    """Accept an array aligned with enumerate_subsets or a mapping keyed by
-    subset bitmasks / index tuples, and return the aligned array."""
-    m = spec.n_subsets
-    if isinstance(posterior, dict):
-        out = np.zeros(m)
-        for key, p in posterior.items():
-            mask = key if isinstance(key, (int, np.integer)) else sum(1 << int(k) for k in key)
-            if not 1 <= mask <= m:
-                raise ValueError(f"posterior key {key!r} is not a nonempty proper subset")
-            out[mask - 1] = p
-    else:
-        out = np.asarray(posterior, dtype=np.float64)
-        if out.shape != (m,):
-            raise ValueError(f"posterior must have shape ({m},)")
-    if np.any(out < 0) or abs(out.sum() - 1.0) > 1e-9:
-        raise ValueError("posterior must be nonnegative and sum to 1 within 1e-9")
-    return out
-
-
-def exact_cl_probability(spec: GenerativeSpec, posterior, j: int) -> float:
-    """p(complementary label = j | x): the exact sum over all subsets that
-    exclude j of the subset's selection probability times its posterior mass."""
-    post = _posterior_to_array(spec, posterior)
-    return float(spec.cl_given_subset[:, j] @ post)
-
-
 def theorem1_gap(spec: GenerativeSpec, posterior, j: int) -> tuple[float, float]:
     """The subset-exact complementary probability and its exclusive-event
     lower bound.
@@ -111,7 +67,11 @@ def theorem1_gap(spec: GenerativeSpec, posterior, j: int) -> tuple[float, float]
     nonnegative mass, so lhs >= rhs always, with equality when the posterior
     is supported on singletons.
     """
-    post = _posterior_to_array(spec, posterior)
+    post = np.asarray(posterior, dtype=np.float64)
+    if post.shape != (spec.n_subsets,):
+        raise ValueError(f"posterior must have shape ({spec.n_subsets},), aligned with the spec's subsets")
+    if np.any(post < 0) or abs(post.sum() - 1.0) > 1e-9:
+        raise ValueError("posterior must be nonnegative and sum to 1 within 1e-9")
     K = spec.n_labels
     lhs = float(spec.cl_given_subset[:, j] @ post)
     rhs = 0.0
@@ -135,15 +95,6 @@ def anchor_Q(spec: GenerativeSpec) -> np.ndarray:
         raise AnchorAssumptionError(f"labels {unsupported} have no singleton support; anchor estimate undefined")
     rows = [(1 << k) - 1 for k in range(K)]
     return np.array(spec.cl_given_subset[rows], copy=True)
-
-
-def distortion(T: np.ndarray, Q: np.ndarray, j: int) -> float:
-    """Column-wise L1 gap between two K x K transition estimates at label j."""
-    T = np.asarray(T, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    if T.shape != Q.shape:
-        raise ValueError("shape mismatch")
-    return float(np.abs(T[:, j] - Q[:, j]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -226,39 +177,6 @@ def _exact_div(p, factors):
 def chain_T_values(sc: TheoremScenario) -> list:
     """Closed-form transition entries T[z_i, j] for every dependent label."""
     return [_exact_div(sc.p_cl, (sc.marginals[i], *sc.conditionals[i])) for i in range(sc.m)]
-
-
-def pairwise_T_formula(sc: TheoremScenario) -> tuple:
-    """The two closed-form entries of a pairwise scenario:
-    T[z1, j] = p_cl / (cond(z2 | z1) * marginal(z1)) and symmetrically."""
-    if sc.m != 2:
-        raise ValueError("pairwise_T_formula needs a two-label scenario")
-    values = chain_T_values(sc)
-    return values[0], values[1]
-
-
-def scenario_matrices(sc: TheoremScenario, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embed the scenario in K x K matrices.
-
-    Column j of T carries the closed-form entries at the dependent rows; the
-    exclusive-case estimate Q carries p_cl there (the value an anchor-style
-    reading assigns at this point).  All other entries agree between the two
-    matrices, so they cancel in the distortion.
-    """
-    if n_labels <= max(max(sc.dependent), sc.comp_label):
-        raise ValueError("n_labels too small for the scenario's label indices")
-    T = np.zeros((n_labels, n_labels))
-    Q = np.zeros((n_labels, n_labels))
-    j = sc.comp_label
-    p = float(sc.p_cl)
-    T[:, j] = p
-    Q[:, j] = p
-    values = chain_T_values(sc)
-    for i, z in enumerate(sc.dependent):
-        T[z, j] = float(values[i])
-    T[j, j] = 0.0
-    Q[j, j] = 0.0
-    return T, Q
 
 
 def scenario_distortion(sc: TheoremScenario):

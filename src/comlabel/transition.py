@@ -20,7 +20,6 @@ __all__ = [
     "correlation_matrix",
     "estimate_initial_S",
     "correct_and_normalize",
-    "apply_transition",
     "check_invertible",
     "uniform_transition",
     "estimate_transition",
@@ -132,19 +131,6 @@ def correct_and_normalize(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     T = M / sums[:, None]
     np.fill_diagonal(T, 0.0)
     return T
-
-
-def apply_transition(T: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Compose scores with the transition: returns T^T f (or F T for a batch).
-
-    Entries are bounded by the total score mass, which for sigmoid outputs can
-    exceed 1; callers in the loss layer clamp before taking logs.
-    """
-    T = np.asarray(T, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim == 1:
-        return T.T @ f
-    return f @ T
 
 
 @dataclass(frozen=True)

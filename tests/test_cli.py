@@ -218,6 +218,19 @@ class TestConfigFile:
         with pytest.raises(SystemExit, match="bad value"):
             load_config_file(cfgfile)
 
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [("mode", "uniformm", "corrupt"), ("regime", "supervisd", "train"), ("normalize_features", "yes", "cv")],
+    )
+    def test_value_outside_choices_rejected(self, key, value, command, data_file, tmp_path):
+        # the value a flag's choices would refuse is refused from a file too, before anything runs
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text(f"# a comment\n{key} = {value}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=rf"typo\.cfg:2: {key} must be one of .*'{value}'"):
+            run(command, "--config", cfgfile, "--data", data_file, "--out", out, "--epochs", "1", "--folds", "2", "--lr", "0.01")
+        assert not out.exists()
+
     def test_comments_and_blanks_allowed(self, tmp_path):
         cfgfile = tmp_path / "ok.cfg"
         cfgfile.write_text("# a comment\n\nepochs = 7\n")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from comlabel.dataset import (
+    LabelSpace,
+    MultiLabelDataset,
     make_uniform_cl_spec,
     parse_multilabel_file,
     sample_from_generative,
@@ -120,11 +122,36 @@ class TestRunCV:
         assert report.mean("average_precision") > 0.55
 
 
+class TestEmptyCandidatePool:
+    """Every row is relevant to all labels but label 2, so label 2 is every
+    instance's complementary label and no instance's candidate: both pool
+    fallbacks fire in every fold, and the run still completes."""
+
+    @pytest.fixture(scope="class")
+    def one_label_never_relevant(self, tmp_path_factory):
+        rng = np.random.default_rng(12)
+        y = np.tile([1, 1, 0, 1], (60, 1))
+        path = tmp_path_factory.mktemp("pool") / "all_but_one.txt"
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((60, 5)), y, LabelSpace(4)), path)
+        return path
+
+    @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
+    def test_run_completes_with_both_fallbacks(self, one_label_never_relevant, learning_rate):
+        cfg = quick_config(one_label_never_relevant, learning_rate=learning_rate, train=TrainConfig(epochs=5, seed=3))
+        with pytest.warns(UserWarning) as caught:
+            report = run_cv(cfg)
+        messages = {str(w.message) for w in caught}
+        assert any(m.startswith("labels [2] are candidates of no instance") for m in messages), messages
+        assert any(m.startswith("labels [2] appear as the complementary label of every instance") for m in messages), messages
+        for name in MetricsReport.METRIC_NAMES:
+            assert np.isfinite(report.mean(name))
+
+
 class TestLeakageAudit:
     def test_test_fold_never_consumed(self, data_file):
         # two datasets that agree on fold 0's training rows and differ on its
         # test rows, split with the same seed, must fit bit-identical models
-        from comlabel.dataset import MultiLabelDataset, kfold_split
+        from comlabel.dataset import kfold_split
 
         cfg = quick_config(data_file)
         clean = parse_multilabel_file(data_file)

@@ -4,8 +4,10 @@ Each check runs in a fresh interpreter, since this test process has SciPy
 loaded already.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +80,16 @@ class TestSparseLoadsScipy:
         for attr, (dtype, blob) in got["arrays"].items():
             assert (dtype, blob) == (str(getattr(want, attr).dtype), getattr(want, attr).tobytes().hex())
         assert (want != X).nnz == 0
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        checked = 0
+        for info in pkgutil.iter_modules(comlabel.__path__):
+            module = importlib.import_module(f"comlabel.{info.name}")
+            names = getattr(module, "__all__", ())
+            assert len(set(names)) == len(names), f"{info.name}.__all__ repeats a name"
+            missing = [name for name in names if not hasattr(module, name)]
+            assert not missing, f"comlabel.{info.name}.__all__ names missing attributes {missing}"
+            checked += len(names)
+        assert checked > 0

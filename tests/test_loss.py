@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from comlabel.loss import (
+    LOSS_KINDS,
     ClampPolicy,
-    GradientCheckReport,
     batch_objective,
-    bce_supervised,
-    ce_softmax,
-    cl_bce,
-    cl_mse,
-    clrl_loss,
     gradient_check,
-    mlcl_loss,
-    one_hot,
+    score_objective,
 )
-from comlabel.model import init_linear
+from comlabel.model import forward, init_linear
 from comlabel.transition import uniform_transition
 
 
@@ -24,61 +18,68 @@ def random_row_stochastic(K, rng):
     return T / T.sum(axis=1, keepdims=True)
 
 
+def one(kind, f, **kwargs):
+    """Loss value and score gradient of a single instance, as a batch of one."""
+    values, G = score_objective(np.asarray(f, dtype=np.float64)[None], kind, **kwargs)
+    assert values.shape == (1,) and G.shape == (1, len(f))
+    return float(values[0]), G[0]
+
+
+def onehot(index, n_labels):
+    return np.eye(n_labels)[index]
+
+
 class TestBCE:
     def test_uninformative(self):
-        v = bce_supervised(np.full(4, 0.5), np.array([1, 0, 1, 0]))
-        np.testing.assert_allclose(v.value, 4 * np.log(2))
+        value, _ = one("bce_supervised", np.full(4, 0.5), y=[1, 0, 1, 0])
+        np.testing.assert_allclose(value, 4 * np.log(2))
 
     def test_perfect_fit_near_zero(self):
         y = np.array([1.0, 0.0, 1.0])
-        v = bce_supervised(y, y)
-        assert 0 <= v.value < 1e-9
+        value, _ = one("bce_supervised", y, y=y)
+        assert 0 <= value < 1e-9
 
     def test_hand_value(self):
-        v = bce_supervised(np.array([0.9, 0.2]), np.array([1, 0]))
-        np.testing.assert_allclose(v.value, -np.log(0.9) - np.log(0.8))
-        np.testing.assert_allclose(v.value, 0.3285, atol=5e-5)
+        value, _ = one("bce_supervised", [0.9, 0.2], y=[1, 0])
+        np.testing.assert_allclose(value, -np.log(0.9) - np.log(0.8))
+        np.testing.assert_allclose(value, 0.3285, atol=5e-5)
 
 
 class TestClBCE:
     def test_perfect_complementary_fit(self):
         # identity transition makes q = f directly
-        ybar = one_hot(1, 3)
-        v = cl_bce(np.eye(3), ybar, ybar)
-        assert 0 <= v.value < 1e-9
+        value, _ = one("cl_bce", onehot(1, 3), T=np.eye(3), cl=[1])
+        assert 0 <= value < 1e-9
 
     def test_hand_value(self):
-        f = np.array([0.2, 0.7, 0.1])
-        v = cl_bce(np.eye(3), f, one_hot(1, 3))
+        value, _ = one("cl_bce", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1])
         expected = -(np.log(0.8) + np.log(0.7) + np.log(0.9))
-        np.testing.assert_allclose(v.value, expected)
-        np.testing.assert_allclose(v.value, 0.6851, atol=1e-4)
+        np.testing.assert_allclose(value, expected)
+        np.testing.assert_allclose(value, 0.6851, atol=1e-4)
 
     def test_zero_scores_clamped_finite(self):
         K = 3
-        T = uniform_transition(K)
-        v = cl_bce(T, np.zeros(K), one_hot(0, K))
+        value, grad = one("cl_bce", np.zeros(K), T=uniform_transition(K), cl=[0])
         eps = ClampPolicy().epsilon
-        np.testing.assert_allclose(v.value, -np.log(eps) - 2 * np.log(1 - eps))
-        assert np.all(np.isfinite(v.grad_scores))
+        np.testing.assert_allclose(value, -np.log(eps) - 2 * np.log(1 - eps))
+        assert np.all(np.isfinite(grad))
 
 
 class TestClMSE:
     def test_zero_residual(self):
-        ybar = one_hot(2, 3)
-        assert cl_mse(np.eye(3), ybar, ybar).value == 0.0
+        assert one("cl_mse", onehot(2, 3), T=np.eye(3), cl=[2])[0] == 0.0
 
     def test_hand_value(self):
-        v = cl_mse(np.eye(3), np.array([0.2, 0.7, 0.1]), one_hot(1, 3))
-        np.testing.assert_allclose(v.value, 0.14)
+        value, _ = one("cl_mse", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1])
+        np.testing.assert_allclose(value, 0.14)
 
     def test_quadratic_homogeneity(self):
         T = np.eye(3)
-        ybar = one_hot(0, 3)
+        ybar = onehot(0, 3)
         f1 = np.array([0.9, 0.1, 0.2])  # residual r
         r = ybar - f1
         f2 = ybar - 2 * r  # doubled residual
-        np.testing.assert_allclose(cl_mse(T, f2, ybar).value, 4 * cl_mse(T, f1, ybar).value)
+        np.testing.assert_allclose(one("cl_mse", f2, T=T, cl=[0])[0], 4 * one("cl_mse", f1, T=T, cl=[0])[0])
 
 
 class TestMLCL:
@@ -86,34 +87,34 @@ class TestMLCL:
         rng = np.random.default_rng(0)
         T = random_row_stochastic(4, rng)
         f = rng.random(4) * 0.8 + 0.1
-        ybar = one_hot(2, 4)
-        a = mlcl_loss(T, f, ybar, beta=0.0)
-        b = cl_bce(T, f, ybar)
-        np.testing.assert_allclose(a.value, b.value)
-        np.testing.assert_allclose(a.grad_scores, b.grad_scores)
+        a = one("mlcl", f, T=T, cl=[2], beta=0.0)
+        b = one("cl_bce", f, T=T, cl=[2])
+        np.testing.assert_allclose(a[0], b[0])
+        np.testing.assert_allclose(a[1], b[1])
 
     def test_sum_of_components(self):
-        f = np.array([0.2, 0.7, 0.1])
-        v = mlcl_loss(np.eye(3), f, one_hot(1, 3), beta=1.0)
-        np.testing.assert_allclose(v.value, 0.6851 + 0.14, atol=2e-4)
+        value, _ = one("mlcl", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1], beta=1.0)
+        np.testing.assert_allclose(value, 0.6851 + 0.14, atol=2e-4)
 
     def test_monotone_in_beta(self):
         rng = np.random.default_rng(1)
         T = random_row_stochastic(5, rng)
         f = rng.random(5) * 0.8 + 0.1
-        ybar = one_hot(3, 5)
-        values = [mlcl_loss(T, f, ybar, beta=b).value for b in (0.0, 0.3, 0.7, 1.0, 2.5)]
+        values = [one("mlcl", f, T=T, cl=[3], beta=b)[0] for b in (0.0, 0.3, 0.7, 1.0, 2.5)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_gradient_linearity_exact(self):
+        # mlcl is its two terms combined, to the bit, in values and gradients
         rng = np.random.default_rng(2)
         T = random_row_stochastic(4, rng)
-        f = rng.random(4) * 0.8 + 0.1
-        ybar = one_hot(1, 4)
+        F = rng.random((6, 4)) * 0.8 + 0.1
+        cl = rng.integers(0, 4, size=6)
         beta = 0.63
-        combo = mlcl_loss(T, f, ybar, beta=beta)
-        parts = cl_bce(T, f, ybar).grad_scores + beta * cl_mse(T, f, ybar).grad_scores
-        np.testing.assert_allclose(combo.grad_scores, parts, atol=1e-12)
+        values, G = score_objective(F, "mlcl", T=T, cl=cl, beta=beta)
+        v_bce, g_bce = score_objective(F, "cl_bce", T=T, cl=cl)
+        v_mse, g_mse = score_objective(F, "cl_mse", T=T, cl=cl)
+        assert values.tobytes() == (v_bce + beta * v_mse).tobytes()
+        assert G.tobytes() == (g_bce + beta * g_mse).tobytes()
 
 
 class TestCLRL:
@@ -123,15 +124,15 @@ class TestCLRL:
         f = np.array([1.0, 0.0, 0.0])
         T = np.zeros((K, K))
         T[0, 2] = 1.0  # T^T f = e_2
-        v = clrl_loss(T, f, one_hot(2, K), f)
-        assert 0 <= v.value < 1e-9
+        value, _ = one("clrl", f, T=T, cl=[2], relevant=f[None])
+        assert 0 <= value < 1e-9
 
     def test_relevant_term_hand_value(self):
         f = np.array([0.8, 0.1, 0.3])
-        ytilde = np.array([1.0, 0.0, 0.0])
-        base = cl_bce(np.eye(3), f, one_hot(1, 3)).value
-        v = clrl_loss(np.eye(3), f, one_hot(1, 3), ytilde)
-        np.testing.assert_allclose(v.value - base, 0.04 + 0.01 + 0.09)
+        ytilde = np.array([[1.0, 0.0, 0.0]])
+        base = one("cl_bce", f, T=np.eye(3), cl=[1])[0]
+        value, _ = one("clrl", f, T=np.eye(3), cl=[1], relevant=ytilde)
+        np.testing.assert_allclose(value - base, 0.04 + 0.01 + 0.09)
 
     def test_full_supervision_specialization(self):
         # with ytilde = y the relevant term is a plain supervised squared error
@@ -139,41 +140,48 @@ class TestCLRL:
         f = rng.random(4) * 0.8 + 0.1
         y = np.array([1.0, 0.0, 1.0, 0.0])
         T = random_row_stochastic(4, rng)
-        v = clrl_loss(T, f, one_hot(3, 4), y)
-        np.testing.assert_allclose(v.value, cl_bce(T, f, one_hot(3, 4)).value + ((y - f) ** 2).sum())
+        value, _ = one("clrl", f, T=T, cl=[3], relevant=y[None])
+        np.testing.assert_allclose(value, one("cl_bce", f, T=T, cl=[3])[0] + ((y - f) ** 2).sum())
+
+    def test_relevant_vectors_required(self):
+        with pytest.raises(ValueError, match="relevant"):
+            one("clrl", [0.5, 0.5, 0.5], T=np.eye(3), cl=[1])
 
 
 class TestCESoftmax:
     def test_confident_zero(self):
-        assert ce_softmax(one_hot(1, 4) * (1 - 1e-12) + 1e-13, one_hot(1, 4)).value < 1e-9
+        assert one("ce_softmax", onehot(1, 4) * (1 - 1e-12) + 1e-13, cl=[1])[0] < 1e-9
 
     def test_uniform(self):
         K = 5
-        v = ce_softmax(np.full(K, 1.0 / K), one_hot(2, K))
-        np.testing.assert_allclose(v.value, np.log(K))
+        value, _ = one("ce_softmax", np.full(K, 1.0 / K), cl=[2])
+        np.testing.assert_allclose(value, np.log(K))
 
     def test_quarter(self):
-        v = ce_softmax(np.array([0.25, 0.25, 0.25, 0.25]), one_hot(0, 4))
-        np.testing.assert_allclose(v.value, np.log(4))
-        np.testing.assert_allclose(v.value, 1.3863, atol=5e-5)
+        value, _ = one("ce_softmax", [0.25, 0.25, 0.25, 0.25], cl=[0])
+        np.testing.assert_allclose(value, np.log(4))
+        np.testing.assert_allclose(value, 1.3863, atol=5e-5)
 
 
 class TestFiniteness:
     def test_all_losses_finite_on_extremes(self):
         K = 4
         T = uniform_transition(K)
-        ybar = one_hot(0, K)
-        ytilde = one_hot(1, K)
-        for f in (np.zeros(K), np.ones(K), np.full(K, 0.5), one_hot(2, K).astype(float)):
-            for v in (
-                bce_supervised(f, ytilde),
-                cl_bce(T, f, ybar),
-                cl_mse(T, f, ybar),
-                mlcl_loss(T, f, ybar),
-                clrl_loss(T, f, ybar, ytilde),
+        ytilde = onehot(1, K)
+        for f in (np.zeros(K), np.ones(K), np.full(K, 0.5), onehot(2, K)):
+            for value, grad in (
+                one("bce_supervised", f, y=ytilde),
+                one("cl_bce", f, T=T, cl=[0]),
+                one("cl_mse", f, T=T, cl=[0]),
+                one("mlcl", f, T=T, cl=[0]),
+                one("clrl", f, T=T, cl=[0], relevant=ytilde[None]),
             ):
-                assert np.isfinite(v.value) and v.value >= 0
-                assert np.all(np.isfinite(v.grad_scores))
+                assert np.isfinite(value) and value >= 0
+                assert np.all(np.isfinite(grad))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            score_objective(np.full((1, 3), 0.5), "hinge")
 
 
 def _random_config(kind, rng):
@@ -204,11 +212,8 @@ def _random_config(kind, rng):
     return model, X, kwargs
 
 
-ALL_KINDS = ("bce_supervised", "cl_bce", "cl_mse", "mlcl", "clrl", "ce_softmax")
-
-
 class TestGradientCheck:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_fifty_random_configs(self, kind):
         rng = np.random.default_rng(hash(kind) % (1 << 31))
         for _ in range(50):
@@ -239,12 +244,22 @@ class TestBatchObjective:
     def test_matches_per_instance_mean(self):
         rng = np.random.default_rng(7)
         model, X, kwargs = _random_config("mlcl", rng)
-        from comlabel.model import forward
-
         value, _, _ = batch_objective(model, X, "mlcl", **kwargs)
         F = forward(model, X)
         per = [
-            mlcl_loss(kwargs["T"], F[i], one_hot(int(kwargs["cl"][i]), F.shape[1]), beta=kwargs["beta"]).value
+            one("mlcl", F[i], T=kwargs["T"], cl=kwargs["cl"][i : i + 1], beta=kwargs["beta"])[0]
             for i in range(F.shape[0])
         ]
         np.testing.assert_allclose(value, np.mean(per), atol=1e-12)
+
+    def test_one_hot_rows_equal_label_indices(self):
+        # training loops pass ybar rows built once; gradient checks pass cl indices
+        rng = np.random.default_rng(8)
+        for kind in ("cl_bce", "cl_mse", "mlcl", "clrl"):
+            model, X, kwargs = _random_config(kind, rng)
+            F = forward(model, X)
+            ybar = np.eye(F.shape[1])[kwargs["cl"]]
+            by_index = score_objective(F, kind, **kwargs)
+            by_rows = score_objective(F, kind, **{**kwargs, "cl": None, "ybar": ybar})
+            for a, b in zip(by_index, by_rows):
+                assert a.tobytes() == b.tobytes()

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from comlabel.metrics import (
-    MetricsReport,
-    average_precision,
-    coverage,
-    evaluate_all,
-    hamming_loss,
-    one_error,
-    ranking_loss,
-)
+from comlabel.metrics import MetricsReport, evaluate_all
+from comlabel.model import rank_matrix
 
 # ---------------------------------------------------------------------------
 # Independent brute-force oracle: plain-python rank recomputation and pair
@@ -50,19 +43,19 @@ WORKED_TRUTH = np.array([[1, 0, 1]])
 
 class TestWorkedInstance:
     def test_hamming(self):
-        np.testing.assert_allclose(hamming_loss(WORKED_SCORES, WORKED_TRUTH), 2 / 3)
+        np.testing.assert_allclose(evaluate_all(WORKED_SCORES, WORKED_TRUTH).hamming_loss, 2 / 3)
 
     def test_ranking(self):
-        np.testing.assert_allclose(ranking_loss(WORKED_SCORES, WORKED_TRUTH), 1 / 2)
+        np.testing.assert_allclose(evaluate_all(WORKED_SCORES, WORKED_TRUTH).ranking_loss, 1 / 2)
 
     def test_one_error(self):
-        assert one_error(WORKED_SCORES, WORKED_TRUTH) == 0.0
+        assert evaluate_all(WORKED_SCORES, WORKED_TRUTH).one_error == 0.0
 
     def test_coverage(self):
-        np.testing.assert_allclose(coverage(WORKED_SCORES, WORKED_TRUTH), 2 / 3)
+        np.testing.assert_allclose(evaluate_all(WORKED_SCORES, WORKED_TRUTH).coverage, 2 / 3)
 
     def test_average_precision(self):
-        np.testing.assert_allclose(average_precision(WORKED_SCORES, WORKED_TRUTH), 5 / 6)
+        np.testing.assert_allclose(evaluate_all(WORKED_SCORES, WORKED_TRUTH).average_precision, 5 / 6)
 
     def test_evaluate_all(self):
         r = evaluate_all(WORKED_SCORES, WORKED_TRUTH)
@@ -86,24 +79,25 @@ class TestBoundaryCases:
     def test_fully_inverted(self):
         scores = np.array([[0.1, 0.9, 0.2]])
         truth = np.array([[1, 0, 1]])
-        assert hamming_loss(scores, truth) == 1.0
+        assert evaluate_all(scores, truth).hamming_loss == 1.0
 
     def test_reversed_ranking(self):
         scores = np.array([[0.1, 0.2, 0.9]])
         truth = np.array([[1, 1, 0]])
-        assert ranking_loss(scores, truth) == 1.0
-        assert one_error(scores, truth) == 1.0
+        r = evaluate_all(scores, truth)
+        assert r.ranking_loss == 1.0
+        assert r.one_error == 1.0
 
     def test_single_relevant_ranked_first(self):
         scores = np.array([[0.9, 0.3, 0.2]])
         truth = np.array([[1, 0, 0]])
-        assert coverage(scores, truth) == 0.0
+        assert evaluate_all(scores, truth).coverage == 0.0
 
     def test_relevant_ranked_last(self):
         K = 4
         scores = np.array([[0.1, 0.9, 0.8, 0.7]])
         truth = np.array([[1, 0, 0, 0]])
-        np.testing.assert_allclose(coverage(scores, truth), (K - 1) / K)
+        np.testing.assert_allclose(evaluate_all(scores, truth).coverage, (K - 1) / K)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -115,7 +109,7 @@ class TestBoundaryCases:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
-            hamming_loss(np.zeros((2, 3)), np.ones((3, 3)))
+            evaluate_all(np.zeros((2, 3)), np.ones((3, 3)))
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(0)
@@ -133,7 +127,7 @@ class TestOracleEquivalence:
     def test_two_hundred_random_instances(self):
         rng = np.random.default_rng(42)
         for trial in range(200):
-            K = int(rng.integers(3, 7))
+            K = int(rng.integers(3, 16))
             n = int(rng.integers(1, 5))
             S = np.round(rng.random((n, K)), 3)  # rounding makes ties frequent
             Y = np.zeros((n, K), dtype=int)
@@ -146,17 +140,17 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=f"trial {trial}")
 
     def test_individual_ops_match_evaluate_all(self):
+        # every criterion is a mean over instances: the batch pass equals the
+        # mean of one-instance passes
         rng = np.random.default_rng(43)
         S = rng.random((25, 5))
         Y = (rng.random((25, 5)) < 0.4).astype(int)
         Y[Y.sum(1) == 0, 0] = 1
         Y[Y.sum(1) == 5, 4] = 0
         r = evaluate_all(S, Y)
-        np.testing.assert_allclose(r.hamming_loss, hamming_loss(S, Y))
-        np.testing.assert_allclose(r.ranking_loss, ranking_loss(S, Y))
-        np.testing.assert_allclose(r.one_error, one_error(S, Y))
-        np.testing.assert_allclose(r.coverage, coverage(S, Y))
-        np.testing.assert_allclose(r.average_precision, average_precision(S, Y))
+        singles = [evaluate_all(S[i], Y[i]) for i in range(25)]
+        for name in MetricsReport.METRIC_NAMES:
+            np.testing.assert_allclose(getattr(r, name), np.mean([getattr(x, name) for x in singles]), atol=1e-15)
 
 
 class TestInvariances:
@@ -168,8 +162,9 @@ class TestInvariances:
         Y[Y.sum(1) == 0, 0] = 1
         Y[Y.sum(1) == 5, 4] = 0
         S2 = np.exp(3.0 * S) / 50.0
-        for metric in (ranking_loss, one_error, coverage, average_precision):
-            np.testing.assert_allclose(metric(S, Y), metric(S2, Y), atol=1e-14)
+        a, b = evaluate_all(S, Y), evaluate_all(S2, Y)
+        for name in ("ranking_loss", "one_error", "coverage", "average_precision"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), atol=1e-14)
 
     def test_hamming_invariant_when_level_set_fixed(self):
         rng = np.random.default_rng(45)
@@ -179,7 +174,7 @@ class TestInvariances:
         Y[Y.sum(1) == 5, 4] = 0
         # monotone transform fixing 0.5: affine squeeze around 0.5
         S2 = 0.5 + 0.4 * (S - 0.5)
-        np.testing.assert_allclose(hamming_loss(S, Y), hamming_loss(S2, Y))
+        np.testing.assert_allclose(evaluate_all(S, Y).hamming_loss, evaluate_all(S2, Y).hamming_loss)
 
     def test_zero_ranking_loss_iff_perfect_ap(self):
         rng = np.random.default_rng(46)
@@ -188,6 +183,40 @@ class TestInvariances:
             S = rng.permutation(K).astype(float) / K  # distinct scores
             Y = np.zeros(K, dtype=int)
             Y[rng.choice(K, size=int(rng.integers(1, K)), replace=False)] = 1
-            rl = ranking_loss(S[None], Y[None])
-            ap = average_precision(S[None], Y[None])
-            assert (rl == 0.0) == (ap == 1.0)
+            r = evaluate_all(S[None], Y[None])
+            assert (r.ranking_loss == 0.0) == (r.average_precision == 1.0)
+
+
+def reference_average_precision(scores, truth):
+    """Average precision by the per-instance loop that the vectorised pass replaced."""
+    ranks = rank_matrix(scores).astype(np.float64)
+    rel = np.asarray(truth) == 1
+    per_instance = np.empty(len(ranks))
+    sequential = np.empty(len(ranks))
+    for i in range(len(ranks)):
+        r = ranks[i, rel[i]]
+        hits_at = (r[:, None] >= r[None, :]).sum(axis=1)  # relevant labels ranked at or above
+        per_instance[i] = np.mean(hits_at / r)
+        sequential[i] = np.cumsum(hits_at / r)[-1] / r.size
+    return float(np.mean(per_instance)), float(np.mean(sequential))
+
+
+class TestAveragePrecisionReference:
+    def test_bit_identical_to_per_instance_loop(self):
+        rng = np.random.default_rng(47)
+        long_rows = sequential_differs = 0
+        for trial in range(3000):
+            K = int(rng.integers(3, 41))
+            n = int(rng.integers(1, 9))
+            S = np.round(rng.random((n, K)), 2)  # ties occur
+            Y = np.zeros((n, K), dtype=int)
+            for i in range(n):
+                Y[i, rng.choice(K, size=int(rng.integers(1, K)), replace=False)] = 1
+            long_rows += int((Y.sum(axis=1) >= 8).sum())
+            expected, sequential = reference_average_precision(S, Y)
+            assert evaluate_all(S, Y).average_precision == expected, f"trial {trial}"
+            sequential_differs += sequential != expected
+        # rows of 8 or more terms are summed pairwise; a running sum rounds
+        # differently on some of them, so these cases can tell the two apart
+        assert long_rows >= 3000
+        assert sequential_differs > 100

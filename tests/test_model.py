@@ -11,7 +11,6 @@ from comlabel.model import (
     init_linear,
     load_model,
     predict_labels,
-    rank_labels,
     rank_matrix,
     save_model,
     sigmoid,
@@ -119,22 +118,23 @@ class TestPredict:
 
 class TestRank:
     def test_basic(self):
-        np.testing.assert_array_equal(rank_labels(np.array([0.1, 0.9, 0.5])), [1, 2, 0])
+        np.testing.assert_array_equal(rank_matrix(np.array([0.1, 0.9, 0.5])), [[3, 1, 2]])
 
     def test_tie_to_lower_index(self):
-        np.testing.assert_array_equal(rank_labels(np.array([0.5, 0.5])), [0, 1])
+        np.testing.assert_array_equal(rank_matrix(np.array([0.5, 0.5])), [[1, 2]])
 
     def test_reversal(self):
         rng = np.random.default_rng(5)
         s = rng.permutation(10).astype(float)
-        np.testing.assert_array_equal(rank_labels(-s), rank_labels(s)[::-1])
+        np.testing.assert_array_equal(rank_matrix(-s), 11 - rank_matrix(s))
 
     def test_rank_matrix_consistent(self):
+        # against a plain sort by (descending score, label index)
         rng = np.random.default_rng(6)
-        S = rng.random((20, 7))
+        S = np.round(rng.random((20, 7)), 1)  # ties occur
         R = rank_matrix(S)
         for i in range(20):
-            order = rank_labels(S[i])
+            order = sorted(range(7), key=lambda k: (-S[i, k], k))
             for pos, label in enumerate(order):
                 assert R[i, label] == pos + 1
 
@@ -142,9 +142,7 @@ class TestRank:
         # ranks from softmax scores ignore constant logit shifts
         m = LinearModel(np.eye(4), np.zeros(4), "softmax")
         z = np.array([0.3, -0.2, 1.4, 0.9])
-        r1 = rank_labels(forward(m, z))
-        r2 = rank_labels(forward(m, z + 123.0))
-        np.testing.assert_array_equal(r1, r2)
+        np.testing.assert_array_equal(rank_matrix(forward(m, z)), rank_matrix(forward(m, z + 123.0)))
 
 
 class TestCheckpoint:

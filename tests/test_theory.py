@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from comlabel.dataset import (
-    GenerativeSpec,
     make_exclusive_spec,
     make_uniform_cl_spec,
     subset_membership,
@@ -16,22 +15,21 @@ from comlabel.theory import (
     anchor_Q,
     chain_T_values,
     corollary3_bound,
-    distortion,
-    enumerate_subsets,
-    exact_cl_probability,
-    full_transition,
     grid_scenarios,
-    pairwise_T_formula,
     random_generative_spec,
     random_posterior,
     scenario_distortion,
-    scenario_matrices,
     theorem1_gap,
 )
 
 
 def _mask_index(labels):
     return sum(1 << k for k in labels) - 1
+
+
+def exact_cl_probability(spec, posterior, j):
+    """p(complementary label = j | x), the subset-exact side of theorem1_gap."""
+    return theorem1_gap(spec, posterior, j)[0]
 
 
 class TestExactClProbability:
@@ -67,13 +65,19 @@ class TestExactClProbability:
             )
             np.testing.assert_allclose(exact_cl_probability(spec, post, j), expected, atol=1e-14)
 
-    def test_dict_posterior_accepted(self):
+    def test_two_subset_posterior(self):
         K = 3
         spec = make_uniform_cl_spec(K, np.full(6, 1 / 6))
-        by_mask = exact_cl_probability(spec, {0b001: 0.5, 0b110: 0.5}, 2)
-        by_tuple = exact_cl_probability(spec, {(0,): 0.5, (1, 2): 0.5}, 2)
-        np.testing.assert_allclose(by_mask, by_tuple)
-        np.testing.assert_allclose(by_mask, 0.5 * 0.5)  # only {0} can emit label 2
+        post = np.zeros(6)
+        post[[_mask_index([0]), _mask_index([1, 2])]] = 0.5
+        np.testing.assert_allclose(exact_cl_probability(spec, post, 2), 0.5 * 0.5)  # only {0} can emit label 2
+
+    def test_misaligned_posterior_rejected(self):
+        spec = make_uniform_cl_spec(3, np.full(6, 1 / 6))
+        with pytest.raises(ValueError, match="shape"):
+            theorem1_gap(spec, np.full(5, 0.2), 0)
+        with pytest.raises(ValueError, match="sum to 1"):
+            theorem1_gap(spec, np.full(6, 0.2), 0)
 
 
 class TestTheorem1:
@@ -155,27 +159,37 @@ class TestAnchorQ:
         np.testing.assert_array_equal(np.diag(Q), 0.0)
 
 
+HALF_SCENARIO = TheoremScenario(
+    dependent=(0, 1),
+    comp_label=2,
+    p_cl=Fraction(1, 10),
+    marginals=(Fraction(1, 2), Fraction(2, 5)),
+    conditionals=((Fraction(1, 2),), (Fraction(1, 2),)),
+)
+
+
 class TestDistortion:
     def test_identity(self):
-        T = np.random.default_rng(1).random((4, 4))
-        assert distortion(T, T, 2) == 0.0
+        # with every factor 1 the closed form is p_cl itself: no distortion
+        one = Fraction(1)
+        sc = TheoremScenario((0, 1, 2), 3, Fraction(1, 7), (one,) * 3, ((one, one),) * 3)
+        assert chain_T_values(sc) == [Fraction(1, 7)] * 3
+        assert scenario_distortion(sc) == 0
 
     def test_column_difference(self):
-        T = np.zeros((3, 3))
-        Q = np.zeros((3, 3))
-        T[:, 1] = [0.1, -0.2, 0.0]
-        np.testing.assert_allclose(distortion(T, Q, 1), 0.3)
+        # entries 1/10 / (1/2 * 1/2) = 2/5 and 1/10 / (2/5 * 1/2) = 1/2, each against p_cl = 1/10
+        assert chain_T_values(HALF_SCENARIO) == [Fraction(2, 5), Fraction(1, 2)]
+        assert scenario_distortion(HALF_SCENARIO) == Fraction(3, 10) + Fraction(2, 5)
 
     def test_scenario_distortion_matches_matrix_distortion(self):
-        sc = TheoremScenario(
-            dependent=(0, 1),
-            comp_label=2,
-            p_cl=Fraction(1, 10),
-            marginals=(Fraction(1, 2), Fraction(2, 5)),
-            conditionals=((Fraction(1, 2),), (Fraction(1, 2),)),
-        )
-        T, Q = scenario_matrices(sc, 4)
-        np.testing.assert_allclose(distortion(T, Q, 2), float(scenario_distortion(sc)), atol=1e-12)
+        # column j of the closed-form T against the exclusive-case Q, which
+        # reads p_cl on every row but j; the rows off the group cancel
+        sc, K = HALF_SCENARIO, 4
+        j, p = sc.comp_label, float(sc.p_cl)
+        T_col, Q_col = np.full(K, p), np.full(K, p)
+        T_col[list(sc.dependent)] = [float(v) for v in chain_T_values(sc)]
+        T_col[j] = Q_col[j] = 0.0
+        np.testing.assert_allclose(np.abs(T_col - Q_col).sum(), float(scenario_distortion(sc)), atol=1e-12)
 
 
 class TestPairwiseFormula:
@@ -187,7 +201,7 @@ class TestPairwiseFormula:
             marginals=(0.5, 0.5),
             conditionals=((1.0,), (1.0,)),
         )
-        T1, T2 = pairwise_T_formula(sc)
+        T1, T2 = chain_T_values(sc)
         np.testing.assert_allclose(T1, 0.2)
         np.testing.assert_allclose(T2, 0.2)
 
@@ -199,7 +213,7 @@ class TestPairwiseFormula:
             marginals=(1.0, 1.0),
             conditionals=((1.0,), (1.0,)),
         )
-        T1, T2 = pairwise_T_formula(sc)
+        T1, T2 = chain_T_values(sc)
         np.testing.assert_allclose([T1, T2], 0.07)
 
     def test_theorem2_bound_on_scenario(self):
@@ -299,7 +313,7 @@ class TestPairwiseEnumerationOracle:
                 marginals=(mm1, mm2),
                 conditionals=((cond_z2,), (cond_z1,)),
             )
-            T1, T2 = pairwise_T_formula(sc)
+            T1, T2 = chain_T_values(sc)
             np.testing.assert_allclose(T1, p_cl / (cond_z2 * mm1), atol=1e-12)
             np.testing.assert_allclose(T2, p_cl / (cond_z1 * mm2), atol=1e-12)
             bound = corollary3_bound(sc)
@@ -417,7 +431,7 @@ class TestFullTransition:
         rng = np.random.default_rng(53)
         for K in (3, 4, 5):
             spec = random_generative_spec(K, rng)
-            Tfull = full_transition(spec)
+            Tfull = spec.cl_given_subset
             assert Tfull.shape == (2**K - 2, K)
             np.testing.assert_allclose(Tfull.sum(axis=1), 1.0, atol=1e-9)
             members = subset_membership(K).astype(bool)

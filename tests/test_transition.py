@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from comlabel.complementary import ComplementaryDataset, corrupt_uniform
-from comlabel.dataset import LabelSpace, MultiLabelDataset, make_exclusive_spec, sample_from_generative
+from comlabel.complementary import ComplementaryDataset
+from comlabel.dataset import LabelSpace, make_exclusive_spec, sample_from_generative
+from comlabel.loss import score_objective
 from comlabel.model import LinearModel, init_linear
 from comlabel.transition import (
-    apply_transition,
     check_invertible,
     correct_and_normalize,
     correlation_matrix,
@@ -204,38 +204,72 @@ class TestCorrectAndNormalize:
         validate_transition(T)
 
 
+class TestCorrectionFlattensToUniform:
+    """With a constant off-diagonal C = c = (K-2)/(K-1), the population C of
+    uniform corruption when every label is the complementary label equally
+    often, the correction pulls each row of the uncorrected estimate
+    T_nc = correct_and_normalize(S, I) toward the uniform U by a fixed factor:
+
+        T - U = a_k (T_nc - U) / ((K-1)(K-2) + a_k),   a_k = 1 - S[k, k].
+
+    This pins what the estimator does today; it changes on purpose or not at all.
+    """
+
+    def test_rows_shrink_toward_uniform_by_the_closed_form(self):
+        rng = np.random.default_rng(11)
+        for K in range(3, 13):
+            C = np.full((K, K), (K - 2) / (K - 1))
+            np.fill_diagonal(C, 1.0)
+            U = uniform_transition(K)
+            for _ in range(500):
+                S = rng.dirichlet(np.ones(K), size=K)
+                a = 1.0 - np.diagonal(S)[:, None]
+                T_nc = correct_and_normalize(S, np.eye(K))
+                shrunk = a * (T_nc - U) / ((K - 1) * (K - 2) + a)
+                np.testing.assert_allclose(correct_and_normalize(S, C) - U, shrunk, rtol=0, atol=4e-16)
+
+
+def _composed_residual(T, F, target):
+    """Per-row ||target - F T||^2 and its score gradient: the unclamped cl_mse
+    term, which sees each score row f through the transition as q = T^T f."""
+    return score_objective(np.atleast_2d(F), "cl_mse", T=T, ybar=np.atleast_2d(target))
+
+
 class TestApplyTransition:
     def test_uniform_one_hot(self):
         K = 4
-        T = uniform_transition(K)
-        out = apply_transition(T, np.eye(K)[1])
         expected = np.full(K, 1.0 / (K - 1))
         expected[1] = 0.0
-        np.testing.assert_allclose(out, expected)
+        assert _composed_residual(uniform_transition(K), np.eye(K)[1], expected)[0][0] == 0.0
 
     def test_zero_vector(self):
-        np.testing.assert_allclose(apply_transition(uniform_transition(3), np.zeros(3)), 0.0)
+        assert _composed_residual(uniform_transition(3), np.zeros(3), np.zeros(3))[0][0] == 0.0
 
     def test_hand_product_may_exceed_one(self):
         T = np.array([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]])
-        out = apply_transition(T, np.array([1.0, 0.0, 1.0]))
-        np.testing.assert_allclose(out, [0.3, 1.3, 0.4])
+        values, _ = _composed_residual(T, np.array([1.0, 0.0, 1.0]), [0.3, 1.3, 0.4])
+        np.testing.assert_allclose(values, 0.0, atol=1e-30)
 
     def test_linearity(self):
+        # against a zero target the gradient is 2 (F T) T^T, linear in F
         rng = np.random.default_rng(23)
         T = uniform_transition(5)
         f, g = rng.random(5), rng.random(5)
         a, b = 0.3, -1.7
-        lhs = apply_transition(T, a * f + b * g)
-        rhs = a * apply_transition(T, f) + b * apply_transition(T, g)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+        def grad(x):
+            return _composed_residual(T, x, np.zeros(5))[1]
+
+        np.testing.assert_allclose(grad(a * f + b * g), a * grad(f) + b * grad(g), atol=1e-12)
 
     def test_batch_form(self):
         T = uniform_transition(3)
-        F = np.random.default_rng(1).random((7, 3))
-        out = apply_transition(T, F)
+        rng = np.random.default_rng(1)
+        F, target = rng.random((7, 3)), rng.random((7, 3))
+        values, G = _composed_residual(T, F, target)
         for i in range(7):
-            np.testing.assert_allclose(out[i], T.T @ F[i])
+            np.testing.assert_allclose(values[i], ((target[i] - T.T @ F[i]) ** 2).sum())
+            np.testing.assert_allclose(G[i], _composed_residual(T, F[i], target[i])[1][0])
 
 
 class TestInvertibility:
