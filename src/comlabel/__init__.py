@@ -35,7 +35,7 @@ from .transition import (
     uniform_transition,
 )
 from .model import LinearModel, forward, init_linear, predict_labels
-from .loss import ClampPolicy, batch_objective, gradient_check, score_objective
+from .loss import batch_objective, gradient_check, score_objective
 from .metrics import MetricsReport, evaluate_all
 from .optim import TrainConfig, adam_step, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .experiment import AggregateReport, RunConfig, run_ablation, run_clrl, run_cv, run_theory, sweep_beta

@@ -11,12 +11,15 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform, parse_complementary_file, write_complementary_file
 from .dataset import LabelSpace, MultiLabelDataset, parse_multilabel_file, preprocess_topk_labels, write_multilabel_file
 from .experiment import (
+    CORRUPTION_MODES,
+    REGIMES,
     AggregateReport,
     RunConfig,
     TheoryCheckFailure,
@@ -33,51 +36,57 @@ from .model import forward, load_model, save_model
 from .optim import TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .transition import estimate_transition, load_transition_csv, save_transition_csv
 
-CONFIG_TYPES = {
-    "data": str,
-    "mode": str,
-    "regime": str,
-    "seed": int,
-    "lr": float,
-    "epochs": int,
-    "batch": int,
-    "beta": float,
-    "betas": str,
-    "folds": int,
-    "max_labels": int,
-    "relevant": int,
-    "weight_decay": float,
-    "out": str,
-    "model_in": str,
-    "model_out": str,
-    "transition_in": str,
-    "transition_out": str,
-    "curve_out": str,
-    "normalize_features": str,
-    "trials": int,
-}
 
-# The allowed values of the keys whose flags take `choices`; a config file is held to them too.
-CONFIG_CHOICES = {
-    "mode": ("uniform", "biased"),
-    "regime": ("cl", "clrl", "supervised"),
-    "normalize_features": ("on", "off"),
-}
+class Option(NamedTuple):
+    """One command-line option, declared once: its dest (the flag is
+    `--dest` with dashes), its value type (None for an on/off flag), the
+    default that applies when neither a flag nor the config file sets it,
+    help, the subcommands that take it (None: every one), its choices, and
+    whether a config file may set it."""
 
-DEFAULTS = {
-    "mode": "uniform",
-    "regime": "cl",
-    "seed": 0,
-    "epochs": 200,
-    "batch": 256,
-    "beta": 1.0,
-    "betas": "0.1,0.3,0.5,0.8,1",
-    "folds": 10,
-    "max_labels": 15,
-    "weight_decay": 1e-4,
-    "normalize_features": "off",
-    "trials": 100,
-}
+    dest: str
+    type: type | None = str
+    default: object = None
+    help: str | None = None
+    commands: tuple[str, ...] | None = None
+    choices: tuple[str, ...] | None = None
+    config: bool = True
+
+
+OPTIONS = (
+    Option("config", help="flat key = value config file; flags override it", config=False),
+    Option("data", help="input data file"),
+    Option("mode", default="uniform", help="corruption mode", choices=CORRUPTION_MODES),
+    Option("seed", int, 0),
+    Option("lr", float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}"),
+    Option("epochs", int, 200),
+    Option("batch", int, 256),
+    Option("beta", float, 1.0, "trade-off weight of the squared-error regularizer"),
+    Option("folds", int, 10),
+    Option("max_labels", int, 15),
+    Option("weight_decay", float, 1e-4),
+    Option("out", help="output path"),
+    Option("transition_in"),
+    Option("transition_out"),
+    Option("curve_out", help="per-epoch training-loss CSV"),
+    Option("normalize_features", default="off", choices=("on", "off")),
+    Option("relevant", int, help="also attach this many true relevant labels per instance", commands=("corrupt", "clrl")),
+    Option("no_correlation", None, help="skip the correlation correction", commands=("estimate-t",), config=False),
+    Option("regime", default="cl", commands=("train",), choices=REGIMES),
+    Option("model_out", commands=("train",)),
+    Option("model_in", commands=("eval",)),
+    Option("betas", default="0.1,0.3,0.5,0.8,1", help="comma-separated trade-off values", commands=("sweep-beta",)),
+    Option("trials", int, 100, commands=("theory-check",)),
+    Option("skip_consistency", None, help="skip the synthetic twin-training check", commands=("theory-check",), config=False),
+    Option("features_csv", commands=("convert",), config=False),
+    Option("labels_csv", commands=("convert",), config=False),
+)
+
+CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
+
+# The learning rate of single trainings when --lr is omitted; cv's grid search
+# falls back to it when a fold is too small to hold out a validation slice.
+FALLBACK_LR = 1e-2
 
 
 def load_config_file(path: str) -> dict:
@@ -90,85 +99,40 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise SystemExit(f"config {path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (t.strip() for t in line.partition("="))
-        if key not in CONFIG_TYPES:
+        option = CONFIG_OPTIONS.get(key)
+        if option is None:
             raise SystemExit(f"config {path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = CONFIG_TYPES[key](value)
+            values[key] = option.type(value)
         except ValueError:
             raise SystemExit(f"config {path}:{lineno}: bad value for {key}: {value!r}") from None
-        choices = CONFIG_CHOICES.get(key)
-        if choices and values[key] not in choices:
-            raise SystemExit(f"config {path}:{lineno}: {key} must be one of {', '.join(choices)}, got {value!r}")
+        if option.choices and values[key] not in option.choices:
+            raise SystemExit(f"config {path}:{lineno}: {key} must be one of {', '.join(option.choices)}, got {value!r}")
     return values
 
 
-def _shared_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--data", help="input data file")
-    p.add_argument("--mode", choices=CONFIG_CHOICES["mode"], help="corruption mode")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--beta", type=float, help="trade-off weight of the squared-error regularizer")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--max-labels", dest="max_labels", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--out", help="output path")
-    p.add_argument("--transition-in", dest="transition_in")
-    p.add_argument("--transition-out", dest="transition_out")
-    p.add_argument("--curve-out", dest="curve_out", help="per-epoch training-loss CSV")
-    p.add_argument("--normalize-features", dest="normalize_features", choices=CONFIG_CHOICES["normalize_features"])
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    shared = _shared_parser()
     parser = argparse.ArgumentParser(prog="comlabel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("corrupt", parents=[shared], help="replace full labels with complementary labels")
-    p.add_argument("--relevant", type=int, help="also attach this many true relevant labels per instance")
-
-    p = sub.add_parser("estimate-t", parents=[shared], help="estimate the transition matrix from complementary data")
-    p.add_argument("--no-correlation", action="store_true", help="skip the correlation correction")
-
-    p = sub.add_parser("train", parents=[shared], help="train one model on one data file")
-    p.add_argument("--regime", choices=CONFIG_CHOICES["regime"])
-    p.add_argument("--model-out", dest="model_out")
-
-    p = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint on fully labeled data")
-    p.add_argument("--model-in", dest="model_in", required=True)
-
-    sub.add_parser("cv", parents=[shared], help="cross-validated pipeline")
-
-    sub.add_parser("ablate", parents=[shared], help="cv plus the two single-component ablations")
-
-    p = sub.add_parser("sweep-beta", parents=[shared], help="cv once per trade-off value")
-    p.add_argument("--betas", help="comma-separated trade-off values")
-
-    p = sub.add_parser("clrl", parents=[shared], help="compare cl, cl+relevant, and supervised")
-    p.add_argument("--relevant", type=int)
-
-    p = sub.add_parser("theory-check", parents=[shared], help="run the numerical theory checks")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--skip-consistency", action="store_true", help="skip the synthetic twin-training check")
-
-    p = sub.add_parser("convert", parents=[shared], help="dense CSV feature/label matrices to the canonical format")
-    p.add_argument("--features-csv", dest="features_csv", required=True)
-    p.add_argument("--labels-csv", dest="labels_csv", required=True)
+    for command, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for o in OPTIONS:
+            if o.commands is not None and command not in o.commands:
+                continue
+            flag = "--" + o.dest.replace("_", "-")
+            if o.type is None:
+                p.add_argument(flag, dest=o.dest, action="store_true", help=o.help)
+            else:
+                p.add_argument(flag, dest=o.dest, type=o.type, choices=o.choices, help=o.help)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    config = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in config.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
-    for key, value in DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
+    """Fill each option the flags left unset from the config file, else its default."""
+    config = load_config_file(args.config) if args.config else {}
+    for o in OPTIONS:
+        if hasattr(args, o.dest) and getattr(args, o.dest) is None:
+            setattr(args, o.dest, config.get(o.dest, o.default))
     return args
 
 
@@ -178,9 +142,9 @@ def _require(args, *names):
             raise SystemExit(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
-def _train_config(args, lr_fallback: float = 1e-2) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        learning_rate=args.lr if args.lr is not None else lr_fallback,
+        learning_rate=args.lr if args.lr is not None else FALLBACK_LR,
         weight_decay=args.weight_decay,
         batch_size=args.batch,
         epochs=args.epochs,
@@ -267,7 +231,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args, "data", "out")
+    _require(args, "data", "out", "model_in")
     ds = parse_multilabel_file(args.data)
     model = load_model(args.model_in)
     report = AggregateReport((evaluate_all(forward(model, ds.features), ds.y),))
@@ -347,7 +311,7 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    _require(args, "out")
+    _require(args, "out", "features_csv", "labels_csv")
     X = np.atleast_2d(np.genfromtxt(args.features_csv, delimiter=","))
     Y = np.atleast_2d(np.genfromtxt(args.labels_csv, delimiter=","))
     if X.shape[0] != Y.shape[0]:
@@ -359,22 +323,22 @@ def cmd_convert(args) -> int:
 
 
 COMMANDS = {
-    "corrupt": cmd_corrupt,
-    "estimate-t": cmd_estimate_t,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "cv": cmd_cv,
-    "ablate": cmd_ablate,
-    "sweep-beta": cmd_sweep_beta,
-    "clrl": cmd_clrl,
-    "theory-check": cmd_theory_check,
-    "convert": cmd_convert,
+    "corrupt": (cmd_corrupt, "replace full labels with complementary labels"),
+    "estimate-t": (cmd_estimate_t, "estimate the transition matrix from complementary data"),
+    "train": (cmd_train, "train one model on one data file"),
+    "eval": (cmd_eval, "evaluate a checkpoint on fully labeled data"),
+    "cv": (cmd_cv, "cross-validated pipeline"),
+    "ablate": (cmd_ablate, "cv plus the two single-component ablations"),
+    "sweep-beta": (cmd_sweep_beta, "cv once per trade-off value"),
+    "clrl": (cmd_clrl, "compare cl, cl+relevant, and supervised"),
+    "theory-check": (cmd_theory_check, "run the numerical theory checks"),
+    "convert": (cmd_convert, "dense CSV feature/label matrices to the canonical format"),
 }
 
 
 def main(argv=None) -> int:
     args = _resolve(build_parser().parse_args(argv))
-    return COMMANDS[args.command](args)
+    return COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -63,16 +63,13 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """The set of class labels, optionally named."""
+    """The set of class labels."""
 
     n_labels: int
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_labels < MIN_LABELS:
             raise ValueError(f"label space needs at least {MIN_LABELS} labels, got {self.n_labels}")
-        if self.names is not None and len(self.names) != self.n_labels:
-            raise ValueError("names length must equal n_labels")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -592,6 +589,12 @@ def subset_membership(n_labels: int) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
+# Cluster centers of `sample_from_generative` are drawn from (FEATURE_SEED, K, d)
+# and scaled so that two centers lie about CLUSTER_SEPARATION apart.
+FEATURE_SEED = 0
+CLUSTER_SEPARATION = 4.0
+
+
 @dataclass(frozen=True)
 class GenerativeSpec:
     """A fully explicit joint over label subsets and complementary labels.
@@ -600,14 +603,12 @@ class GenerativeSpec:
     `cl_given_subset[i, j]` is the probability that label j is drawn as the
     complementary label when Y = C.  Features are sampled as unit-variance
     Gaussian clusters, one center per subset, with centers separated by
-    roughly `cluster_separation` so near-anchor instances exist.
+    roughly CLUSTER_SEPARATION so near-anchor instances exist.
     """
 
     n_labels: int
     subset_probs: np.ndarray
     cl_given_subset: np.ndarray
-    cluster_separation: float = 4.0
-    feature_seed: int = 0
 
     def __post_init__(self):
         if not MIN_LABELS <= self.n_labels <= MAX_ENUM_LABELS:
@@ -645,20 +646,15 @@ def uniform_cl_rows(n_labels: int) -> np.ndarray:
     return comp / comp.sum(axis=1, keepdims=True)
 
 
-def make_uniform_cl_spec(n_labels: int, subset_probs: np.ndarray, **kwargs) -> GenerativeSpec:
-    return GenerativeSpec(n_labels, subset_probs, uniform_cl_rows(n_labels), **kwargs)
+def make_uniform_cl_spec(n_labels: int, subset_probs: np.ndarray) -> GenerativeSpec:
+    return GenerativeSpec(n_labels, subset_probs, uniform_cl_rows(n_labels))
 
 
-def make_exclusive_spec(n_labels: int, singleton_probs: np.ndarray | None = None, **kwargs) -> GenerativeSpec:
-    """Spec whose mass sits on singleton subsets only (mutually exclusive labels)."""
-    K = n_labels
-    probs = np.zeros(2**K - 2)
-    if singleton_probs is None:
-        singleton_probs = np.full(K, 1.0 / K)
-    singleton_probs = np.asarray(singleton_probs, dtype=np.float64)
-    for k in range(K):
-        probs[(1 << k) - 1] = singleton_probs[k]
-    return make_uniform_cl_spec(K, probs, **kwargs)
+def make_exclusive_spec(n_labels: int) -> GenerativeSpec:
+    """Spec whose mass sits evenly on the singleton subsets (mutually exclusive labels)."""
+    probs = np.zeros(2**n_labels - 2)
+    probs[[(1 << k) - 1 for k in range(n_labels)]] = 1.0 / n_labels
+    return make_uniform_cl_spec(n_labels, probs)
 
 
 def _sample_rows_categorical(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -686,8 +682,8 @@ def sample_from_generative(
     rng = np.random.default_rng(seed)
     subset_idx = rng.choice(spec.n_subsets, size=n, p=spec.subset_probs)
     cl = _sample_rows_categorical(spec.cl_given_subset[subset_idx], rng.random(n))
-    center_rng = np.random.default_rng((spec.feature_seed, K, d))
-    centers = center_rng.standard_normal((spec.n_subsets, d)) * (spec.cluster_separation / np.sqrt(2.0 * d))
+    center_rng = np.random.default_rng((FEATURE_SEED, K, d))
+    centers = center_rng.standard_normal((spec.n_subsets, d)) * (CLUSTER_SEPARATION / np.sqrt(2.0 * d))
     X = centers[subset_idx] + rng.standard_normal((n, d))
     y = members[subset_idx]
     feats = store_features(X)

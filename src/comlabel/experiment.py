@@ -63,6 +63,7 @@ __all__ = [
 CORRUPTION_MODES = ("uniform", "biased")
 REGIMES = ("cl", "clrl", "supervised")
 TRANSITION_SOURCES = ("estimate", "load", "oracle")
+CONSISTENCY_GAP = 0.05  # largest test hamming-loss gap the consistency check accepts
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,7 @@ def _train_for_regime(
 
 
 def select_learning_rate(
-    cds: ComplementaryDataset,
-    train_ds: MultiLabelDataset,
-    cfg: RunConfig,
-    base: TrainConfig,
-    grid=LEARNING_RATE_GRID,
+    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
 ) -> float:
     """Pick the grid learning rate with the best validation average precision.
 
@@ -201,7 +198,7 @@ def select_learning_rate(
     val_X = train_ds.features[val_idx]
     val_y = train_ds.y[val_idx]
     best_lr, best_ap = None, -np.inf
-    for lr in grid:
+    for lr in LEARNING_RATE_GRID:
         tcfg = replace(base, learning_rate=lr)
         model = _train_for_regime(fit_cds, fit_ds, cfg, tcfg)
         ap = evaluate_all(forward(model, val_X), val_y).average_precision
@@ -333,12 +330,7 @@ def consistency_experiment(
     }
 
 
-def run_theory(
-    seed: int = 0,
-    n_trials: int = 100,
-    consistency: bool = True,
-    consistency_gap: float = 0.05,
-) -> list[TheoryRow]:
+def run_theory(seed: int = 0, n_trials: int = 100, consistency: bool = True) -> list[TheoryRow]:
     """Run every theory invariant and return one row per check.
 
     Any failed inequality raises TheoryCheckFailure with the offending
@@ -375,10 +367,10 @@ def run_theory(
 
     if consistency:
         result = consistency_experiment()
-        ok = result["gap"] <= consistency_gap
-        rows.append(TheoryRow("consistency_K5_n5000", result["gap"], consistency_gap, ok))
+        ok = result["gap"] <= CONSISTENCY_GAP
+        rows.append(TheoryRow("consistency_K5_n5000", result["gap"], CONSISTENCY_GAP, ok))
         if not ok:
-            raise TheoryCheckFailure(f"consistency gap {result['gap']:.4f} exceeds {consistency_gap}: {result!r}")
+            raise TheoryCheckFailure(f"consistency gap {result['gap']:.4f} exceeds {CONSISTENCY_GAP}: {result!r}")
     return rows
 
 

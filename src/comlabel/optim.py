@@ -13,7 +13,7 @@ import numpy as np
 
 from .complementary import ComplementaryDataset
 from .dataset import MultiLabelDataset
-from .loss import ClampPolicy, DEFAULT_CLAMP, batch_objective
+from .loss import batch_objective
 from .model import LinearModel, init_linear
 from .transition import validate_transition
 
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 LEARNING_RATE_GRID = (1e-1, 1e-2, 1e-3)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,6 @@ class TrainConfig:
     epochs: int = 200
     beta: float = 1.0
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.weight_decay < 0:
@@ -52,8 +50,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive and epochs nonnegative")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and self.adam_eps > 0):
-            raise ValueError("invalid Adam constants")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -103,7 +99,7 @@ def adam_step(
                 f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})"
             )
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         np.multiply(p, cfg.weight_decay, out=a)
         np.add(g, a, out=a)  # a = g + wd * p
@@ -117,7 +113,7 @@ def adam_step(
         np.divide(m, 1.0 - b1**state.t, out=a)  # m_hat
         np.divide(v, 1.0 - b2**state.t, out=b)  # v_hat
         np.sqrt(b, out=b)
-        np.add(b, cfg.adam_eps, out=b)
+        np.add(b, ADAM_EPS, out=b)
         np.multiply(a, cfg.learning_rate, out=a)
         np.divide(a, b, out=a)
         np.subtract(p, a, out=p)
@@ -157,14 +153,12 @@ def train_cl_predictor(cds: ComplementaryDataset, cfg: TrainConfig) -> TrainResu
     return _run_loop(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl})
 
 
-def train_mlcl(
-    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, clamp: ClampPolicy = DEFAULT_CLAMP
-) -> TrainResult:
+def train_mlcl(cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
     validate_transition(T)
     ybar = np.eye(cds.n_labels)[cds.cl]  # one-hot complementary labels
-    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"ybar": ybar}, T=np.asarray(T, dtype=np.float64), beta=cfg.beta, clamp=clamp)
+    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"ybar": ybar}, T=np.asarray(T, dtype=np.float64), beta=cfg.beta)
 
 
 def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig) -> TrainResult:
@@ -172,12 +166,10 @@ def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig) -> TrainResult:
     return _run_loop(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)})
 
 
-def train_clrl(
-    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, clamp: ClampPolicy = DEFAULT_CLAMP
-) -> TrainResult:
+def train_clrl(cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Training from one complementary label plus a partial relevant vector."""
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")
     validate_transition(T)
     per_instance = {"ybar": np.eye(cds.n_labels)[cds.cl], "relevant": cds.relevant.astype(np.float64)}
-    return _run_loop(cds, "sigmoid", cfg, "clrl", per_instance, T=np.asarray(T, dtype=np.float64), clamp=clamp)
+    return _run_loop(cds, "sigmoid", cfg, "clrl", per_instance, T=np.asarray(T, dtype=np.float64))

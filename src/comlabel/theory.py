@@ -30,7 +30,6 @@ from .dataset import (
     MIN_LABELS,
     GenerativeSpec,
     subset_membership,
-    uniform_cl_rows,
 )
 
 __all__ = [
@@ -198,12 +197,15 @@ def corollary3_bound(sc: TheoremScenario):
     return sc.m * (1 / xi**sc.m - 1) * sc.p_cl
 
 
-def grid_scenarios(xis, ms, slack=Fraction(9, 10)) -> list[TheoremScenario]:
+SLACK = Fraction(9, 10)
+
+
+def grid_scenarios(xis, ms) -> list[TheoremScenario]:
     """Build exact-arithmetic scenarios for a grid of xi values and group sizes.
 
     For each (xi, m) two scenarios are produced: a tight one with every factor
     equal to xi (the bound holds with equality) and a slack one where all but
-    the fully conditioned factors are shrunk by `slack`, which strictly grows
+    the fully conditioned factors are shrunk by SLACK, which strictly grows
     the closed-form entries and the distortion.
     """
     scenarios = []
@@ -222,13 +224,13 @@ def grid_scenarios(xis, ms, slack=Fraction(9, 10)) -> list[TheoremScenario]:
             )
             scenarios.append(tight)
             shrunk = tuple(
-                tuple(c * slack for c in row[:-1]) + (row[-1],) for row in tight.conditionals
+                tuple(c * SLACK for c in row[:-1]) + (row[-1],) for row in tight.conditionals
             )
             loose = TheoremScenario(
                 dependent=deps,
                 comp_label=j,
                 p_cl=p,
-                marginals=(xi * slack,) * m,
+                marginals=(xi * SLACK,) * m,
                 conditionals=shrunk,
             )
             scenarios.append(loose)
@@ -240,22 +242,19 @@ def grid_scenarios(xis, ms, slack=Fraction(9, 10)) -> list[TheoremScenario]:
 # ---------------------------------------------------------------------------
 
 
-def random_generative_spec(n_labels: int, rng: np.random.Generator, uniform_cl: bool = False) -> GenerativeSpec:
-    """A random explicit table: Dirichlet-like subset weights and either
-    uniform or random complementary-label rows."""
+def random_generative_spec(n_labels: int, rng: np.random.Generator) -> GenerativeSpec:
+    """A random explicit table: Dirichlet-like subset weights and random
+    complementary-label rows."""
     if not MIN_LABELS <= n_labels <= MAX_ENUM_LABELS:
         raise ValueError(f"n_labels must lie in [{MIN_LABELS}, {MAX_ENUM_LABELS}]")
     m = 2**n_labels - 2
     probs = rng.gamma(1.0, size=m)
     probs /= probs.sum()
-    if uniform_cl:
-        cl = uniform_cl_rows(n_labels)
-    else:
-        comp = 1.0 - subset_membership(n_labels).astype(np.float64)
-        cl = rng.gamma(1.0, size=(m, n_labels)) * comp
-        cl /= cl.sum(axis=1, keepdims=True)
-        cl *= comp  # re-zero members against float dust
-        cl /= cl.sum(axis=1, keepdims=True)
+    comp = 1.0 - subset_membership(n_labels).astype(np.float64)
+    cl = rng.gamma(1.0, size=(m, n_labels)) * comp
+    cl /= cl.sum(axis=1, keepdims=True)
+    cl *= comp  # re-zero members against float dust
+    cl /= cl.sum(axis=1, keepdims=True)
     return GenerativeSpec(n_labels, probs, cl)
 
 

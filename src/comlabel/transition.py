@@ -30,20 +30,22 @@ __all__ = [
 ]
 
 _ZERO_ROW_TOL = 1e-12
+ROW_SUM_TOL = 1e-9  # how far a transition row's sum may stray from 1
+NEAR_SINGULAR = 1e-8  # smallest singular value below which T is flagged near-singular
 
 
-def validate_transition(T: np.ndarray, tol: float = 1e-9, lines: list[int] | None = None) -> None:
+def validate_transition(T: np.ndarray, lines: list[int] | None = None) -> None:
     """Assert the row-stochastic zero-diagonal contract: finite non-negative
-    entries, an exactly zero diagonal and rows summing to 1 within `tol`.  The
-    error names the first offending row, as its entry of `lines` (the file
-    line of each row) when given."""
+    entries, an exactly zero diagonal and rows summing to 1 within
+    ROW_SUM_TOL.  The error names the first offending row, as its entry of
+    `lines` (the file line of each row) when given."""
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("transition matrix must be square")
     _reject_rows(~np.isfinite(T).all(axis=1), "has non-finite entries", lines)
     _reject_rows((T < 0).any(axis=1), "has negative entries", lines)
     _reject_rows(np.diagonal(T) != 0.0, "diagonal must be exactly zero", lines)
-    _reject_rows(np.abs(T.sum(axis=1) - 1.0) > tol, "rows must sum to 1", lines)
+    _reject_rows(np.abs(T.sum(axis=1) - 1.0) > ROW_SUM_TOL, "rows must sum to 1", lines)
 
 
 def _reject_rows(bad: np.ndarray, what: str, lines: list[int] | None) -> None:
@@ -141,8 +143,8 @@ class TransitionDiagnostics:
     near_singular: bool
 
 
-def check_invertible(T: np.ndarray, threshold: float = 1e-8) -> TransitionDiagnostics:
-    """Report determinant and conditioning; flag near-singularity below threshold."""
+def check_invertible(T: np.ndarray) -> TransitionDiagnostics:
+    """Report determinant and conditioning; flag near-singularity below NEAR_SINGULAR."""
     T = np.asarray(T, dtype=np.float64)
     det = float(np.linalg.det(T))
     s = np.linalg.svd(T, compute_uv=False)
@@ -152,7 +154,7 @@ def check_invertible(T: np.ndarray, threshold: float = 1e-8) -> TransitionDiagno
         determinant=det,
         smallest_singular_value=smallest,
         condition=condition,
-        near_singular=smallest < threshold,
+        near_singular=smallest < NEAR_SINGULAR,
     )
 
 

@@ -57,7 +57,7 @@ class TestEstimateT:
         tfile = tmp_path / "T.csv"
         assert run("estimate-t", "--data", comp, "--transition-out", tfile, "--epochs", "20") == 0
         T = load_transition_csv(tfile)
-        validate_transition(T, tol=1e-9)
+        validate_transition(T)
 
 
 class TestTrainEval:
@@ -229,6 +229,24 @@ class TestConfigFile:
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=rf"typo\.cfg:2: {key} must be one of .*'{value}'"):
             run(command, "--config", cfgfile, "--data", data_file, "--out", out, "--epochs", "1", "--folds", "2", "--lr", "0.01")
+        assert not out.exists()
+
+    def test_model_in_from_config_satisfies_eval(self, data_file, tmp_path):
+        model_path = tmp_path / "sup.txt"
+        run("train", "--data", data_file, "--regime", "supervised", "--model-out", model_path, "--epochs", "2")
+        cfgfile = tmp_path / "eval.cfg"
+        cfgfile.write_text(f"model_in = {model_path}\n")
+        out = tmp_path / "eval.csv"
+        assert run("eval", "--config", cfgfile, "--data", data_file, "--out", out) == 0
+        assert len(read_report(out).fold_reports) == 1
+
+    @pytest.mark.parametrize(
+        "command, extra, flag", [("eval", (), "--model-in"), ("convert", ("--labels-csv", "Y.csv"), "--features-csv")]
+    )
+    def test_missing_value_named_after_merge(self, command, extra, flag, data_file, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"{flag} is required for {command}"):
+            run(command, "--data", data_file, "--out", out, *extra)
         assert not out.exists()
 
     def test_comments_and_blanks_allowed(self, tmp_path):

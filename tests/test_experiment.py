@@ -27,7 +27,7 @@ from comlabel.experiment import (
     write_theory_csv,
 )
 from comlabel.metrics import MetricsReport
-from comlabel.optim import TrainConfig
+from comlabel.optim import NonFiniteGradientError, TrainConfig
 from comlabel.transition import correct_and_normalize, estimate_initial_S, estimate_transition
 from comlabel.model import init_linear
 
@@ -120,6 +120,28 @@ class TestRunCV:
         # the standard epoch budget sits far above it
         report = run_cv(quick_config(data_file, train=TrainConfig(epochs=200, seed=11)))
         assert report.mean("average_precision") > 0.55
+
+
+class TestFoldFailure:
+    @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
+    def test_error_names_fold_and_keeps_cause(self, data_file, monkeypatch, learning_rate):
+        import comlabel.experiment as experiment
+
+        cfg = quick_config(data_file, learning_rate=learning_rate, train=TrainConfig(epochs=2, seed=11))
+        raised = []
+        orig = experiment.train_mlcl
+
+        def diverging_on_fold_2(cds, T, tcfg):
+            if tcfg.seed == cfg.train.seed + 2:  # each fold trains with seed + fold index
+                raised.append(NonFiniteGradientError("non-finite gradient in parameter 0 at index (0, 0) (step 1)"))
+                raise raised[-1]
+            return orig(cds, T, tcfg)
+
+        monkeypatch.setattr(experiment, "train_mlcl", diverging_on_fold_2)
+        with pytest.raises(RuntimeError, match=r"^fold 2 failed: non-finite gradient") as info:
+            run_cv(cfg)
+        assert len(raised) == 1
+        assert info.value.__cause__ is raised[0]
 
 
 class TestEmptyCandidatePool:

@@ -1,9 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from comlabel.loss import (
+    CLAMP_EPS,
     LOSS_KINDS,
-    ClampPolicy,
     batch_objective,
     gradient_check,
     score_objective,
@@ -60,7 +62,7 @@ class TestClBCE:
     def test_zero_scores_clamped_finite(self):
         K = 3
         value, grad = one("cl_bce", np.zeros(K), T=uniform_transition(K), cl=[0])
-        eps = ClampPolicy().epsilon
+        eps = CLAMP_EPS
         np.testing.assert_allclose(value, -np.log(eps) - 2 * np.log(1 - eps))
         assert np.all(np.isfinite(grad))
 
@@ -215,7 +217,7 @@ def _random_config(kind, rng):
 class TestGradientCheck:
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_fifty_random_configs(self, kind):
-        rng = np.random.default_rng(hash(kind) % (1 << 31))
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(50):
             model, X, kwargs = _random_config(kind, rng)
             report = gradient_check(model, X, kind, tolerance=1e-4, **kwargs)
@@ -238,6 +240,16 @@ class TestGradientCheck:
         report = loss_mod.gradient_check(model, X, "bce_supervised", tolerance=1e-4, **kwargs)
         assert not report.passed
         assert report.worst_param == "W[0, 0]"
+
+    def test_step_across_clamp_boundary_retried(self):
+        # Config 24 of seed 173 puts an mlcl score near the clamp floor: at the
+        # default 1e-5 step the central difference at W[3, 4] reads 1918.95
+        # against the analytic 1910.515 (rel. error 4.4e-3); a 1e-7 step agrees.
+        rng = np.random.default_rng(173)
+        for _ in range(25):
+            model, X, kwargs = _random_config("mlcl", rng)
+        report = gradient_check(model, X, "mlcl", **kwargs)
+        assert report.passed, f"{report.worst_param} rel err {report.max_rel_error:.2e}"
 
 
 class TestBatchObjective:

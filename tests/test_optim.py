@@ -12,6 +12,9 @@ from comlabel.loss import batch_objective
 from comlabel.metrics import evaluate_all
 from comlabel.model import forward, init_linear
 from comlabel.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     NonFiniteGradientError,
     TrainConfig,
@@ -49,11 +52,11 @@ def reference_adam_step(params, grads, state, cfg):
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = g + cfg.weight_decay * p
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1**t)
-        v_hat = v / (1.0 - cfg.adam_beta2**t)
-        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     return new_params, AdamState(m=new_m, v=new_v, t=t)

@@ -189,7 +189,7 @@ class TestCorrectAndNormalize:
             C = rng.random((K, K))
             np.fill_diagonal(C, 1.0)
             T = correct_and_normalize(S, C)
-            validate_transition(T, tol=1e-9)
+            validate_transition(T)
 
     def test_dead_row_warns(self):
         S = np.zeros((3, 3))
