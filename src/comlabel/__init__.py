@@ -9,8 +9,8 @@ small label spaces.
 """
 
 from .dataset import (
+    ComplementaryDataset,
     GenerativeSpec,
-    LabelSpace,
     MultiLabelDataset,
     kfold_split,
     normalize_features,
@@ -19,13 +19,7 @@ from .dataset import (
     sample_from_generative,
     write_multilabel_file,
 )
-from .complementary import (
-    ComplementaryDataset,
-    CorruptionRecord,
-    attach_relevant_subset,
-    corrupt_biased,
-    corrupt_uniform,
-)
+from .complementary import CorruptionRecord, attach_relevant_subset, corrupt_biased, corrupt_uniform
 from .transition import (
     check_invertible,
     correct_and_normalize,

@@ -15,8 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform, parse_complementary_file, write_complementary_file
-from .dataset import LabelSpace, MultiLabelDataset, parse_multilabel_file, preprocess_topk_labels, write_multilabel_file
+from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform
+from .dataset import (
+    MultiLabelDataset,
+    parse_complementary_file,
+    parse_multilabel_file,
+    preprocess_topk_labels,
+    write_complementary_file,
+    write_multilabel_file,
+)
 from .experiment import (
     CORRUPTION_MODES,
     REGIMES,
@@ -128,8 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill each option the flags left unset from the config file, else its default."""
+    """Fill each option the flags left unset from the config file, else its
+    default.  A config key that the subcommand does not take is rejected."""
     config = load_config_file(args.config) if args.config else {}
+    for key in config:
+        commands = CONFIG_OPTIONS[key].commands
+        if commands is not None and args.command not in commands:
+            raise SystemExit(f"config {args.config}: {key} is taken only by {', '.join(commands)}, not by {args.command}")
     for o in OPTIONS:
         if hasattr(args, o.dest) and getattr(args, o.dest) is None:
             setattr(args, o.dest, config.get(o.dest, o.default))
@@ -316,7 +328,7 @@ def cmd_convert(args) -> int:
     Y = np.atleast_2d(np.genfromtxt(args.labels_csv, delimiter=","))
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
-    ds = MultiLabelDataset(X, Y.astype(np.uint8), LabelSpace(Y.shape[1]))
+    ds = MultiLabelDataset(X, Y.astype(np.uint8))
     write_multilabel_file(ds, args.out)
     print(f"wrote {ds.n_instances} instances ({ds.n_features} features, {ds.n_labels} labels) to {args.out}")
     return 0

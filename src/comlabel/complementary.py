@@ -8,115 +8,33 @@ ComplementaryDataset, which never carries full supervision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import (
-    DatasetFormatError,
-    LabelSpace,
-    MultiLabelDataset,
-    _freeze,
-    _parse_label_field,
-    _parse_lines,
-    _read_lines,
-    _sample_rows_categorical,
-    _write_lines,
-    store_features,
-)
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .dataset import ComplementaryDataset, MultiLabelDataset, sample_rows_categorical
 
 __all__ = [
-    "ComplementaryDataset",
     "CorruptionRecord",
     "corrupt_uniform",
     "corrupt_biased",
     "attach_relevant_subset",
     "cooccurrence_rates",
     "biased_selection_probs",
-    "parse_complementary_file",
-    "write_complementary_file",
 ]
 
 
 @dataclass(frozen=True)
-class ComplementaryDataset:
-    """Instances carrying one complementary label each.
-
-    `cl[i]` is the complementary label index; the candidate vector is always
-    the all-ones vector with that slot zeroed.  `relevant` optionally holds a
-    partial relevant-label vector per instance (a nonempty subset of the true
-    relevant set, never containing the complementary label).
-    """
-
-    features: np.ndarray | sp.csr_matrix
-    cl: np.ndarray  # (n,)
-    labels: LabelSpace
-    relevant: np.ndarray | None = None  # (n, K) in {0, 1}
-
-    def __post_init__(self):
-        feats = store_features(self.features)
-        object.__setattr__(self, "features", feats)
-        cl = np.asarray(self.cl, dtype=np.int64)
-        K = self.labels.n_labels
-        if cl.ndim != 1 or cl.shape[0] != feats.shape[0]:
-            raise ValueError("cl must be one label index per instance")
-        if cl.size and (cl.min() < 0 or cl.max() >= K):
-            raise ValueError(f"complementary label index out of range [0, {K})")
-        object.__setattr__(self, "cl", _freeze(cl))
-        if self.relevant is not None:
-            rel = np.asarray(self.relevant, dtype=np.uint8)
-            if rel.shape != (cl.shape[0], K):
-                raise ValueError(f"relevant must be (n, {K})")
-            if np.any((rel != 0) & (rel != 1)):
-                raise ValueError("relevant entries must be 0 or 1")
-            if np.any(rel[np.arange(cl.size), cl] != 0):
-                raise ValueError("relevant vector marks the complementary label")
-            if np.any(rel.sum(axis=1) < 1):
-                raise ValueError("each relevant vector needs at least one label")
-            object.__setattr__(self, "relevant", _freeze(rel))
-
-    @property
-    def n_instances(self) -> int:
-        return self.cl.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def n_labels(self) -> int:
-        return self.labels.n_labels
-
-    def candidate_matrix(self) -> np.ndarray:
-        """(n, K) candidate vectors: 1 everywhere except the complementary slot."""
-        out = np.ones((self.n_instances, self.n_labels), dtype=np.uint8)
-        out[np.arange(self.n_instances), self.cl] = 0
-        return out
-
-
-@dataclass(frozen=True)
 class CorruptionRecord:
-    """Provenance of a corruption run; holds ground truth for evaluation only."""
+    """The ground truth of a corruption run, for evaluation only: the
+    corrupted dataset's frozen relevance matrix."""
 
-    mode: str
-    seed: int
     true_y: np.ndarray  # (n, K)
 
-    def __post_init__(self):
-        if self.mode not in ("uniform", "biased"):
-            raise ValueError(f"unknown corruption mode {self.mode!r}")
-        object.__setattr__(self, "true_y", _freeze(np.asarray(self.true_y, dtype=np.uint8)))
 
-
-def _finish(ds: MultiLabelDataset, cl: np.ndarray, mode: str, seed: int):
+def _finish(ds: MultiLabelDataset, cl: np.ndarray):
     if np.any(ds.y[np.arange(ds.n_instances), cl] == 1):
         raise AssertionError("sampler produced a relevant label as complementary")
-    cds = ComplementaryDataset(ds.features, cl, ds.labels)
-    return cds, CorruptionRecord(mode=mode, seed=seed, true_y=ds.y)
+    return ComplementaryDataset(ds.features, cl, ds.n_labels), CorruptionRecord(ds.y)
 
 
 def corrupt_uniform(ds: MultiLabelDataset, seed: int) -> tuple[ComplementaryDataset, CorruptionRecord]:
@@ -124,8 +42,8 @@ def corrupt_uniform(ds: MultiLabelDataset, seed: int) -> tuple[ComplementaryData
     rng = np.random.default_rng(seed)
     weights = (1.0 - ds.y).astype(np.float64)
     probs = weights / weights.sum(axis=1, keepdims=True)
-    cl = _sample_rows_categorical(probs, rng.random(ds.n_instances))
-    return _finish(ds, cl, "uniform", seed)
+    cl = sample_rows_categorical(probs, rng.random(ds.n_instances))
+    return _finish(ds, cl)
 
 
 def cooccurrence_rates(y: np.ndarray) -> np.ndarray:
@@ -168,8 +86,8 @@ def corrupt_biased(ds: MultiLabelDataset, seed: int) -> tuple[ComplementaryDatas
     co-occurrence rates."""
     rng = np.random.default_rng(seed)
     probs = biased_selection_probs(ds.y, cooccurrence_rates(ds.y))
-    cl = _sample_rows_categorical(probs, rng.random(ds.n_instances))
-    return _finish(ds, cl, "biased", seed)
+    cl = sample_rows_categorical(probs, rng.random(ds.n_instances))
+    return _finish(ds, cl)
 
 
 def attach_relevant_subset(
@@ -192,49 +110,4 @@ def attach_relevant_subset(
         members = np.flatnonzero(y[i])
         chosen = rng.choice(members, size=r, replace=False)
         rel[i, chosen] = 1
-    return ComplementaryDataset(cds.features, cds.cl, cds.labels, relevant=rel)
-
-
-# ---------------------------------------------------------------------------
-# Complementary text format
-#
-#   line 1:      "n d K"
-#   lines 2..n+1: "<cl>;<rel> <idx>:<val> ..." with <rel> a possibly empty
-#                 comma-separated list of relevant label indices.
-# ---------------------------------------------------------------------------
-
-
-def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
-    with _read_lines(path) as (n, d, K, stored, body):
-        cl = np.zeros(n, dtype=np.int64)
-        rel = np.zeros((n, K), dtype=np.uint8)
-
-        def label_field(row: int, lineno: int, line: str) -> str:
-            parts = line.split(None, 1)
-            if not parts or ";" not in parts[0]:
-                raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
-            cl_part, _, rel_part = parts[0].partition(";")
-            try:
-                cl_idx = int(cl_part)
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
-            if not 0 <= cl_idx < K:
-                raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
-            cl[row] = cl_idx
-            rel_labels = _parse_label_field(rel_part, K, lineno)
-            if cl_idx in rel_labels:
-                raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
-            rel[row, rel_labels] = 1
-            return parts[1] if len(parts) == 2 else ""
-
-        feats = _parse_lines(body, n, d, stored, label_field)
-    has_rel = rel.any(axis=1)
-    if has_rel.any() and not has_rel.all():
-        missing = int(np.flatnonzero(~has_rel)[0])
-        raise DatasetFormatError(f"instance {missing} lacks a relevant label while others carry one")
-    return ComplementaryDataset(feats, cl, LabelSpace(K), relevant=rel if has_rel.any() else None)
-
-
-def write_complementary_file(cds: ComplementaryDataset, path: str | Path) -> None:
-    rel = [""] * cds.n_instances if cds.relevant is None else (",".join(map(str, np.flatnonzero(r).tolist())) for r in cds.relevant)
-    _write_lines(path, cds.features, cds.n_labels, (f"{c};{r}" for c, r in zip(cds.cl.tolist(), rel)))
+    return ComplementaryDataset(cds.features, cds.cl, cds.n_labels, relevant=rel)

@@ -1,8 +1,10 @@
-"""Multi-label datasets: parsing, validation, preprocessing, splitting, synthesis.
+"""The two dataset types and their text formats; preprocessing, splitting, synthesis.
 
-A dataset couples a feature matrix, dense or CSR by `store_features`, with a
-binary relevance matrix.  Every relevance row must name at least one relevant
-and one irrelevant label, so that a complementary label always exists.
+A multi-label dataset couples a feature matrix, dense or CSR by
+`store_features`, with a binary relevance matrix.  Every relevance row must
+name at least one relevant and one irrelevant label, so that a complementary
+label always exists.  A complementary dataset couples the same kind of
+feature matrix with one complementary label per instance.
 
 The reader streams a file in chunks of at most `PARSE_CHUNK_BYTES` of text.
 Each chunk's numbers are converted by one C-level call after byte-level
@@ -35,41 +37,37 @@ MIN_LABELS = 3  # label spaces with fewer than 3 classes admit no interesting co
 
 __all__ = [
     "DatasetFormatError",
-    "LabelSpace",
     "issparse",
     "store_features",
     "MultiLabelDataset",
+    "ComplementaryDataset",
     "FoldSplit",
     "FeatureScaler",
     "GenerativeSpec",
-    "enumerate_subsets",
     "subset_membership",
     "uniform_cl_rows",
     "make_uniform_cl_spec",
     "make_exclusive_spec",
     "parse_multilabel_file",
     "write_multilabel_file",
+    "parse_complementary_file",
+    "write_complementary_file",
     "preprocess_topk_labels",
     "kfold_split",
     "normalize_features",
+    "sample_rows_categorical",
     "sample_from_generative",
     "take_instances",
 ]
 
 
 class DatasetFormatError(ValueError):
-    """A data file violates the sparse multi-label text format."""
+    """A data file violates its text format."""
 
 
-@dataclass(frozen=True)
-class LabelSpace:
-    """The set of class labels."""
-
-    n_labels: int
-
-    def __post_init__(self):
-        if self.n_labels < MIN_LABELS:
-            raise ValueError(f"label space needs at least {MIN_LABELS} labels, got {self.n_labels}")
+def _check_label_count(n_labels: int) -> None:
+    if n_labels < MIN_LABELS:
+        raise ValueError(f"label space needs at least {MIN_LABELS} labels, got {n_labels}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -130,20 +128,20 @@ class MultiLabelDataset:
 
     features: np.ndarray | sp.csr_matrix
     y: np.ndarray  # (n, K) in {0, 1}
-    labels: LabelSpace
 
     def __post_init__(self):
+        y = np.asarray(self.y, dtype=np.uint8)
+        if y.ndim != 2:
+            raise ValueError(f"y must be (n, K), got {y.shape}")
+        _check_label_count(y.shape[1])
         feats = store_features(self.features)
         object.__setattr__(self, "features", feats)
-        y = np.asarray(self.y, dtype=np.uint8)
-        if y.ndim != 2 or y.shape[1] != self.labels.n_labels:
-            raise ValueError(f"y must be (n, {self.labels.n_labels}), got {y.shape}")
         if feats.shape[0] != y.shape[0]:
             raise ValueError("features and y disagree on instance count")
         if np.any((y != 0) & (y != 1)):
             raise ValueError("y entries must be 0 or 1")
         sums = y.sum(axis=1)
-        bad = np.flatnonzero((sums == 0) | (sums == self.labels.n_labels))
+        bad = np.flatnonzero((sums == 0) | (sums == y.shape[1]))
         if bad.size:
             raise ValueError(f"instance {bad[0]} has an empty or full relevant-label set")
         object.__setattr__(self, "y", _freeze(y))
@@ -158,7 +156,60 @@ class MultiLabelDataset:
 
     @property
     def n_labels(self) -> int:
-        return self.labels.n_labels
+        return self.y.shape[1]
+
+
+@dataclass(frozen=True)
+class ComplementaryDataset:
+    """Instances carrying one complementary label each.
+
+    `cl[i]` is the complementary label index; the candidate vector is always
+    the all-ones vector with that slot zeroed.  `relevant` optionally holds a
+    partial relevant-label vector per instance (a nonempty subset of the true
+    relevant set, never containing the complementary label).
+    """
+
+    features: np.ndarray | sp.csr_matrix
+    cl: np.ndarray  # (n,)
+    n_labels: int
+    relevant: np.ndarray | None = None  # (n, K) in {0, 1}
+
+    def __post_init__(self):
+        K = self.n_labels
+        _check_label_count(K)
+        feats = store_features(self.features)
+        object.__setattr__(self, "features", feats)
+        cl = np.asarray(self.cl, dtype=np.int64)
+        if cl.ndim != 1 or cl.shape[0] != feats.shape[0]:
+            raise ValueError("cl must be one label index per instance")
+        if cl.size and (cl.min() < 0 or cl.max() >= K):
+            raise ValueError(f"complementary label index out of range [0, {K})")
+        object.__setattr__(self, "cl", _freeze(cl))
+        if self.relevant is not None:
+            rel = np.asarray(self.relevant, dtype=np.uint8)
+            if rel.shape != (cl.shape[0], K):
+                raise ValueError(f"relevant must be (n, {K})")
+            if np.any((rel != 0) & (rel != 1)):
+                raise ValueError("relevant entries must be 0 or 1")
+            if np.any(rel[np.arange(cl.size), cl] != 0):
+                raise ValueError("relevant vector marks the complementary label")
+            if np.any(rel.sum(axis=1) < 1):
+                raise ValueError("each relevant vector needs at least one label")
+            object.__setattr__(self, "relevant", _freeze(rel))
+
+    @property
+    def n_instances(self) -> int:
+        return self.cl.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+    def candidate_matrix(self) -> np.ndarray:
+        """(n, K) candidate vectors: 1 everywhere except the complementary slot."""
+        out = np.ones((self.n_instances, self.n_labels), dtype=np.uint8)
+        out[np.arange(self.n_instances), self.cl] = 0
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,18 +234,20 @@ class FoldSplit:
 
 
 def take_instances(ds: MultiLabelDataset, idx: np.ndarray) -> MultiLabelDataset:
-    """Row-subset a dataset, preserving the label space."""
+    """Row-subset a dataset."""
     idx = np.asarray(idx, dtype=np.int64)
-    return MultiLabelDataset(ds.features[idx], ds.y[idx], ds.labels)
+    return MultiLabelDataset(ds.features[idx], ds.y[idx])
 
 
 # ---------------------------------------------------------------------------
-# Canonical sparse text format
+# Text formats, one per dataset type
 #
 #   line 1:      "n d K"
-#   lines 2..n+1: "<labels> <idx>:<val> ..."  with <labels> a comma-separated
-#                 list of 0-based label indices and feature indices strictly
-#                 increasing per line.
+#   lines 2..n+1: "<label field> <idx>:<val> ..." with feature indices strictly
+#                 increasing per line.  The multi-label field is a
+#                 comma-separated list of 0-based label indices; the
+#                 complementary field is "<cl>;<rel>", with <rel> a possibly
+#                 empty list of relevant label indices.
 # ---------------------------------------------------------------------------
 
 PARSE_CHUNK_BYTES = 1 << 18  # text converted per bulk step; bounds the parser's transient memory
@@ -478,12 +531,48 @@ def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
             return features
 
         feats = _parse_lines(body, n, d, stored, label_field)
-    return MultiLabelDataset(feats, y, LabelSpace(K))
+    return MultiLabelDataset(feats, y)
 
 
 def write_multilabel_file(ds: MultiLabelDataset, path: str | Path) -> None:
     """Serialize to the canonical format; parse() round-trips bit-exactly."""
     _write_lines(path, ds.features, ds.n_labels, (",".join(map(str, np.flatnonzero(r).tolist())) for r in ds.y))
+
+
+def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
+    with _read_lines(path) as (n, d, K, stored, body):
+        cl = np.zeros(n, dtype=np.int64)
+        rel = np.zeros((n, K), dtype=np.uint8)
+
+        def label_field(row: int, lineno: int, line: str) -> str:
+            parts = line.split(None, 1)
+            if not parts or ";" not in parts[0]:
+                raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
+            cl_part, _, rel_part = parts[0].partition(";")
+            try:
+                cl_idx = int(cl_part)
+            except ValueError:
+                raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
+            if not 0 <= cl_idx < K:
+                raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
+            cl[row] = cl_idx
+            rel_labels = _parse_label_field(rel_part, K, lineno)
+            if cl_idx in rel_labels:
+                raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
+            rel[row, rel_labels] = 1
+            return parts[1] if len(parts) == 2 else ""
+
+        feats = _parse_lines(body, n, d, stored, label_field)
+    has_rel = rel.any(axis=1)
+    if has_rel.any() and not has_rel.all():
+        missing = int(np.flatnonzero(~has_rel)[0])
+        raise DatasetFormatError(f"instance {missing} lacks a relevant label while others carry one")
+    return ComplementaryDataset(feats, cl, K, relevant=rel if has_rel.any() else None)
+
+
+def write_complementary_file(cds: ComplementaryDataset, path: str | Path) -> None:
+    rel = [""] * cds.n_instances if cds.relevant is None else (",".join(map(str, np.flatnonzero(r).tolist())) for r in cds.relevant)
+    _write_lines(path, cds.features, cds.n_labels, (f"{c};{r}" for c, r in zip(cds.cl.tolist(), rel)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +602,7 @@ def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int = 15) -> Multi
     rows = np.flatnonzero((sums > 0) & (sums < keep.size))
     if rows.size == 0:
         raise ValueError("no instances survive label filtering")
-    return MultiLabelDataset(ds.features[rows], y_new[rows], LabelSpace(int(keep.size)))
+    return MultiLabelDataset(ds.features[rows], y_new[rows])
 
 
 def kfold_split(ds: MultiLabelDataset, k: int, seed: int) -> list[FoldSplit]:
@@ -545,7 +634,7 @@ class FeatureScaler:
     scale: np.ndarray  # 1.0 where the training variance was zero
 
     def apply(self, ds: MultiLabelDataset) -> MultiLabelDataset:
-        return MultiLabelDataset((_dense(ds.features) - self.mean) / self.scale, ds.y, ds.labels)
+        return MultiLabelDataset((_dense(ds.features) - self.mean) / self.scale, ds.y)
 
 
 def normalize_features(ds: MultiLabelDataset) -> tuple[MultiLabelDataset, FeatureScaler]:
@@ -572,19 +661,13 @@ def normalize_features(ds: MultiLabelDataset) -> tuple[MultiLabelDataset, Featur
 MAX_ENUM_LABELS = 12  # 2^12 - 2 = 4094 subsets keeps enumeration instant
 
 
-def enumerate_subsets(n_labels: int) -> np.ndarray:
-    """All nonempty proper label subsets as bitmasks, in binary counting order.
-
-    Label k corresponds to bit k.  The subset at position i has mask i + 1.
-    """
+def subset_membership(n_labels: int) -> np.ndarray:
+    """(2^K - 2, K) binary matrix of all nonempty proper label subsets in
+    binary counting order: row i marks the members of the subset whose
+    bitmask, with label k as bit k, is i + 1."""
     if not MIN_LABELS <= n_labels <= MAX_ENUM_LABELS:
         raise ValueError(f"subset enumeration supports {MIN_LABELS} <= K <= {MAX_ENUM_LABELS}, got {n_labels}")
-    return np.arange(1, 2**n_labels - 1, dtype=np.int64)
-
-
-def subset_membership(n_labels: int) -> np.ndarray:
-    """(2^K - 2, K) binary matrix: row i marks the members of subset mask i+1."""
-    masks = enumerate_subsets(n_labels)
+    masks = np.arange(1, 2**n_labels - 1, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(n_labels)[None, :]) & 1
     return bits.astype(np.uint8)
 
@@ -634,10 +717,6 @@ class GenerativeSpec:
     def n_subsets(self) -> int:
         return 2**self.n_labels - 2
 
-    def label_marginals(self) -> np.ndarray:
-        """p(y^k = 1) for each label k."""
-        return subset_membership(self.n_labels).astype(np.float64).T @ self.subset_probs
-
 
 def uniform_cl_rows(n_labels: int) -> np.ndarray:
     """Complementary-label table that is uniform over each subset's complement."""
@@ -657,7 +736,7 @@ def make_exclusive_spec(n_labels: int) -> GenerativeSpec:
     return make_uniform_cl_spec(n_labels, probs)
 
 
-def _sample_rows_categorical(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_rows_categorical(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Draw one index per row of `prob_rows` using the uniforms `u`."""
     cdf = np.cumsum(prob_rows, axis=1)
     idx = (cdf <= u[:, None]).sum(axis=1)
@@ -666,27 +745,25 @@ def _sample_rows_categorical(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray
 
 def sample_from_generative(
     spec: GenerativeSpec, n: int, d: int, seed: int
-) -> tuple[MultiLabelDataset, "ComplementaryDataset"]:
+) -> tuple[MultiLabelDataset, ComplementaryDataset]:
     """Sample n instances: subset from subset_probs, complementary label from
     the subset's row, features from that subset's Gaussian cluster.
 
     Cluster centers depend only on (spec, d), so samples drawn with different
     seeds come from the same distribution.
     """
-    from .complementary import ComplementaryDataset
-
     if n < 1:
         raise ValueError("n must be at least 1")
     K = spec.n_labels
     members = subset_membership(K)
     rng = np.random.default_rng(seed)
     subset_idx = rng.choice(spec.n_subsets, size=n, p=spec.subset_probs)
-    cl = _sample_rows_categorical(spec.cl_given_subset[subset_idx], rng.random(n))
+    cl = sample_rows_categorical(spec.cl_given_subset[subset_idx], rng.random(n))
     center_rng = np.random.default_rng((FEATURE_SEED, K, d))
     centers = center_rng.standard_normal((spec.n_subsets, d)) * (CLUSTER_SEPARATION / np.sqrt(2.0 * d))
     X = centers[subset_idx] + rng.standard_normal((n, d))
     y = members[subset_idx]
     feats = store_features(X)
-    full = MultiLabelDataset(feats, y, LabelSpace(K))
-    comp = ComplementaryDataset(feats, cl.astype(np.int64), LabelSpace(K))
+    full = MultiLabelDataset(feats, y)
+    comp = ComplementaryDataset(feats, cl.astype(np.int64), K)
     return full, comp

@@ -15,14 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .complementary import (
-    ComplementaryDataset,
-    CorruptionRecord,
-    attach_relevant_subset,
-    corrupt_biased,
-    corrupt_uniform,
-)
+from .complementary import CorruptionRecord, attach_relevant_subset, corrupt_biased, corrupt_uniform
 from .dataset import (
+    ComplementaryDataset,
     FoldSplit,
     MultiLabelDataset,
     kfold_split,
@@ -166,7 +161,7 @@ def _stratified_validation_split(cds: ComplementaryDataset, fraction: float, see
 
 def _subset_cds(cds: ComplementaryDataset, idx: np.ndarray) -> ComplementaryDataset:
     rel = None if cds.relevant is None else cds.relevant[idx]
-    return ComplementaryDataset(cds.features[idx], cds.cl[idx], cds.labels, relevant=rel)
+    return ComplementaryDataset(cds.features[idx], cds.cl[idx], cds.n_labels, relevant=rel)
 
 
 def _train_for_regime(
@@ -194,7 +189,7 @@ def select_learning_rate(
         return base.learning_rate
     fit_cds = _subset_cds(cds, fit_idx)
     # cds carries train_ds's features, so fit_cds already holds the fit rows
-    fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx], train_ds.labels)
+    fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
     val_X = train_ds.features[val_idx]
     val_y = train_ds.y[val_idx]
     best_lr, best_ap = None, -np.inf
@@ -412,7 +407,7 @@ def read_report(path: str | Path) -> AggregateReport:
     folds = []
     for row in reader[split + 1 :]:
         vals = [float(v) for v in row[1:]]
-        folds.append(MetricsReport(*vals, n_evaluated=0))
+        folds.append(MetricsReport(*vals))
     return AggregateReport(tuple(folds))
 
 

@@ -23,7 +23,6 @@ class MetricsReport:
     one_error: float
     coverage: float
     average_precision: float
-    n_evaluated: int
 
     METRIC_NAMES = ("hamming_loss", "ranking_loss", "one_error", "coverage", "average_precision")
 
@@ -78,4 +77,4 @@ def evaluate_all(scores, truth) -> MetricsReport:
         np.copyto(ap_terms, np.add.reduce(terms[:, :m], axis=1) / m, where=counts == m)
     ap = float(np.mean(ap_terms))
 
-    return MetricsReport(ham, rank_loss, one_err, cov, ap, n_evaluated=n)
+    return MetricsReport(ham, rank_loss, one_err, cov, ap)

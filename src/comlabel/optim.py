@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complementary import ComplementaryDataset
+from .dataset import ComplementaryDataset
 from .dataset import MultiLabelDataset
 from .loss import batch_objective
 from .model import LinearModel, init_linear

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complementary import ComplementaryDataset
+from .dataset import ComplementaryDataset
 from .model import LinearModel, forward
 
 __all__ = [
@@ -69,11 +69,15 @@ def correlation_matrix(cds: ComplementaryDataset) -> np.ndarray:
     candidate j; the diagonal is fixed at 1.  A label that is the complementary
     label of every instance has an empty pool, and its row falls back to the
     uniform value (K-1)/K off-diagonal with a warning.
+
+    Every label but `cl` is a candidate, so with c_k instances whose `cl` is
+    k, C[k, j] = (n - c_k - c_j) / (n - c_k): the rates depend on how often
+    each label is the complementary one and on nothing else.
     """
     K = cds.n_labels
-    cand = cds.candidate_matrix().astype(np.float64)
-    counts = cand.sum(axis=0)
-    joint = cand.T @ cand
+    c = np.bincount(cds.cl, minlength=K)
+    counts = (cds.n_instances - c).astype(np.float64)  # instances holding candidate k
+    joint = counts[:, None] - c  # instances holding candidates k and j, for j != k
     empty = counts == 0
     C = np.where(empty[:, None], (K - 1.0) / K, joint / np.where(empty, 1.0, counts)[:, None])
     np.fill_diagonal(C, 1.0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from comlabel.cli import load_config_file, main
-from comlabel.complementary import parse_complementary_file
-from comlabel.dataset import make_uniform_cl_spec, sample_from_generative, write_multilabel_file
+from comlabel.dataset import make_uniform_cl_spec, parse_complementary_file, sample_from_generative, write_multilabel_file
 from comlabel.experiment import read_report
 from comlabel.model import load_model
 from comlabel.transition import load_transition_csv, validate_transition
@@ -229,6 +228,17 @@ class TestConfigFile:
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=rf"typo\.cfg:2: {key} must be one of .*'{value}'"):
             run(command, "--config", cfgfile, "--data", data_file, "--out", out, "--epochs", "1", "--folds", "2", "--lr", "0.01")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, takers", [("regime", "supervised", "train"), ("relevant", "3", "corrupt, clrl"), ("betas", "9", "sweep-beta")]
+    )
+    def test_key_the_command_does_not_take_rejected(self, key, value, takers, data_file, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        out = tmp_path / "cv.csv"
+        with pytest.raises(SystemExit, match=rf"c\.cfg: {key} is taken only by {takers}, not by cv"):
+            run("cv", "--config", cfgfile, "--data", data_file, "--out", out, "--epochs", "1", "--folds", "2", "--lr", "0.01")
         assert not out.exists()
 
     def test_model_in_from_config_satisfies_eval(self, data_file, tmp_path):

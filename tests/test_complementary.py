@@ -3,22 +3,19 @@ import pytest
 import scipy.sparse as sp
 
 from comlabel.complementary import (
-    ComplementaryDataset,
     attach_relevant_subset,
     biased_selection_probs,
     cooccurrence_rates,
     corrupt_biased,
     corrupt_uniform,
-    parse_complementary_file,
-    write_complementary_file,
 )
-from comlabel.dataset import LabelSpace, MultiLabelDataset
+from comlabel.dataset import ComplementaryDataset, MultiLabelDataset, parse_complementary_file, write_complementary_file
 
 
 def _ds(y, seed=0, d=2):
     y = np.asarray(y, dtype=np.uint8)
     X = sp.csr_matrix(np.random.default_rng(seed).standard_normal((y.shape[0], d)))
-    return MultiLabelDataset(X, y, LabelSpace(y.shape[1]))
+    return MultiLabelDataset(X, y)
 
 
 class TestUniform:
@@ -239,4 +236,4 @@ class TestComplementaryIO:
     def test_invariants_on_type(self):
         X = sp.csr_matrix(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="marks the complementary"):
-            ComplementaryDataset(X, np.array([0, 1]), LabelSpace(3), relevant=np.array([[1, 0, 0], [0, 1, 0]]))
+            ComplementaryDataset(X, np.array([0, 1]), 3, relevant=np.array([[1, 0, 0], [0, 1, 0]]))

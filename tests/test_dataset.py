@@ -8,19 +8,18 @@ import pytest
 import scipy.sparse as sp
 
 import comlabel.dataset as dataset_module
-from comlabel.complementary import ComplementaryDataset, parse_complementary_file, write_complementary_file
 from comlabel.dataset import (
+    ComplementaryDataset,
     DatasetFormatError,
     FeatureScaler,
     GenerativeSpec,
-    LabelSpace,
     MultiLabelDataset,
     PARSE_CHUNK_BYTES,
-    enumerate_subsets,
     kfold_split,
     make_exclusive_spec,
     make_uniform_cl_spec,
     normalize_features,
+    parse_complementary_file,
     parse_multilabel_file,
     preprocess_topk_labels,
     sample_from_generative,
@@ -28,6 +27,7 @@ from comlabel.dataset import (
     subset_membership,
     take_instances,
     uniform_cl_rows,
+    write_complementary_file,
     write_multilabel_file,
 )
 
@@ -47,13 +47,15 @@ def _ds(y, d=2, seed=0):
     y = np.asarray(y, dtype=np.uint8)
     rng = np.random.default_rng(seed)
     X = sp.csr_matrix(rng.standard_normal((y.shape[0], d)))
-    return MultiLabelDataset(X, y, LabelSpace(y.shape[1]))
+    return MultiLabelDataset(X, y)
 
 
 class TestInvariants:
     def test_label_space_needs_three_labels(self):
-        with pytest.raises(ValueError):
-            LabelSpace(2)
+        with pytest.raises(ValueError, match="at least 3 labels, got 2"):
+            MultiLabelDataset(np.zeros((1, 2)), [[1, 0]])
+        with pytest.raises(ValueError, match="at least 3 labels, got 2"):
+            ComplementaryDataset(np.zeros((1, 2)), [0], 2)
 
     def test_empty_relevance_rejected(self):
         with pytest.raises(ValueError, match="empty or full"):
@@ -220,7 +222,7 @@ class TestParser:
             size = rng.integers(1, 5)
             y[i, rng.choice(5, size=size, replace=False)] = 1
         X = sp.random(20, 13, density=0.3, random_state=7, format="csr")
-        ds = MultiLabelDataset(X, y, LabelSpace(5))
+        ds = MultiLabelDataset(X, y)
         p1 = tmp_path / "a.txt"
         p2 = tmp_path / "b.txt"
         write_multilabel_file(ds, p1)
@@ -337,7 +339,7 @@ class TestBulkConversion:
         rng = np.random.default_rng(0)
         path = tmp_path / "a.txt"
         y = np.tile([[1, 0, 1], [0, 1, 1]], (n // 2, 1))
-        write_multilabel_file(MultiLabelDataset(rng.standard_normal((n, d)), y, LabelSpace(3)), path)
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((n, d)), y), path)
         tracemalloc.start()
         try:
             ds = parse_multilabel_file(path)
@@ -353,14 +355,14 @@ class TestWriter:
         # values at 17 significant digits; a dense row's zero cells are left
         # out, a CSR row's stored entries are all written, an explicit -0 too
         X = np.array([[0.411057, -2.5, 1e-300], [3.0, 0.0, 0.1], [0.0, 7.0, 2.0]])  # 7 of 9 cells: dense
-        ds = MultiLabelDataset(X, [[1, 0, 1], [0, 1, 0], [0, 0, 1]], LabelSpace(3))
+        ds = MultiLabelDataset(X, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
         assert isinstance(ds.features, np.ndarray)
         write_multilabel_file(ds, tmp_path / "dense.txt")
         assert (tmp_path / "dense.txt").read_bytes() == (
             b"3 3 3\n0,2 0:0.41105700000000001 1:-2.5 2:1e-300\n1 0:3 2:0.10000000000000001\n2 1:7 2:2\n"
         )
         csr = sp.csr_matrix((np.array([-0.0, 2.5, 1.0]), np.array([1, 0, 4]), np.array([0, 1, 1, 3])), shape=(3, 5))
-        cds = ComplementaryDataset(csr, [2, 0, 1], LabelSpace(3), relevant=[[1, 0, 0], [0, 1, 1], [1, 0, 0]])
+        cds = ComplementaryDataset(csr, [2, 0, 1], 3, relevant=[[1, 0, 0], [0, 1, 1], [1, 0, 0]])
         assert sp.issparse(cds.features)
         write_complementary_file(cds, tmp_path / "sparse.txt")
         assert (tmp_path / "sparse.txt").read_bytes() == b"3 5 3\n2;0 1:-0\n0;1,2\n1;0 0:2.5 4:1\n"
@@ -371,7 +373,7 @@ class TestWriter:
         # alone is larger than the features
         rng = np.random.default_rng(0)
         y = np.tile([[1, 0, 1], [0, 1, 1]], (500, 1))
-        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y, LabelSpace(3))
+        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y)
         tracemalloc.start()
         try:
             write_multilabel_file(ds, tmp_path / "a.txt")
@@ -596,7 +598,7 @@ class TestKfold:
         rng = np.random.default_rng(5)
         y = np.tile([[1, 0, 1], [0, 1, 1]], (9, 1))
         X = rng.standard_normal((18, 4)) if dense else sp.random(18, 4, density=0.3, random_state=1, format="csr")
-        ds = MultiLabelDataset(X, y, LabelSpace(3))
+        ds = MultiLabelDataset(X, y)
         folds = kfold_split(ds, 4, seed=3)
         assert len(folds) == 4 and folds[-1] is folds[3]
         for _ in range(2):  # the list can be iterated again
@@ -606,14 +608,14 @@ class TestKfold:
                     want = take_instances(ds, idx)
                     assert type(split.features) is type(want.features)
                     assert np.array_equal(_dense(split.features), _dense(want.features))
-                    assert np.array_equal(split.y, want.y) and split.labels == want.labels
+                    assert np.array_equal(split.y, want.y) and split.n_labels == want.n_labels
 
     def test_peak_memory_is_one_fold(self):
         # dense n=1000, d=100: 0.8 MB of features; building all ten folds up
         # front would hold about ten copies of them
         rng = np.random.default_rng(0)
         y = np.tile([[1, 0, 1], [0, 1, 1]], (500, 1))
-        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y, LabelSpace(3))
+        ds = MultiLabelDataset(rng.standard_normal((1000, 100)), y)
         feature_bytes = ds.features.nbytes
         tracemalloc.start()
         try:
@@ -629,13 +631,13 @@ class TestKfold:
 class TestNormalize:
     def test_constant_column_unchanged(self):
         X = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
-        ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[1, 0, 1]], (5, 1)), LabelSpace(3))
+        ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[1, 0, 1]], (5, 1)))
         out, _ = normalize_features(ds)
         np.testing.assert_allclose(out.features[:, 0], 3.0)
 
     def test_shift_by_mean(self):
         X = np.column_stack([np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0])])
-        ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[0, 1, 1]], (3, 1)), LabelSpace(3))
+        ds = MultiLabelDataset(sp.csr_matrix(X), np.tile([[0, 1, 1]], (3, 1)))
         out, scaler = normalize_features(ds)
         col = out.features[:, 0]
         np.testing.assert_allclose(col.mean(), 0.0, atol=1e-12)
@@ -646,8 +648,8 @@ class TestNormalize:
         Xte = np.array([[10.0], [20.0]])
         ytr = np.tile([[1, 0, 1]], (4, 1))
         yte = np.tile([[1, 0, 1]], (2, 1))
-        train = MultiLabelDataset(sp.csr_matrix(Xtr), ytr, LabelSpace(3))
-        test = MultiLabelDataset(sp.csr_matrix(Xte), yte, LabelSpace(3))
+        train = MultiLabelDataset(sp.csr_matrix(Xtr), ytr)
+        test = MultiLabelDataset(sp.csr_matrix(Xte), yte)
         _, scaler = normalize_features(train)
         scaled = scaler.apply(test).features
         expected = (Xte - Xtr.mean()) / Xtr.std()
@@ -656,17 +658,16 @@ class TestNormalize:
 
 class TestSubsets:
     def test_k3_order(self):
-        masks = enumerate_subsets(3)
-        as_sets = [tuple(np.flatnonzero(subset_membership(3)[i])) for i in range(len(masks))]
+        as_sets = [tuple(np.flatnonzero(row)) for row in subset_membership(3)]
         assert as_sets == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2)]
 
     def test_counts(self):
-        assert len(enumerate_subsets(3)) == 6
-        assert len(enumerate_subsets(4)) == 14
+        assert subset_membership(3).shape == (6, 3)
+        assert subset_membership(4).shape == (14, 4)
 
     def test_k13_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_subsets(13)
+            subset_membership(13)
 
 
 class TestGenerative:

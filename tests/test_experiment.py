@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from comlabel.dataset import (
-    LabelSpace,
     MultiLabelDataset,
     make_uniform_cl_spec,
     parse_multilabel_file,
@@ -154,7 +153,7 @@ class TestEmptyCandidatePool:
         rng = np.random.default_rng(12)
         y = np.tile([1, 1, 0, 1], (60, 1))
         path = tmp_path_factory.mktemp("pool") / "all_but_one.txt"
-        write_multilabel_file(MultiLabelDataset(rng.standard_normal((60, 5)), y, LabelSpace(4)), path)
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((60, 5)), y), path)
         return path
 
     @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
@@ -182,7 +181,7 @@ class TestLeakageAudit:
         y = clean.y.copy()
         X[test_rows] = np.random.default_rng(7).standard_normal((test_rows.size, X.shape[1])) * 100.0
         y[test_rows] = 1 - y[test_rows]  # the complement of a nonempty proper subset is one too
-        garbled = MultiLabelDataset(X, y, clean.labels)
+        garbled = MultiLabelDataset(X, y)
 
         fold_a = kfold_split(clean, 3, cfg.train.seed)[0]
         fold_b = kfold_split(garbled, 3, cfg.train.seed)[0]
@@ -261,7 +260,7 @@ class TestClrlComparison:
 class TestReportIO:
     def _report(self):
         folds = tuple(
-            MetricsReport(0.1 * i, 0.2, 0.3, 0.4, 0.5 + 0.01 * i, n_evaluated=10) for i in range(4)
+            MetricsReport(0.1 * i, 0.2, 0.3, 0.4, 0.5 + 0.01 * i) for i in range(4)
         )
         return AggregateReport(folds)
 

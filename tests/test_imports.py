@@ -1,9 +1,10 @@
-"""SciPy loads only for sparse data: dense commands run on NumPy alone.
+"""Import hygiene of the package, and SciPy loading only for sparse data.
 
-Each check runs in a fresh interpreter, since this test process has SciPy
-loaded already.
+The SciPy checks run in a fresh interpreter, since this test process has
+SciPy loaded already.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -13,10 +14,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 import comlabel
-from comlabel.dataset import LabelSpace, MultiLabelDataset, parse_multilabel_file, write_multilabel_file
+from comlabel.dataset import MultiLabelDataset, parse_multilabel_file, write_multilabel_file
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dense_without_scipy.py"
 
@@ -60,7 +62,7 @@ class TestDenseWithoutScipy:
         rng = np.random.default_rng(3)
         y = np.tile([[1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0]], (30, 1))
         data = tmp_path / "full.txt"
-        write_multilabel_file(MultiLabelDataset(rng.standard_normal((90, 5)) + y[:, :1], y, LabelSpace(4)), data)
+        write_multilabel_file(MultiLabelDataset(rng.standard_normal((90, 5)) + y[:, :1], y), data)
         for mode in ("open", "blocked"):
             _fresh("-c", RUN_CLI, mode, "cv", "--data", data, "--out", tmp_path / f"{mode}.csv",
                    "--folds", "3", "--epochs", "3", "--lr", "0.01", "--seed", "4")  # fmt: skip
@@ -73,7 +75,7 @@ class TestSparseLoadsScipy:
         y = np.tile([[1, 0, 1], [0, 1, 0]], (20, 1))
         X = sp.random(40, 30, density=0.1, random_state=rng, format="csr")
         path = tmp_path / "sparse.txt"
-        write_multilabel_file(MultiLabelDataset(X, y, LabelSpace(3)), path)
+        write_multilabel_file(MultiLabelDataset(X, y), path)
         got = json.loads(_fresh("-c", PARSE_SPARSE, path))
         assert (got["before"], got["after"], got["format"]) == (False, True, "csr")
         want = parse_multilabel_file(path).features  # here SciPy is loaded before the parse
@@ -93,3 +95,71 @@ class TestPublicNames:
             assert not missing, f"comlabel.{info.name}.__all__ names missing attributes {missing}"
             checked += len(names)
         assert checked > 0
+
+
+MODULES = sorted(Path(comlabel.__file__).resolve().parent.glob("*.py"))
+
+
+def _comlabel_module(node: ast.ImportFrom | ast.Import) -> bool:
+    """Whether an import statement names a comlabel module."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "comlabel"
+    return any(alias.name.split(".")[0] == "comlabel" for alias in node.names)
+
+
+def _top_level_imports(tree: ast.Module):
+    """The module's imports outside any function or class, `if` blocks included."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            stack += node.body + node.orelse
+
+
+def _declared_exports(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+class TestImportHygiene:
+    def test_no_underscored_name_from_another_module(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = [
+            f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and _comlabel_module(node)
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert not private, f"{path.name} imports underscored names: {private}"
+
+    def test_no_package_import_inside_a_function(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = [
+            f"line {node.lineno} in {func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and _comlabel_module(node)
+        ]
+        assert not nested, f"{path.name} imports comlabel modules inside functions: {nested}"
+
+
+# the package's __init__ imports names to re-export them
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _declared_exports(tree)
+    unused = [
+        f"line {node.lineno}: {name}"
+        for node in _top_level_imports(tree)
+        if not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for name in ((alias.asname or alias.name.split(".")[0]) for alias in node.names)
+        if name not in used
+    ]
+    assert not unused, f"{path.name} has unused imports: {unused}"

@@ -63,7 +63,6 @@ class TestWorkedInstance:
             [r.hamming_loss, r.ranking_loss, r.one_error, r.coverage, r.average_precision],
             [2 / 3, 1 / 2, 0.0, 2 / 3, 5 / 6],
         )
-        assert r.n_evaluated == 1
 
 
 class TestBoundaryCases:

@@ -228,9 +228,9 @@ class TestTrainingLoops:
     def test_supervised_memorizes_single_instance(self):
         import scipy.sparse as sp
 
-        from comlabel.dataset import LabelSpace, MultiLabelDataset
+        from comlabel.dataset import MultiLabelDataset
 
-        ds = MultiLabelDataset(sp.csr_matrix(np.ones((1, 3))), np.array([[1, 0, 1]]), LabelSpace(3))
+        ds = MultiLabelDataset(sp.csr_matrix(np.ones((1, 3))), np.array([[1, 0, 1]]))
         cfg = TrainConfig(learning_rate=1e-1, epochs=200, batch_size=1, seed=0, weight_decay=0.0)
         result = train_supervised(ds, cfg)
         assert result.epoch_losses[-1] < 1e-2
@@ -244,7 +244,7 @@ class TestTrainingLoops:
             train_clrl(comp, uniform_transition(3), TrainConfig(epochs=1))
 
     def test_clrl_with_full_truth_dominates_cl_only(self):
-        from comlabel.complementary import ComplementaryDataset
+        from comlabel.dataset import ComplementaryDataset
 
         K = 4
         spec = make_exclusive_spec(K)
@@ -253,7 +253,7 @@ class TestTrainingLoops:
         T = uniform_transition(K)
         cfg = TrainConfig(learning_rate=1e-2, epochs=150, seed=5)
         cl_model = train_mlcl(comp, T, cfg).model
-        enriched = ComplementaryDataset(comp.features, comp.cl, comp.labels, relevant=full.y)
+        enriched = ComplementaryDataset(comp.features, comp.cl, comp.n_labels, relevant=full.y)
         clrl_model = train_clrl(enriched, T, cfg).model
         ap_cl = evaluate_all(forward(cl_model, test_full.features), test_full.y).average_precision
         ap_clrl = evaluate_all(forward(clrl_model, test_full.features), test_full.y).average_precision

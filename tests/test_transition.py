@@ -1,9 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from comlabel.complementary import ComplementaryDataset
-from comlabel.dataset import LabelSpace, make_exclusive_spec, sample_from_generative
+from comlabel.dataset import ComplementaryDataset, make_exclusive_spec, sample_from_generative
 from comlabel.loss import score_objective
 from comlabel.model import LinearModel, init_linear
 from comlabel.transition import (
@@ -22,7 +23,7 @@ from comlabel.transition import (
 def _cds(cl, K, d=2):
     cl = np.asarray(cl, dtype=np.int64)
     X = sp.csr_matrix(np.random.default_rng(0).standard_normal((cl.shape[0], d)))
-    return ComplementaryDataset(X, cl, LabelSpace(K))
+    return ComplementaryDataset(X, cl, K)
 
 
 class TestCorrelation:
@@ -68,6 +69,26 @@ class TestCorrelation:
             C = correlation_matrix(_cds([0, 0, 0], 3))
         np.testing.assert_allclose(C[1, [0, 2]], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "cl, K",
+        [
+            (np.random.default_rng(3).integers(0, 5, 300), 6),  # label 5 is never complementary
+            (np.full(40, 2), 4),  # label 2 is the complementary label of every instance
+            (np.random.default_rng(4).integers(0, 12, 999), 12),
+        ],
+    )
+    def test_bit_identical_to_candidate_product(self, cl, K):
+        cds = _cds(cl, K)
+        cand = cds.candidate_matrix().astype(np.float64)
+        counts = cand.sum(axis=0)
+        empty = counts == 0
+        want = np.where(empty[:, None], (K - 1.0) / K, (cand.T @ cand) / np.where(empty, 1.0, counts)[:, None])
+        np.fill_diagonal(want, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty-pool warning has its own test
+            got = correlation_matrix(cds)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestInitialS:
     def test_constant_uniform_predictor(self):
@@ -81,7 +102,7 @@ class TestInitialS:
         K, d = 3, 2
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         targets = np.array([[0.2, 0.8, 0.0], [0.4, 0.2, 0.4]])
-        cds = ComplementaryDataset(sp.csr_matrix(X), np.array([2, 1]), LabelSpace(K))
+        cds = ComplementaryDataset(sp.csr_matrix(X), np.array([2, 1]), K)
         model = LinearModel(np.zeros((K, d)), np.zeros(K), "softmax")
         monkeypatch.setattr("comlabel.transition.forward", lambda m, x: targets)
         S = estimate_initial_S(cds, model)
@@ -103,9 +124,7 @@ class TestInitialS:
         K = 5
         rng = np.random.default_rng(3)
         model = init_linear(4, K, "softmax", seed=1)
-        cds = ComplementaryDataset(
-            sp.csr_matrix(rng.standard_normal((50, 4))), rng.integers(0, K, 50), LabelSpace(K)
-        )
+        cds = ComplementaryDataset(sp.csr_matrix(rng.standard_normal((50, 4))), rng.integers(0, K, 50), K)
         S = estimate_initial_S(cds, model)
         np.testing.assert_allclose(S.sum(axis=1), 1.0, atol=1e-6)
 
@@ -115,13 +134,13 @@ class TestInitialS:
         X = rng.standard_normal((30, d))
         cl = rng.integers(0, K, 30)
         model = init_linear(d, K, "softmax", seed=2)
-        S = estimate_initial_S(ComplementaryDataset(sp.csr_matrix(X), cl, LabelSpace(K)), model)
+        S = estimate_initial_S(ComplementaryDataset(sp.csr_matrix(X), cl, K), model)
         perm = np.array([2, 0, 3, 1])
         inv = np.argsort(perm)
         # permute label identities: new label perm[k] plays old label k's role
         model_p = LinearModel(model.weights[inv], model.bias[inv], "softmax")
         cl_p = perm[cl]
-        S_p = estimate_initial_S(ComplementaryDataset(sp.csr_matrix(X), cl_p, LabelSpace(K)), model_p)
+        S_p = estimate_initial_S(ComplementaryDataset(sp.csr_matrix(X), cl_p, K), model_p)
         np.testing.assert_allclose(S_p, S[np.ix_(inv, inv)], atol=1e-12)
 
     def test_monte_carlo_oracle_on_generative_sample(self, monkeypatch):
