@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform
 from .dataset import (
     MultiLabelDataset,
     parse_complementary_file,
@@ -30,6 +29,7 @@ from .experiment import (
     AggregateReport,
     RunConfig,
     TheoryCheckFailure,
+    corrupt,
     run_ablation,
     run_clrl,
     run_cv,
@@ -46,54 +46,52 @@ from .transition import estimate_transition, load_transition_csv, save_transitio
 
 class Option(NamedTuple):
     """One command-line option, declared once: its dest (the flag is
-    `--dest` with dashes), its value type (None for an on/off flag), the
-    default that applies when neither a flag nor the config file sets it,
-    help, the subcommands that take it (None: every one), its choices, and
-    whether a config file may set it."""
+    `--dest` with dashes), the subcommands that take it, its value type
+    (None for an on/off flag), the default that applies when neither a flag
+    nor the config file sets it, help, its choices, and whether a config
+    file may set it.  Every subcommand also takes --config."""
 
     dest: str
+    commands: tuple[str, ...]
     type: type | None = str
     default: object = None
     help: str | None = None
-    commands: tuple[str, ...] | None = None
     choices: tuple[str, ...] | None = None
     config: bool = True
 
 
+CV = ("cv", "ablate", "sweep-beta", "clrl")  # the subcommands built on run_cv
+TRAINING = ("estimate-t", "train", *CV)
+
 OPTIONS = (
-    Option("config", help="flat key = value config file; flags override it", config=False),
-    Option("data", help="input data file"),
-    Option("mode", default="uniform", help="corruption mode", choices=CORRUPTION_MODES),
-    Option("seed", int, 0),
-    Option("lr", float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}"),
-    Option("epochs", int, 200),
-    Option("batch", int, 256),
-    Option("beta", float, 1.0, "trade-off weight of the squared-error regularizer"),
-    Option("folds", int, 10),
-    Option("max_labels", int, 15),
-    Option("weight_decay", float, 1e-4),
-    Option("out", help="output path"),
-    Option("transition_in"),
-    Option("transition_out"),
-    Option("curve_out", help="per-epoch training-loss CSV"),
-    Option("normalize_features", default="off", choices=("on", "off")),
-    Option("relevant", int, help="also attach this many true relevant labels per instance", commands=("corrupt", "clrl")),
-    Option("no_correlation", None, help="skip the correlation correction", commands=("estimate-t",), config=False),
-    Option("regime", default="cl", commands=("train",), choices=REGIMES),
-    Option("model_out", commands=("train",)),
-    Option("model_in", commands=("eval",)),
-    Option("betas", default="0.1,0.3,0.5,0.8,1", help="comma-separated trade-off values", commands=("sweep-beta",)),
-    Option("trials", int, 100, commands=("theory-check",)),
-    Option("skip_consistency", None, help="skip the synthetic twin-training check", commands=("theory-check",), config=False),
-    Option("features_csv", commands=("convert",), config=False),
-    Option("labels_csv", commands=("convert",), config=False),
+    Option("data", ("corrupt", "eval", *TRAINING), help="input data file"),
+    Option("mode", ("corrupt", *CV), default=RunConfig.corruption, help="corruption mode", choices=CORRUPTION_MODES),
+    Option("seed", ("corrupt", "theory-check", *TRAINING), int, TrainConfig.seed),
+    Option("lr", TRAINING, float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}"),
+    Option("epochs", TRAINING, int, TrainConfig.epochs),
+    Option("batch", TRAINING, int, TrainConfig.batch_size),
+    Option("beta", ("train", "cv", "ablate", "clrl"), float, TrainConfig.beta, "trade-off weight of the squared-error regularizer"),
+    Option("folds", CV, int, RunConfig.folds),
+    Option("max_labels", ("corrupt", *CV), int, RunConfig.max_labels),
+    Option("weight_decay", TRAINING, float, TrainConfig.weight_decay),
+    Option("out", ("corrupt", "eval", *CV, "theory-check", "convert"), help="output path"),
+    Option("transition_in", ("train", *CV)),
+    Option("transition_out", ("estimate-t", "train")),
+    Option("curve_out", ("estimate-t", "train"), help="per-epoch training-loss CSV"),
+    Option("normalize_features", CV, default="off", choices=("on", "off")),
+    Option("relevant", ("corrupt", "clrl"), int, help="also attach this many true relevant labels per instance"),
+    Option("no_correlation", ("estimate-t",), None, help="skip the correlation correction", config=False),
+    Option("regime", ("train",), default=RunConfig.regime, choices=REGIMES),
+    Option("model_out", ("train",)),
+    Option("model_in", ("eval",)),
+    Option("betas", ("sweep-beta",), default="0.1,0.3,0.5,0.8,1", help="comma-separated trade-off values"),
+    Option("trials", ("theory-check",), int, 100),
+    Option("skip_consistency", ("theory-check",), None, help="skip the synthetic twin-training check", config=False),
+    Option("features_csv", ("convert",), config=False),
+    Option("labels_csv", ("convert",), config=False),
 )
 
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
-
-# The learning rate of single trainings when --lr is omitted; cv's grid search
-# falls back to it when a fold is too small to hold out a validation slice.
-FALLBACK_LR = 1e-2
 
 
 def load_config_file(path: str) -> dict:
@@ -123,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flat key = value config file; flags override it")
         for o in OPTIONS:
-            if o.commands is not None and command not in o.commands:
+            if command not in o.commands:
                 continue
             flag = "--" + o.dest.replace("_", "-")
             if o.type is None:
@@ -140,10 +139,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     config = load_config_file(args.config) if args.config else {}
     for key in config:
         commands = CONFIG_OPTIONS[key].commands
-        if commands is not None and args.command not in commands:
+        if args.command not in commands:
             raise SystemExit(f"config {args.config}: {key} is taken only by {', '.join(commands)}, not by {args.command}")
     for o in OPTIONS:
-        if hasattr(args, o.dest) and getattr(args, o.dest) is None:
+        if args.command in o.commands and getattr(args, o.dest) is None:
             setattr(args, o.dest, config.get(o.dest, o.default))
     return args
 
@@ -156,11 +155,11 @@ def _require(args, *names):
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        learning_rate=args.lr if args.lr is not None else FALLBACK_LR,
+        learning_rate=TrainConfig.learning_rate if args.lr is None else args.lr,
         weight_decay=args.weight_decay,
         batch_size=args.batch,
         epochs=args.epochs,
-        beta=args.beta,
+        beta=getattr(args, "beta", TrainConfig.beta),  # estimate-t and sweep-beta take no --beta
         seed=args.seed,
     )
 
@@ -170,15 +169,14 @@ def _run_config(args) -> RunConfig:
     return RunConfig(
         data_path=args.data,
         corruption=args.mode,
-        regime=getattr(args, "regime", None) or "cl",
         folds=args.folds,
         max_labels=args.max_labels,
         normalize=args.normalize_features == "on",
         learning_rate=args.lr,
         train=_train_config(args),
-        transition_source="load" if args.transition_in else "estimate",
+        transition_source="load" if args.transition_in else RunConfig.transition_source,
         transition_path=args.transition_in,
-        relevant_count=1 if relevant is None else relevant,
+        relevant_count=RunConfig.relevant_count if relevant is None else relevant,
     )
 
 
@@ -195,10 +193,7 @@ def _print_summary(tag: str, report: AggregateReport) -> None:
 def cmd_corrupt(args) -> int:
     _require(args, "data", "out")
     ds = preprocess_topk_labels(parse_multilabel_file(args.data), args.max_labels)
-    corrupt = corrupt_uniform if args.mode == "uniform" else corrupt_biased
-    cds, record = corrupt(ds, args.seed)
-    if args.relevant is not None:
-        cds = attach_relevant_subset(cds, record, args.relevant, args.seed + 0xA7)
+    cds = corrupt(ds, args.mode, args.seed, args.relevant)
     write_complementary_file(cds, args.out)
     print(f"wrote {cds.n_instances} complementary-labeled instances to {args.out}")
     return 0
@@ -217,10 +212,7 @@ def cmd_estimate_t(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require(args, "data")
-    out = args.model_out or args.out
-    if out is None:
-        raise SystemExit("--model-out (or --out) is required for train")
+    _require(args, "data", "model_out")
     tcfg = _train_config(args)
     if args.regime == "supervised":
         ds = parse_multilabel_file(args.data)
@@ -235,10 +227,10 @@ def cmd_train(args) -> int:
         if args.transition_out:
             save_transition_csv(T, args.transition_out)
         result = train_clrl(cds, T, tcfg) if args.regime == "clrl" else train_mlcl(cds, T, tcfg)
-    save_model(result.model, out)
+    save_model(result.model, args.model_out)
     if args.curve_out:
         _write_curve(result.epoch_losses, args.curve_out)
-    print(f"trained {args.regime} model for {tcfg.epochs} epochs; checkpoint at {out}")
+    print(f"trained {args.regime} model for {tcfg.epochs} epochs; checkpoint at {args.model_out}")
     return 0
 
 
@@ -277,7 +269,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     _require(args, "data", "out")
-    betas = [float(t) for t in str(args.betas).split(",") if t.strip()]
+    betas = []
+    for token in filter(None, (t.strip() for t in args.betas.split(","))):
+        try:
+            betas.append(float(token))
+        except ValueError:
+            raise SystemExit(f"--betas: {token!r} is not a number") from None
+    if not betas:
+        raise SystemExit(f"--betas: no trade-off value in {args.betas!r}")
     rows = sweep_beta(_run_config(args), betas)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -324,10 +323,17 @@ def cmd_theory_check(args) -> int:
 
 def cmd_convert(args) -> int:
     _require(args, "out", "features_csv", "labels_csv")
-    X = np.atleast_2d(np.genfromtxt(args.features_csv, delimiter=","))
-    Y = np.atleast_2d(np.genfromtxt(args.labels_csv, delimiter=","))
+    X = np.genfromtxt(args.features_csv, delimiter=",", ndmin=2)
+    Y = np.genfromtxt(args.labels_csv, delimiter=",", ndmin=2)
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
+    # genfromtxt reads a missing value as nan, and astype(uint8) would truncate 0.5 to 0
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise SystemExit(f"{args.features_csv}: row {bad[0] + 1}: missing or non-finite feature value")
+    bad = np.flatnonzero(~np.isin(Y, (0, 1)).all(axis=1))
+    if bad.size:
+        raise SystemExit(f"{args.labels_csv}: row {bad[0] + 1}: labels must be 0 or 1")
     ds = MultiLabelDataset(X, Y.astype(np.uint8))
     write_multilabel_file(ds, args.out)
     print(f"wrote {ds.n_instances} instances ({ds.n_features} features, {ds.n_labels} labels) to {args.out}")

@@ -580,7 +580,7 @@ def write_complementary_file(cds: ComplementaryDataset, path: str | Path) -> Non
 # ---------------------------------------------------------------------------
 
 
-def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int = 15) -> MultiLabelDataset:
+def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int) -> MultiLabelDataset:
     """Keep the `max_labels` most frequent labels and drop broken instances.
 
     Ties are broken toward the lower original label index.  Instances whose

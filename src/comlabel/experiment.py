@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complementary import CorruptionRecord, attach_relevant_subset, corrupt_biased, corrupt_uniform
+from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform
 from .dataset import (
     ComplementaryDataset,
     FoldSplit,
@@ -44,6 +44,7 @@ __all__ = [
     "RunConfig",
     "AggregateReport",
     "TheoryCheckFailure",
+    "corrupt",
     "run_cv",
     "run_ablation",
     "sweep_beta",
@@ -130,8 +131,14 @@ class AggregateReport:
 # ---------------------------------------------------------------------------
 
 
-def _corrupt(train: MultiLabelDataset, mode: str, seed: int) -> tuple[ComplementaryDataset, CorruptionRecord]:
-    return corrupt_uniform(train, seed) if mode == "uniform" else corrupt_biased(train, seed)
+def corrupt(ds: MultiLabelDataset, mode: str, seed: int, relevant: int | None = None) -> ComplementaryDataset:
+    """Give each instance one complementary label drawn by the `mode` sampler;
+    with `relevant`, also attach that many of its true labels, drawn from a
+    seed offset from `seed`."""
+    cds, record = (corrupt_uniform if mode == "uniform" else corrupt_biased)(ds, seed)
+    if relevant is not None:
+        cds = attach_relevant_subset(cds, record, relevant, seed + 0xA7)
+    return cds
 
 
 def _fold_transition(cds: ComplementaryDataset, cfg: RunConfig, tcfg: TrainConfig) -> np.ndarray:
@@ -215,9 +222,7 @@ def fit_fold(train_ds: MultiLabelDataset, cfg: RunConfig, fold_index: int):
     fold_seed = cfg.train.seed + fold_index
     tcfg = replace(cfg.train, seed=fold_seed)
 
-    cds, record = _corrupt(train_ds, cfg.corruption, fold_seed)
-    if cfg.regime == "clrl":
-        cds = attach_relevant_subset(cds, record, cfg.relevant_count, fold_seed + 0xA7)
+    cds = corrupt(train_ds, cfg.corruption, fold_seed, cfg.relevant_count if cfg.regime == "clrl" else None)
 
     if cfg.learning_rate is not None:
         tcfg = replace(tcfg, learning_rate=cfg.learning_rate)

@@ -1,8 +1,18 @@
+import argparse
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from comlabel.cli import load_config_file, main
-from comlabel.dataset import make_uniform_cl_spec, parse_complementary_file, sample_from_generative, write_multilabel_file
+from comlabel.cli import COMMANDS, _resolve, build_parser, load_config_file, main
+from comlabel.dataset import (
+    make_uniform_cl_spec,
+    parse_complementary_file,
+    parse_multilabel_file,
+    sample_from_generative,
+    write_multilabel_file,
+)
 from comlabel.experiment import read_report
 from comlabel.model import load_model
 from comlabel.transition import load_transition_csv, validate_transition
@@ -144,6 +154,13 @@ class TestCV:
         assert lines[0].startswith("beta,hamming_loss_mean")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("betas, token", [(" ", "' '"), ("0.1,x", "'x'")])
+    def test_sweep_beta_bad_betas_rejected(self, data_file, tmp_path, betas, token):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit, match=f"^--betas: .*{token}"):
+            run("sweep-beta", "--data", data_file, "--folds", "2", "--epochs", "1", "--lr", "0.01", "--betas", betas, "--out", out)
+        assert not out.exists()
+
     def test_clrl_comparison(self, data_file, tmp_path):
         out = tmp_path / "clrl.csv"
         assert run("clrl", "--data", data_file, "--folds", "2", "--epochs", "10", "--lr", "0.01", "--out", out) == 0
@@ -159,8 +176,9 @@ class TestRelevantCount:
     )
     def test_zero_rejected(self, data_file, tmp_path, command, msg):
         out = tmp_path / "out.txt"
+        cv_flags = ("--folds", "2", "--epochs", "2", "--lr", "0.01") if command == "clrl" else ()
         with pytest.raises(ValueError, match=msg):
-            run(command, "--data", data_file, "--relevant", "0", "--folds", "2", "--epochs", "2", "--lr", "0.01", "--out", out)
+            run(command, "--data", data_file, "--relevant", "0", *cv_flags, "--out", out)
         assert not out.exists()
 
     def test_zero_from_config_rejected(self, data_file, tmp_path):
@@ -188,12 +206,33 @@ class TestConvert:
         np.savetxt(tmp_path / "Y.csv", Y, delimiter=",", fmt="%d")
         out = tmp_path / "data.txt"
         assert run("convert", "--features-csv", tmp_path / "X.csv", "--labels-csv", tmp_path / "Y.csv", "--out", out) == 0
-        from comlabel.dataset import parse_multilabel_file
-
         ds = parse_multilabel_file(out)
         np.testing.assert_array_equal(ds.y, Y)
         assert isinstance(ds.features, np.ndarray)  # dense rows are stored dense
         np.testing.assert_allclose(ds.features, X, atol=1e-15)
+
+    @staticmethod
+    def _convert(tmp_path, features, labels):
+        (tmp_path / "X.csv").write_text(features)
+        (tmp_path / "Y.csv").write_text(labels)
+        return run("convert", "--features-csv", tmp_path / "X.csv", "--labels-csv", tmp_path / "Y.csv", "--out", tmp_path / "data.txt")
+
+    def test_one_feature_column(self, tmp_path):
+        assert self._convert(tmp_path, "0.5\n1.5\n2.5\n", "1,0,0\n0,1,0\n0,0,1\n") == 0
+        np.testing.assert_array_equal(parse_multilabel_file(tmp_path / "data.txt").features, [[0.5], [1.5], [2.5]])
+
+    @pytest.mark.parametrize(
+        "features, labels, error",
+        [
+            ("1,2\n3,\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: row 2: missing or non-finite feature value"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n0,0.5,1\n", r"Y\.csv: row 3: labels must be 0 or 1"),
+        ],
+        ids=["missing-feature", "fractional-label"],
+    )
+    def test_bad_value_rejected_with_row(self, tmp_path, features, labels, error):
+        with pytest.raises(SystemExit, match=error):
+            self._convert(tmp_path, features, labels)
+        assert not (tmp_path / "data.txt").exists()
 
 
 class TestConfigFile:
@@ -226,8 +265,9 @@ class TestConfigFile:
         cfgfile = tmp_path / "typo.cfg"
         cfgfile.write_text(f"# a comment\n{key} = {value}\n")
         out = tmp_path / "out"
+        out_flag = "--model-out" if command == "train" else "--out"
         with pytest.raises(SystemExit, match=rf"typo\.cfg:2: {key} must be one of .*'{value}'"):
-            run(command, "--config", cfgfile, "--data", data_file, "--out", out, "--epochs", "1", "--folds", "2", "--lr", "0.01")
+            run(command, "--config", cfgfile, "--data", data_file, out_flag, out)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -251,15 +291,72 @@ class TestConfigFile:
         assert len(read_report(out).fold_reports) == 1
 
     @pytest.mark.parametrize(
-        "command, extra, flag", [("eval", (), "--model-in"), ("convert", ("--labels-csv", "Y.csv"), "--features-csv")]
+        "command, extra, flag",
+        [("eval", ("--data", "data.txt"), "--model-in"), ("convert", ("--labels-csv", "Y.csv"), "--features-csv")],
     )
-    def test_missing_value_named_after_merge(self, command, extra, flag, data_file, tmp_path):
+    def test_missing_value_named_after_merge(self, command, extra, flag, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(SystemExit, match=f"{flag} is required for {command}"):
-            run(command, "--data", data_file, "--out", out, *extra)
+            run(command, "--out", out, *extra)
         assert not out.exists()
 
     def test_comments_and_blanks_allowed(self, tmp_path):
         cfgfile = tmp_path / "ok.cfg"
         cfgfile.write_text("# a comment\n\nepochs = 7\n")
         assert load_config_file(cfgfile) == {"epochs": 7}
+
+
+@pytest.fixture(scope="module")
+def inputs(data_file, tmp_path_factory):
+    """Every input file some subcommand reads, made from the fixture data."""
+    d = tmp_path_factory.mktemp("inputs")
+    run("corrupt", "--data", data_file, "--out", d / "comp.txt", "--seed", "1")
+    run("train", "--data", data_file, "--regime", "supervised", "--model-out", d / "model.txt", "--epochs", "2")
+    ds = parse_multilabel_file(data_file)
+    np.savetxt(d / "X.csv", ds.features, delimiter=",")
+    np.savetxt(d / "Y.csv", ds.y, delimiter=",", fmt="%d")
+    return d
+
+
+def _argv(command, data, d):
+    fit = ("--epochs", "2", "--lr", "0.01")
+    cv = ("--data", data, "--out", d / f"{command}.csv", "--folds", "2", *fit)
+    return {
+        "corrupt": ("--data", data, "--out", d / "c.txt", "--relevant", "1"),
+        "estimate-t": ("--data", d / "comp.txt", "--transition-out", d / "T.csv", *fit),
+        "train": ("--data", d / "comp.txt", "--model-out", d / "m.txt", *fit),
+        "eval": ("--data", data, "--model-in", d / "model.txt", "--out", d / "eval.csv"),
+        "cv": cv,
+        "ablate": cv,
+        "sweep-beta": (*cv, "--betas", "1"),
+        "clrl": cv,
+        "theory-check": ("--trials", "2", "--skip-consistency"),
+        "convert": ("--features-csv", d / "X.csv", "--labels-csv", d / "Y.csv", "--out", d / "conv.txt"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_accepted_option_is_read(command, data_file, inputs):
+    # an option a subcommand accepts but never reads is one that cannot change its output
+    args = _resolve(build_parser().parse_args([command, *map(str, _argv(command, data_file, inputs))]))
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            read.add(name)
+            return value
+
+    assert COMMANDS[command][0](Recorder(**vars(args))) == 0
+    accepted = set(vars(args)) - {"command", "config"}
+    assert accepted == read & accepted
+
+
+def _readme_command_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines() if line.startswith("comlabel ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_line_parses(argv):
+    build_parser().parse_args(argv)

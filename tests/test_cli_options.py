@@ -7,6 +7,10 @@ merge when no flag is given; and the keys a config file may set, with their
 types.  Two differences from the snapshot are expected: --model-in,
 --features-csv and --labels-csv are checked after the config merge rather
 than by argparse, and --relevant carries corrupt's help string on clrl too.
+The snapshot was taken when every subcommand took every shared option;
+`DROPPED` lists the (subcommand, option) slots removed since, each one that
+its subcommand never read or that had no effect there, so they are missing
+from both the options and the resolved values.
 """
 
 import argparse
@@ -20,6 +24,20 @@ from comlabel import cli
 
 SNAPSHOT = json.loads(Path(__file__).with_name("cli_options.json").read_text(encoding="utf-8"))
 CHECKED_AFTER_MERGE = ("model_in", "features_csv", "labels_csv")
+UNTRAINED = ("lr", "epochs", "batch", "beta", "weight_decay", "transition_in", "transition_out", "curve_out")
+NOT_CV = ("folds", "normalize_features")
+DROPPED = {
+    "corrupt": (*UNTRAINED, *NOT_CV),
+    "estimate-t": ("mode", "beta", "folds", "max_labels", "out", "transition_in", "normalize_features"),
+    "train": ("mode", "folds", "max_labels", "out", "normalize_features"),
+    "eval": ("mode", "seed", "max_labels", *UNTRAINED, *NOT_CV),
+    "cv": ("transition_out", "curve_out"),
+    "ablate": ("transition_out", "curve_out"),
+    "sweep-beta": ("beta", "transition_out", "curve_out"),
+    "clrl": ("transition_out", "curve_out"),
+    "theory-check": ("data", "mode", "max_labels", *UNTRAINED, *NOT_CV),
+    "convert": ("data", "mode", "seed", "max_labels", *UNTRAINED, *NOT_CV),
+}
 
 
 def _subparsers():
@@ -54,6 +72,9 @@ def _describe(command):
 def _expected(command):
     spec = copy.deepcopy(SNAPSHOT["commands"][command])
     relevant_help = next(o["help"] for o in SNAPSHOT["commands"]["corrupt"]["options"] if o["dest"] == "relevant")
+    spec["options"] = [o for o in spec["options"] if o["dest"] not in DROPPED[command]]
+    for dest in DROPPED[command]:
+        del spec["resolved"][dest]
     for o in spec["options"]:
         if o["dest"] in CHECKED_AFTER_MERGE:
             o["required"] = False
@@ -70,6 +91,16 @@ def test_same_subcommands_in_order():
 @pytest.mark.parametrize("command", sorted(SNAPSHOT["commands"]))
 def test_options_match_snapshot(command):
     assert _describe(command) == _expected(command)
+
+
+def test_seventy_one_slots_dropped():
+    slots = {command: len(_describe(command)["options"]) for command in cli.COMMANDS}
+    assert sum(len(d) for d in DROPPED.values()) == 71
+    assert slots == {
+        "corrupt": 7, "estimate-t": 10, "train": 13, "eval": 4, "cv": 14,
+        "ablate": 14, "sweep-beta": 14, "clrl": 15, "theory-check": 5, "convert": 4,
+    }  # fmt: skip
+    assert sum(slots.values()) == 100
 
 
 def test_config_keys_match_snapshot():
