@@ -92,6 +92,7 @@ OPTIONS = (
 )
 
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
+SUPERVISED_UNREAD = ("beta", "transition_in", "transition_out")  # read only by train's complementary regimes
 
 
 def load_config_file(path: str) -> dict:
@@ -135,12 +136,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill each option the flags left unset from the config file, else its
-    default.  A config key that the subcommand does not take is rejected."""
+    default.  A config key that the subcommand does not take is rejected, and
+    so is an option that the resolved regime of `train` does not read."""
     config = load_config_file(args.config) if args.config else {}
     for key in config:
         commands = CONFIG_OPTIONS[key].commands
         if args.command not in commands:
             raise SystemExit(f"config {args.config}: {key} is taken only by {', '.join(commands)}, not by {args.command}")
+    if args.command == "train" and (args.regime or config.get("regime")) == "supervised":
+        for name in SUPERVISED_UNREAD:
+            if getattr(args, name) is not None:
+                raise SystemExit(f"--{name.replace('_', '-')} is not read by train --regime supervised")
+            if name in config:
+                raise SystemExit(f"config {args.config}: {name} is not read by train --regime supervised")
     for o in OPTIONS:
         if args.command in o.commands and getattr(args, o.dest) is None:
             setattr(args, o.dest, config.get(o.dest, o.default))
@@ -174,7 +182,6 @@ def _run_config(args) -> RunConfig:
         normalize=args.normalize_features == "on",
         learning_rate=args.lr,
         train=_train_config(args),
-        transition_source="load" if args.transition_in else RunConfig.transition_source,
         transition_path=args.transition_in,
         relevant_count=RunConfig.relevant_count if relevant is None else relevant,
     )

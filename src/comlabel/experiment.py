@@ -1,8 +1,8 @@
 """Experiment orchestration: cross-validated runs, ablations, sweeps, and
 theory checks, reporting CSV only.
 
-The transition matrix is always estimated on the training fold alone; test
-folds feed nothing but the final evaluation.
+The transition matrix is read from a file or estimated on the training fold
+alone; test folds feed nothing but the final evaluation.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
 
 CORRUPTION_MODES = ("uniform", "biased")
 REGIMES = ("cl", "clrl", "supervised")
-TRANSITION_SOURCES = ("estimate", "load", "oracle")
 CONSISTENCY_GAP = 0.05  # largest test hamming-loss gap the consistency check accepts
 
 
@@ -68,7 +67,8 @@ class RunConfig:
 
     learning_rate=None selects from the grid {1e-1, 1e-2, 1e-3} on a 10%
     validation split of each training fold (stratified by complementary
-    label), scored by average precision.
+    label), scored by average precision.  transition_path=None estimates T
+    on each training fold; a path gives the matrix every fold uses.
     """
 
     data_path: str | Path
@@ -81,7 +81,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     no_correlation: bool = False
     no_mse: bool = False
-    transition_source: str = "estimate"
     transition_path: str | Path | None = None
     relevant_count: int = 1
 
@@ -90,10 +89,6 @@ class RunConfig:
             raise ValueError(f"corruption must be one of {CORRUPTION_MODES}")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
-        if self.transition_source not in TRANSITION_SOURCES:
-            raise ValueError(f"transition source must be one of {TRANSITION_SOURCES}")
-        if self.transition_source == "load" and self.transition_path is None:
-            raise ValueError("transition_source='load' requires transition_path")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.relevant_count < 1:
@@ -142,10 +137,8 @@ def corrupt(ds: MultiLabelDataset, mode: str, seed: int, relevant: int | None = 
 
 
 def _fold_transition(cds: ComplementaryDataset, cfg: RunConfig, tcfg: TrainConfig) -> np.ndarray:
-    if cfg.transition_source == "load":
+    if cfg.transition_path is not None:
         return cfg.transition
-    if cfg.transition_source == "oracle":
-        return uniform_transition(cds.n_labels)
     predictor = train_cl_predictor(cds, tcfg).model
     return estimate_transition(cds, predictor, use_correlation=not cfg.no_correlation)
 
@@ -248,7 +241,7 @@ def run_cv(cfg: RunConfig) -> AggregateReport:
     """Cross-validate the configured pipeline; corruption, transition
     estimation, and training all see the training fold only.  A transition
     file is read and checked once, before the data."""
-    if cfg.transition_source == "load":
+    if cfg.transition_path is not None:
         cfg.transition  # read and check the file before the data
     reports = []
     for fold in _load_and_fold(cfg):
@@ -269,11 +262,10 @@ def run_ablation(cfg: RunConfig) -> dict[str, AggregateReport]:
 
 
 def sweep_beta(cfg: RunConfig, betas) -> list[tuple[float, AggregateReport]]:
-    """One cross-validated run per trade-off value."""
-    out = []
-    for beta in betas:
-        out.append((float(beta), run_cv(replace(cfg, train=replace(cfg.train, beta=float(beta))))))
-    return out
+    """One cross-validated run per trade-off value; every value's config is
+    built, and so checked, before the first run."""
+    configs = [replace(cfg, train=replace(cfg.train, beta=float(beta))) for beta in betas]
+    return [(c.train.beta, run_cv(c)) for c in configs]
 
 
 def run_clrl(cfg: RunConfig) -> dict[str, AggregateReport]:
@@ -312,8 +304,8 @@ def consistency_experiment(
     epochs: int = 200,
 ) -> dict[str, float]:
     """Train twin models on one synthetic exclusive-label sample: the
-    transition-composed loss with the oracle uniform transition versus full
-    supervision, and report the test hamming-loss gap."""
+    transition-composed loss with the sample's true transition, the uniform
+    one, versus full supervision, and report the test hamming-loss gap."""
     spec = make_exclusive_spec(n_labels)
     train_full, train_comp = sample_from_generative(spec, n_train, n_features, seed)
     test_full, _ = sample_from_generative(spec, n_test, n_features, seed + 1)

@@ -60,26 +60,26 @@ def score_objective(
     *,
     y: np.ndarray | None = None,
     cl: np.ndarray | None = None,
-    ybar: np.ndarray | None = None,
     relevant: np.ndarray | None = None,
     T: np.ndarray | None = None,
     beta: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row loss values of the scores F (n x K) and dL/dF.
+    """Per-row loss values of the batch of scores F (n x K) and dL/dF.
 
-    The losses, per row f with complementary one-hot ybar and q = T^T f:
+    `cl` holds one complementary label index per row; ybar is its one-hot
+    row.  The losses, per row f with q = T^T f:
     * bce_supervised: BCE of f against the relevance vector y;
     * ce_softmax: -log f[cl] for softmax scores;
     * cl_bce: BCE of q against ybar (q is clamped, not renormalised);
     * cl_mse: ||ybar - q||^2, unclamped;
     * mlcl: cl_bce + beta * cl_mse;
     * clrl: cl_bce + ||relevant - f||^2 over all coordinates.
-    `cl` holds complementary label indices, or `ybar` their one-hot rows
-    (which training loops build once).  A single instance is a batch of one.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    F = np.atleast_2d(np.asarray(F, dtype=np.float64))
+    F = np.asarray(F, dtype=np.float64)
+    if F.ndim != 2:
+        raise ValueError(f"scores must be an (n, K) batch, got shape {F.shape}")
     if kind == "bce_supervised":
         return _bce(F, np.asarray(y, dtype=np.float64))
     if kind == "ce_softmax":
@@ -91,7 +91,7 @@ def score_objective(
     if kind == "clrl" and relevant is None:
         raise ValueError("clrl loss requires relevant-label vectors")
     T = np.asarray(T, dtype=np.float64)
-    Ybar = np.eye(F.shape[1])[np.asarray(cl, dtype=np.int64)] if ybar is None else ybar
+    Ybar = np.eye(F.shape[1])[np.asarray(cl, dtype=np.int64)]
     Q = F @ T
     if kind == "cl_mse":
         return _mse(Q, Ybar, T)
@@ -119,24 +119,13 @@ def _chain_head(model: LinearModel, F: np.ndarray, G_f: np.ndarray) -> np.ndarra
     return F * (G_f - inner)
 
 
-def batch_objective(
-    model: LinearModel,
-    X,
-    kind: str,
-    *,
-    y: np.ndarray | None = None,
-    cl: np.ndarray | None = None,
-    ybar: np.ndarray | None = None,
-    relevant: np.ndarray | None = None,
-    T: np.ndarray | None = None,
-    beta: float = 1.0,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss over the batch and its gradients (dW, db); `kind` and the
-    keyword arguments are those of `score_objective`."""
-    F = np.atleast_2d(forward(model, X))
-    values, G_f = score_objective(F, kind, y=y, cl=cl, ybar=ybar, relevant=relevant, T=T, beta=beta)
+def batch_objective(model: LinearModel, X, kind: str, **targets) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss over the batch X and its gradients (dW, db); `kind` and the
+    keyword `targets` are those of `score_objective`."""
+    F = forward(model, X)
+    values, G_f = score_objective(F, kind, **targets)
     G_z = _chain_head(model, F, G_f) / F.shape[0]
-    Xm = X.tocsr() if issparse(X) else np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Xm = X.tocsr() if issparse(X) else np.asarray(X, dtype=np.float64)
     gW = np.asarray(G_z.T @ Xm)
     gb = G_z.sum(axis=0)
     return float(values.mean()), gW, gb

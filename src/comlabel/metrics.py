@@ -28,8 +28,10 @@ class MetricsReport:
 
 
 def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
-    S = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(truth))
+    S = np.asarray(scores, dtype=np.float64)
+    Y = np.asarray(truth)
+    if S.ndim != 2:
+        raise ValueError(f"scores must be an (n, K) batch, got shape {S.shape}")
     if S.shape != Y.shape:
         raise ValueError(f"scores {S.shape} and truth {Y.shape} disagree")
     if S.shape[0] == 0:
@@ -46,7 +48,7 @@ def _validated(scores, truth) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_all(scores, truth) -> MetricsReport:
-    """All five criteria with a single ranking pass per instance."""
+    """All five criteria of an (n, K) score batch, one ranking pass per instance."""
     S, Y = _validated(scores, truth)
     ranks = rank_matrix(S).astype(np.float64)
     rel = Y == 1

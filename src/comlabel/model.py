@@ -62,16 +62,6 @@ def init_linear(d: int, n_labels: int, head: str, seed: int) -> LinearModel:
     return LinearModel(W, np.zeros(n_labels), head)
 
 
-def _logits(model: LinearModel, x) -> tuple[np.ndarray, bool]:
-    sparse = issparse(x)
-    single = not sparse and np.ndim(x) == 1
-    X = x if sparse else np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"input has {X.shape[1]} features, model expects {model.n_features}")
-    Z = np.asarray(X @ model.weights.T + model.bias)
-    return Z, single
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function by `scipy.special.expit`'s own formula,
     1 / (1 + exp(-z)), in NumPy.  Below z = -709.78, exp(-z) overflows to inf
@@ -86,16 +76,18 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: LinearModel, x) -> np.ndarray:
-    """Score an instance (1-d) or a batch (2-d / sparse); scores lie in [0, 1].
+def forward(model: LinearModel, X) -> np.ndarray:
+    """Score a batch, (n, d) dense or sparse; scores lie in [0, 1].
 
     The sigmoid head is `sigmoid`, computed with NumPy alone.  Where NumPy's
     `exp` is not the C library's (builds with AVX-512 kernels), its scores
     can differ from `scipy.special.expit` by a few ulp; reruns on one machine
     stay bit-identical."""
-    Z, single = _logits(model, x)
-    F = sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
-    return F[0] if single else F
+    X = X if issparse(X) else np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected an (n, {model.n_features}) batch of features, got shape {X.shape}")
+    Z = np.asarray(X @ model.weights.T + model.bias)
+    return sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
 
 
 def predict_labels(scores: np.ndarray) -> np.ndarray:
@@ -104,9 +96,9 @@ def predict_labels(scores: np.ndarray) -> np.ndarray:
 
 
 def rank_matrix(scores: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of 1-based ranks per instance: descending score, ties to
-    the lower label index."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    """1-based ranks of an (n, K) batch of scores, per instance: descending
+    score, ties to the lower label index."""
+    scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, axis=1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(1, scores.shape[1] + 1)[None, :], axis=1)

@@ -44,12 +44,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate must be positive and weight_decay nonnegative")
+        # each check passes only on good values, since nan fails every comparison
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        for name in ("weight_decay", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be positive and epochs nonnegative")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -157,8 +159,7 @@ def train_mlcl(cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig) -> Tr
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
     validate_transition(T)
-    ybar = np.eye(cds.n_labels)[cds.cl]  # one-hot complementary labels
-    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"ybar": ybar}, T=np.asarray(T, dtype=np.float64), beta=cfg.beta)
+    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, T=np.asarray(T, dtype=np.float64), beta=cfg.beta)
 
 
 def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig) -> TrainResult:
@@ -171,5 +172,5 @@ def train_clrl(cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig) -> Tr
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")
     validate_transition(T)
-    per_instance = {"ybar": np.eye(cds.n_labels)[cds.cl], "relevant": cds.relevant.astype(np.float64)}
+    per_instance = {"cl": cds.cl, "relevant": cds.relevant.astype(np.float64)}
     return _run_loop(cds, "sigmoid", cfg, "clrl", per_instance, T=np.asarray(T, dtype=np.float64))

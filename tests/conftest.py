@@ -1,0 +1,22 @@
+"""The CLI fixture data, shared by tests/test_cli.py and tests/test_layertrace.py;
+tests/test_experiment.py defines a `data_file` of its own."""
+
+import numpy as np
+import pytest
+
+from comlabel.dataset import make_uniform_cl_spec, sample_from_generative, write_multilabel_file
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    """150 instances, 6 features and 4 labels, labels 0 and 1 often together."""
+    K = 4
+    n_subsets = 2**K - 2
+    probs = np.zeros(n_subsets)
+    for k in range(K):
+        probs[(1 << k) - 1] = 0.7 / K
+    probs[(1 << 0 | 1 << 1) - 1] = 0.3
+    full, _ = sample_from_generative(make_uniform_cl_spec(K, probs), 150, 6, seed=50)
+    path = tmp_path_factory.mktemp("cli") / "data.txt"
+    write_multilabel_file(full, path)
+    return path

@@ -6,30 +6,10 @@ import numpy as np
 import pytest
 
 from comlabel.cli import COMMANDS, _resolve, build_parser, load_config_file, main
-from comlabel.dataset import (
-    make_uniform_cl_spec,
-    parse_complementary_file,
-    parse_multilabel_file,
-    sample_from_generative,
-    write_multilabel_file,
-)
+from comlabel.dataset import parse_complementary_file, parse_multilabel_file
 from comlabel.experiment import read_report
 from comlabel.model import load_model
 from comlabel.transition import load_transition_csv, validate_transition
-
-
-@pytest.fixture(scope="module")
-def data_file(tmp_path_factory):
-    K = 4
-    n_subsets = 2**K - 2
-    probs = np.zeros(n_subsets)
-    for k in range(K):
-        probs[(1 << k) - 1] = 0.7 / K
-    probs[(1 << 0 | 1 << 1) - 1] = 0.3
-    full, _ = sample_from_generative(make_uniform_cl_spec(K, probs), 150, 6, seed=50)
-    path = tmp_path_factory.mktemp("cli") / "data.txt"
-    write_multilabel_file(full, path)
-    return path
 
 
 def run(*argv):
@@ -103,6 +83,21 @@ class TestTrainEval:
         model_path = tmp_path / "clrl.txt"
         assert run("train", "--data", comp, "--regime", "clrl", "--model-out", model_path, "--epochs", "10") == 0
 
+    @pytest.mark.parametrize("name, value", [("beta", "0.5"), ("transition_in", "T.csv"), ("transition_out", "T.csv")])
+    def test_supervised_refuses_transition_options(self, name, value, data_file, tmp_path):
+        # the supervised regime fits no transition-composed loss, so it would ignore them
+        model_path = tmp_path / "sup.txt"
+        flag = "--" + name.replace("_", "-")
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"regime = supervised\n{name} = {value}\n")
+        for extra, named in (
+            (["--regime", "supervised", flag, value], flag),
+            (["--config", cfgfile], rf"c\.cfg: {name}"),
+        ):
+            with pytest.raises(SystemExit, match=f"{named} is not read by train --regime supervised"):
+                run("train", "--data", data_file, "--model-out", model_path, "--epochs", "1", *extra)
+        assert not model_path.exists()
+
     def test_train_with_transition_in(self, data_file, tmp_path):
         comp = tmp_path / "comp.txt"
         run("corrupt", "--data", data_file, "--out", comp, "--seed", "5")
@@ -159,6 +154,18 @@ class TestCV:
         out = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit, match=f"^--betas: .*{token}"):
             run("sweep-beta", "--data", data_file, "--folds", "2", "--epochs", "1", "--lr", "0.01", "--betas", betas, "--out", out)
+        assert not out.exists()
+
+    def test_sweep_beta_non_finite_beta_fails_before_training(self, data_file, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        def no_training(cfg):
+            raise AssertionError("a run started before every beta was checked")
+
+        monkeypatch.setattr(experiment, "run_cv", no_training)
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="^beta must be nonnegative and finite, got nan"):
+            run("sweep-beta", "--data", data_file, "--folds", "2", "--epochs", "1", "--lr", "0.01", "--betas", "0.1,nan", "--out", out)
         assert not out.exists()
 
     def test_clrl_comparison(self, data_file, tmp_path):

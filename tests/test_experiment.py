@@ -203,7 +203,7 @@ class TestTransitionFile:
         T = rng.random((5, 5))
         np.fill_diagonal(T, 0.0)
         save_transition_csv(T / T.sum(axis=1, keepdims=True), tmp_path / "t.csv")
-        cfg = quick_config(data_file, learning_rate=None, transition_source="load", transition_path=tmp_path / "t.csv")
+        cfg = quick_config(data_file, learning_rate=None, transition_path=tmp_path / "t.csv")
         reads = []
         load = experiment.load_transition_csv
         monkeypatch.setattr(experiment, "load_transition_csv", lambda path: reads.append(path) or load(path))
@@ -309,7 +309,3 @@ class TestConfigValidation:
     def test_bad_corruption(self, data_file):
         with pytest.raises(ValueError):
             RunConfig(data_path=data_file, corruption="adversarial")
-
-    def test_load_requires_path(self, data_file):
-        with pytest.raises(ValueError, match="transition_path"):
-            RunConfig(data_path=data_file, transition_source="load")

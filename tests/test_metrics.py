@@ -106,6 +106,11 @@ class TestBoundaryCases:
         with pytest.raises(ValueError, match="empty or full"):
             evaluate_all(np.array([[0.5, 0.5, 0.5]]), np.array([[1, 1, 1]]))
 
+    def test_single_instance_vector_rejected(self):
+        # one instance is a batch of one, shape (1, K)
+        with pytest.raises(ValueError, match="batch"):
+            evaluate_all(np.array([0.9, 0.1, 0.8]), np.array([1, 0, 1]))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
             evaluate_all(np.zeros((2, 3)), np.ones((3, 3)))
@@ -147,7 +152,7 @@ class TestOracleEquivalence:
         Y[Y.sum(1) == 0, 0] = 1
         Y[Y.sum(1) == 5, 4] = 0
         r = evaluate_all(S, Y)
-        singles = [evaluate_all(S[i], Y[i]) for i in range(25)]
+        singles = [evaluate_all(S[i : i + 1], Y[i : i + 1]) for i in range(25)]
         for name in MetricsReport.METRIC_NAMES:
             np.testing.assert_allclose(getattr(r, name), np.mean([getattr(x, name) for x in singles]), atol=1e-15)
 

@@ -41,22 +41,22 @@ class TestInit:
 class TestForward:
     def test_zero_weights_sigmoid(self):
         m = LinearModel(np.zeros((4, 3)), np.zeros(4), "sigmoid")
-        np.testing.assert_allclose(forward(m, np.zeros(3)), 0.5)
+        np.testing.assert_allclose(forward(m, np.zeros((1, 3))), 0.5)
 
     def test_zero_weights_softmax(self):
         m = LinearModel(np.zeros((4, 3)), np.zeros(4), "softmax")
-        np.testing.assert_allclose(forward(m, np.zeros(3)), 0.25)
+        np.testing.assert_allclose(forward(m, np.zeros((1, 3))), 0.25)
 
     def test_softmax_overflow_stable(self):
         m = LinearModel(np.eye(3), np.zeros(3), "softmax")
-        out = forward(m, np.array([1000.0, 0.0, 0.0]))
+        out = forward(m, np.array([[1000.0, 0.0, 0.0]]))
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out, [[1.0, 0.0, 0.0]], atol=1e-12)
         np.testing.assert_allclose(out.sum(), 1.0)
 
     def test_sigmoid_extreme_finite(self):
         m = LinearModel(np.eye(2) * 1e4, np.zeros(2), "sigmoid")
-        out = forward(m, np.array([1.0, -1.0]))
+        out = forward(m, np.array([[1.0, -1.0]]))
         assert np.all(np.isfinite(out))
         assert 0.0 <= out.min() and out.max() <= 1.0
 
@@ -75,7 +75,13 @@ class TestForward:
     def test_dimension_mismatch(self):
         m = init_linear(5, 3, "sigmoid", seed=0)
         with pytest.raises(ValueError, match="features"):
-            forward(m, np.zeros(4))
+            forward(m, np.zeros((2, 4)))
+
+    def test_single_row_rejected(self):
+        # one instance is a batch of one, shape (1, d)
+        m = init_linear(5, 3, "sigmoid", seed=0)
+        with pytest.raises(ValueError, match="batch"):
+            forward(m, np.zeros(5))
 
 
 class TestSigmoid:
@@ -118,14 +124,14 @@ class TestPredict:
 
 class TestRank:
     def test_basic(self):
-        np.testing.assert_array_equal(rank_matrix(np.array([0.1, 0.9, 0.5])), [[3, 1, 2]])
+        np.testing.assert_array_equal(rank_matrix(np.array([[0.1, 0.9, 0.5]])), [[3, 1, 2]])
 
     def test_tie_to_lower_index(self):
-        np.testing.assert_array_equal(rank_matrix(np.array([0.5, 0.5])), [[1, 2]])
+        np.testing.assert_array_equal(rank_matrix(np.array([[0.5, 0.5]])), [[1, 2]])
 
     def test_reversal(self):
         rng = np.random.default_rng(5)
-        s = rng.permutation(10).astype(float)
+        s = rng.permutation(10).astype(float)[None]
         np.testing.assert_array_equal(rank_matrix(-s), 11 - rank_matrix(s))
 
     def test_rank_matrix_consistent(self):
@@ -141,7 +147,7 @@ class TestRank:
     def test_shift_invariance_under_softmax(self):
         # ranks from softmax scores ignore constant logit shifts
         m = LinearModel(np.eye(4), np.zeros(4), "softmax")
-        z = np.array([0.3, -0.2, 1.4, 0.9])
+        z = np.array([[0.3, -0.2, 1.4, 0.9]])
         np.testing.assert_array_equal(rank_matrix(forward(m, z)), rank_matrix(forward(m, z + 123.0)))
 
 

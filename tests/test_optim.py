@@ -62,6 +62,14 @@ def reference_adam_step(params, grads, state, cfg):
     return new_params, AdamState(m=new_m, v=new_v, t=t)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite, got {value!r}"):
+            TrainConfig(**{name: value})
+
+
 class TestAdamStep:
     def test_zero_gradient_no_decay_is_identity(self):
         cfg = TrainConfig(weight_decay=0.0)

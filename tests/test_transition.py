@@ -248,47 +248,54 @@ class TestCorrectionFlattensToUniform:
                 np.testing.assert_allclose(correct_and_normalize(S, C) - U, shrunk, rtol=0, atol=4e-16)
 
 
-def _composed_residual(T, F, target):
-    """Per-row ||target - F T||^2 and its score gradient: the unclamped cl_mse
+def _composed_residual(T, F, cl):
+    """Per-row ||e_cl - F T||^2 and its score gradient: the unclamped cl_mse
     term, which sees each score row f through the transition as q = T^T f."""
-    return score_objective(np.atleast_2d(F), "cl_mse", T=T, ybar=np.atleast_2d(target))
+    return score_objective(F, "cl_mse", T=T, cl=cl)
 
 
 class TestApplyTransition:
     def test_uniform_one_hot(self):
+        # q = T^T e_1 = (1/3, 0, 1/3, 1/3), and ||e_j - q||^2 = 1 - 2 q_j + ||q||^2
         K = 4
-        expected = np.full(K, 1.0 / (K - 1))
-        expected[1] = 0.0
-        assert _composed_residual(uniform_transition(K), np.eye(K)[1], expected)[0][0] == 0.0
+        values, _ = _composed_residual(uniform_transition(K), np.tile(np.eye(K)[1], (K, 1)), np.arange(K))
+        np.testing.assert_allclose(values, [2 / 3, 4 / 3, 2 / 3, 2 / 3])
 
     def test_zero_vector(self):
-        assert _composed_residual(uniform_transition(3), np.zeros(3), np.zeros(3))[0][0] == 0.0
+        # q = 0, so the residual is the one-hot row itself
+        T = uniform_transition(3)
+        values, G = _composed_residual(T, np.zeros((3, 3)), np.arange(3))
+        assert values.tolist() == [1.0, 1.0, 1.0]
+        np.testing.assert_array_equal(G, -2.0 * T.T)
 
     def test_hand_product_may_exceed_one(self):
+        # q = T^T (1, 0, 1) = (0.3, 1.3, 0.4) is not clamped: against label 1
+        # the residual is (-0.3, -0.3, -0.4)
         T = np.array([[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]])
-        values, _ = _composed_residual(T, np.array([1.0, 0.0, 1.0]), [0.3, 1.3, 0.4])
-        np.testing.assert_allclose(values, 0.0, atol=1e-30)
+        values, _ = _composed_residual(T, np.array([[1.0, 0.0, 1.0]]), [1])
+        np.testing.assert_allclose(values, [0.34])
 
     def test_linearity(self):
-        # against a zero target the gradient is 2 (F T) T^T, linear in F
+        # against a one-hot target e the gradient is 2 (f T - e) T^T, affine in f
         rng = np.random.default_rng(23)
         T = uniform_transition(5)
         f, g = rng.random(5), rng.random(5)
         a, b = 0.3, -1.7
 
-        def grad(x):
-            return _composed_residual(T, x, np.zeros(5))[1]
+        def linear_part(x):
+            at_x, at_zero = _composed_residual(T, np.stack([x, np.zeros(5)]), [2, 2])[1]
+            return at_x - at_zero
 
-        np.testing.assert_allclose(grad(a * f + b * g), a * grad(f) + b * grad(g), atol=1e-12)
+        np.testing.assert_allclose(linear_part(a * f + b * g), a * linear_part(f) + b * linear_part(g), atol=1e-12)
 
     def test_batch_form(self):
         T = uniform_transition(3)
         rng = np.random.default_rng(1)
-        F, target = rng.random((7, 3)), rng.random((7, 3))
-        values, G = _composed_residual(T, F, target)
+        F, cl = rng.random((7, 3)), rng.integers(0, 3, size=7)
+        values, G = _composed_residual(T, F, cl)
         for i in range(7):
-            np.testing.assert_allclose(values[i], ((target[i] - T.T @ F[i]) ** 2).sum())
-            np.testing.assert_allclose(G[i], _composed_residual(T, F[i], target[i])[1][0])
+            np.testing.assert_allclose(values[i], ((np.eye(3)[cl[i]] - T.T @ F[i]) ** 2).sum())
+            np.testing.assert_allclose(G[i], _composed_residual(T, F[i : i + 1], cl[i : i + 1])[1][0])
 
 
 class TestInvertibility:
