@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -93,6 +95,17 @@ OPTIONS = (
 
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
 SUPERVISED_UNREAD = ("beta", "transition_in", "transition_out")  # read only by train's complementary regimes
+# The flag that sets each field TrainConfig and RunConfig check on the options'
+# values; each check's message begins with the field's name.
+CHECKED_FLAGS = {
+    "learning_rate": "--lr",
+    "weight_decay": "--weight-decay",
+    "beta": "--beta",
+    "batch_size": "--batch",
+    "epochs": "--epochs",
+    "folds": "--folds",
+    "relevant_count": "--relevant",
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -161,30 +174,42 @@ def _require(args, *names):
             raise SystemExit(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
+@contextmanager
+def _exit_on_bad_value(flag: str | None = None):
+    """Exit with the message of a TrainConfig or RunConfig check that fails
+    inside, naming `flag`, or else the flag that sets the checked field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"{flag or CHECKED_FLAGS[str(exc).split()[0]]}: {exc}") from None
+
+
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=TrainConfig.learning_rate if args.lr is None else args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        beta=getattr(args, "beta", TrainConfig.beta),  # estimate-t and sweep-beta take no --beta
-        seed=args.seed,
-    )
+    with _exit_on_bad_value():
+        return TrainConfig(
+            learning_rate=TrainConfig.learning_rate if args.lr is None else args.lr,
+            weight_decay=args.weight_decay,
+            batch_size=args.batch,
+            epochs=args.epochs,
+            beta=getattr(args, "beta", TrainConfig.beta),  # estimate-t and sweep-beta take no --beta
+            seed=args.seed,
+        )
 
 
 def _run_config(args) -> RunConfig:
     relevant = getattr(args, "relevant", None)  # of the commands built on run_cv, only clrl takes --relevant
-    return RunConfig(
-        data_path=args.data,
-        corruption=args.mode,
-        folds=args.folds,
-        max_labels=args.max_labels,
-        normalize=args.normalize_features == "on",
-        learning_rate=args.lr,
-        train=_train_config(args),
-        transition_path=args.transition_in,
-        relevant_count=RunConfig.relevant_count if relevant is None else relevant,
-    )
+    with _exit_on_bad_value():
+        return RunConfig(
+            data_path=args.data,
+            corruption=args.mode,
+            folds=args.folds,
+            max_labels=args.max_labels,
+            normalize=args.normalize_features == "on",
+            learning_rate=args.lr,
+            train=_train_config(args),
+            transition_path=args.transition_in,
+            relevant_count=RunConfig.relevant_count if relevant is None else relevant,
+        )
 
 
 def _write_curve(curve: list[float], path: str) -> None:
@@ -208,8 +233,9 @@ def cmd_corrupt(args) -> int:
 
 def cmd_estimate_t(args) -> int:
     _require(args, "data", "transition_out")
+    cfg = _train_config(args)
     cds = parse_complementary_file(args.data)
-    result = train_cl_predictor(cds, _train_config(args))
+    result = train_cl_predictor(cds, cfg)
     T = estimate_transition(cds, result.model, use_correlation=not args.no_correlation)
     save_transition_csv(T, args.transition_out)
     if args.curve_out:
@@ -276,15 +302,19 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     _require(args, "data", "out")
+    cfg = _run_config(args)
     betas = []
     for token in filter(None, (t.strip() for t in args.betas.split(","))):
         try:
-            betas.append(float(token))
+            beta = float(token)
         except ValueError:
             raise SystemExit(f"--betas: {token!r} is not a number") from None
+        with _exit_on_bad_value("--betas"):
+            replace(cfg.train, beta=beta)  # TrainConfig checks the value
+        betas.append(beta)
     if not betas:
         raise SystemExit(f"--betas: no trade-off value in {args.betas!r}")
-    rows = sweep_beta(_run_config(args), betas)
+    rows = sweep_beta(cfg, betas)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         header = ["beta"]

@@ -7,9 +7,10 @@ label always exists.  A complementary dataset couples the same kind of
 feature matrix with one complementary label per instance.
 
 The reader streams a file in chunks of at most `PARSE_CHUNK_BYTES` of text.
-Each chunk's numbers are converted by one C-level call after byte-level
-checks, and a chunk failing them is redone line by line with `int()` and
-`float()`, which give the same values and name the first offending line.
+Each chunk's numbers are converted by one C-level call once one regular
+expression has checked the token grammar, and a chunk failing the checks is
+redone line by line with `int()` and `float()`, which give the same values
+and name the first offending line.
 When the file's feature-token count meets the dense rule, chunks are
 scattered straight into the dense matrix; otherwise they are assembled into
 CSR.  SciPy is imported only where a CSR matrix is built, so dense data
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import sys
 import warnings
 from collections.abc import Iterator
@@ -252,15 +254,13 @@ def take_instances(ds: MultiLabelDataset, idx: np.ndarray) -> MultiLabelDataset:
 
 PARSE_CHUNK_BYTES = 1 << 18  # text converted per bulk step; bounds the parser's transient memory
 
-# What the bulk conversion reads: token separators, the colon, digits and the
-# other characters of a decimal float.  Any other byte, and any non-ASCII
-# text, sends its chunk down the per-line path.
-_SPACE, _COLON, _DIGIT, _FLOAT = 1, 2, 3, 4
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t")] = _SPACE
-_BYTE_CLASS[ord(":")] = _COLON
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b".eE+-")] = _FLOAT
+# What the bulk conversion reads: tokens "<digits>:<decimal float characters>"
+# apart by spaces or tabs.  Any other text, non-ASCII text included, sends its
+# chunk down the per-line path.  Each token is matched in a lookahead and then
+# taken by reference, so that no backtracking into it is kept: the match holds
+# about 90 bytes per token while it runs, where a plain `(?:<token>)*` holds
+# about 340 (CPython 3.11), 3.4 MB on a chunk of 10,000 tokens.
+_BULK_TOKENS = re.compile(rb"[ \t]*(?:(?=([0-9]+:[0-9.eE+-]+(?:[ \t]+|\Z)))\1)*")
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
 
 
@@ -320,28 +320,6 @@ def _convert_line(tokens: list[str], d: int, lineno: int) -> tuple[list[int], li
     return idx, val
 
 
-def _bulk_readable(raw: bytes, n_tokens: int) -> bool:
-    """Whether the text `raw` is `n_tokens` tokens "<digits>:<float chars>",
-    apart by spaces or tabs.  Its byte masks are uint8 or bool and die here."""
-    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
-    if not cls.all():
-        return False
-    space = cls == _SPACE
-    colon = cls == _COLON
-    events = ~space  # the first byte of each token, then each colon
-    events[1:] &= space[:-1]
-    events |= colon
-    at_colon = colon[events]
-    if at_colon.size != 2 * n_tokens or at_colon[0::2].any() or not at_colon[1::2].all():
-        return False  # a token without exactly one colon
-    if colon[-1:].any() or np.any(colon[:-1] & space[1:]):
-        return False  # an empty value
-    # from a token's first byte up to its colon: its index, a nonempty run of digits
-    in_index = np.logical_xor.accumulate(events)
-    in_index &= cls != _DIGIT
-    return not in_index.any()
-
-
 def _convert_chunk(texts: list[str], counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Column indices and values of a chunk of lines' feature texts, holding
     `counts` tokens each, by one C-level conversion; None when the bulk checks
@@ -352,9 +330,9 @@ def _convert_chunk(texts: list[str], counts: np.ndarray, d: int) -> tuple[np.nda
         raw = " ".join(texts).encode("ascii")
     except UnicodeEncodeError:
         return None
-    n_tokens = int(counts.sum())
-    if not _bulk_readable(raw, n_tokens):
+    if _BULK_TOKENS.fullmatch(raw) is None:
         return None
+    n_tokens = int(counts.sum())
     if n_tokens == 0:  # fromstring would read a blank text as [-1.0]
         return np.zeros(0, dtype=np.int32), np.zeros(0)
     with warnings.catch_warnings():
@@ -595,8 +573,6 @@ def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int) -> MultiLabel
     counts = ds.y.sum(axis=0).astype(np.int64)
     order = np.lexsort((np.arange(K), -counts))  # frequency desc, index asc
     keep = np.sort(order[:max_labels])
-    if keep.size < MIN_LABELS:
-        raise ValueError("fewer than 3 labels survive filtering")
     y_new = ds.y[:, keep]
     sums = y_new.sum(axis=1)
     rows = np.flatnonzero((sums > 0) & (sums < keep.size))

@@ -90,9 +90,9 @@ class RunConfig:
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+            raise ValueError(f"folds must be at least 2, got {self.folds!r}")
         if self.relevant_count < 1:
-            raise ValueError("relevant_count must be at least 1")
+            raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
 
     @cached_property
     def transition(self) -> np.ndarray:

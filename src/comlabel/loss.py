@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import issparse
 from .model import LinearModel, forward
 
 __all__ = [
@@ -125,8 +124,7 @@ def batch_objective(model: LinearModel, X, kind: str, **targets) -> tuple[float,
     F = forward(model, X)
     values, G_f = score_objective(F, kind, **targets)
     G_z = _chain_head(model, F, G_f) / F.shape[0]
-    Xm = X.tocsr() if issparse(X) else np.asarray(X, dtype=np.float64)
-    gW = np.asarray(G_z.T @ Xm)
+    gW = np.asarray(G_z.T @ X)
     gb = G_z.sum(axis=0)
     return float(values.mean()), gW, gb
 

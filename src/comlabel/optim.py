@@ -50,8 +50,10 @@ class TrainConfig:
         for name in ("weight_decay", "beta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be positive and epochs nonnegative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs!r}")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -60,20 +62,14 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass
 class AdamState:
+    # one first and one second moment array per parameter, and the step count
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    # two parameter-shaped buffers per parameter for the update's temporaries,
-    # so that a step allocates nothing
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
-    )
+    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(
@@ -82,17 +78,16 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update with coupled L2 weight decay, applied in
-    place to `params` and `state`, which are returned.
-
-    Weight decay is added to the gradient before the moment updates.  Every
-    gradient is checked before anything is written.  The operations run in the
-    order of the out-of-place expression, so the results are bit-identical to it:
+    """One bias-corrected Adam update with coupled L2 weight decay, written
+    into the arrays of `params` and `state`, which are returned:
 
         g' = g + wd * p;  m = b1 * m + (1 - b1) * g';  v = b2 * v + (1 - b2) * g' * g'
         p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    Weight decay is added to the gradient before the moment updates.  Every
+    gradient is checked before anything is written.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and state shapes disagree")
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
@@ -102,23 +97,11 @@ def adam_step(
             )
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        np.multiply(p, cfg.weight_decay, out=a)
-        np.add(g, a, out=a)  # a = g + wd * p
-        np.multiply(m, b1, out=m)
-        np.multiply(a, 1.0 - b1, out=b)
-        np.add(m, b, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(a, 1.0 - b2, out=b)
-        np.multiply(b, a, out=b)
-        np.add(v, b, out=v)
-        np.divide(m, 1.0 - b1**state.t, out=a)  # m_hat
-        np.divide(v, 1.0 - b2**state.t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        np.add(b, ADAM_EPS, out=b)
-        np.multiply(a, cfg.learning_rate, out=a)
-        np.divide(a, b, out=a)
-        np.subtract(p, a, out=p)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        g = g + cfg.weight_decay * p
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        p -= cfg.learning_rate * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + ADAM_EPS)
     return params, state
 
 

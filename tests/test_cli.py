@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from comlabel.cli import COMMANDS, _resolve, build_parser, load_config_file, main
-from comlabel.dataset import parse_complementary_file, parse_multilabel_file
+from comlabel.dataset import DatasetFormatError, parse_complementary_file, parse_multilabel_file
 from comlabel.experiment import read_report
 from comlabel.model import load_model
 from comlabel.transition import load_transition_csv, validate_transition
@@ -164,7 +164,7 @@ class TestCV:
 
         monkeypatch.setattr(experiment, "run_cv", no_training)
         out = tmp_path / "sweep.csv"
-        with pytest.raises(ValueError, match="^beta must be nonnegative and finite, got nan"):
+        with pytest.raises(SystemExit, match="^--betas: beta must be nonnegative and finite, got nan$"):
             run("sweep-beta", "--data", data_file, "--folds", "2", "--epochs", "1", "--lr", "0.01", "--betas", "0.1,nan", "--out", out)
         assert not out.exists()
 
@@ -184,15 +184,46 @@ class TestRelevantCount:
     def test_zero_rejected(self, data_file, tmp_path, command, msg):
         out = tmp_path / "out.txt"
         cv_flags = ("--folds", "2", "--epochs", "2", "--lr", "0.01") if command == "clrl" else ()
-        with pytest.raises(ValueError, match=msg):
+        # RunConfig's check exits with a message; corrupt's check is not a config's
+        with pytest.raises(SystemExit if command == "clrl" else ValueError, match=msg):
             run(command, "--data", data_file, "--relevant", "0", *cv_flags, "--out", out)
         assert not out.exists()
 
     def test_zero_from_config_rejected(self, data_file, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("relevant = 0\n")
-        with pytest.raises(ValueError, match="relevant_count must be at least 1"):
+        with pytest.raises(SystemExit, match="^--relevant: relevant_count must be at least 1, got 0$"):
             run("clrl", "--config", cfg, "--data", data_file, "--out", tmp_path / "out.csv")
+
+
+class TestBadTrainingValue:
+    # a value TrainConfig or RunConfig rejects, from a flag, exits naming the
+    # flag and the value before anything is trained
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(c, "--lr", "nan") for c in ("cv", "ablate", "sweep-beta", "clrl", "train", "estimate-t")]
+        + [(c, "--weight-decay", "inf") for c in ("cv", "ablate", "sweep-beta", "clrl", "train", "estimate-t")]
+        + [(c, "--beta", "nan") for c in ("cv", "ablate", "clrl", "train")]
+        + [("train", "--batch", "0"), ("estimate-t", "--epochs", "-1"), ("cv", "--folds", "1")],
+    )
+    def test_exits_before_training(self, command, flag, value, data_file, tmp_path, monkeypatch):
+        import comlabel.optim as optim
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the value was checked")
+
+        monkeypatch.setattr(optim, "_run_loop", no_training)
+        out = {"train": "--model-out", "estimate-t": "--transition-out"}.get(command, "--out")
+        with pytest.raises(SystemExit, match=rf"^{flag}: \w+ must be [ \w]+, got {value}$"):
+            run(command, "--data", data_file, flag, value, out, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_data_file_error_unchanged(self, tmp_path):
+        # a DatasetFormatError is a ValueError too, and is not turned into an exit
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 3 3\n0 0:1.0\n")
+        with pytest.raises(DatasetFormatError, match="^header declares 2 instances but file has 1 data lines$"):
+            run("cv", "--data", bad, "--lr", "0.01", "--out", tmp_path / "cv.csv")
 
 
 class TestTheoryCheck:

@@ -268,6 +268,22 @@ def _line_outcome(text, d=20):
     return np.array(idx, dtype=np.int32), np.array(val, dtype=np.float64)
 
 
+def _fuzz_text(rng):
+    """A random feature text: up to four tokens, each a run of index
+    characters, up to two colons and a run of value characters, apart by runs
+    of spaces and tabs.  Both runs draw from the digits, the float characters
+    `.eE+-` and one non-ASCII digit."""
+
+    def run(chars, longest):
+        return "".join(chars[i] for i in rng.integers(0, len(chars), size=rng.integers(0, longest + 1)))
+
+    text = run(" \t", 2)
+    for _ in range(rng.integers(0, 5)):
+        text += run("0123456789" * 6 + ".eE+-\u0663", 2) + ":" * rng.choice([0, 1, 1, 1, 1, 1, 1, 2])
+        text += run("0123456789" * 2 + ".eE+-\u0663", 5) + run(" \t", 2)
+    return text
+
+
 class TestBulkConversion:
     """The bulk path, one C-level conversion per chunk, against the per-line
     path, Python's int() and float() per token."""
@@ -299,8 +315,45 @@ class TestBulkConversion:
         ],
     )
     def test_bulk_structure_checks(self, raw, n_tokens, readable):
-        # each case fails one check only; the per-line path decides the rest
-        assert dataset_module._bulk_readable(raw, n_tokens) == readable
+        # each case fails one check only; the per-line path decides the rest.
+        # n_tokens is the text's colon count, the token count `_convert` passes.
+        assert raw.count(b":") == n_tokens
+        assert (dataset_module._BULK_TOKENS.fullmatch(raw) is not None) == readable
+
+    def test_random_texts_bulk_equals_per_line(self):
+        rng = np.random.default_rng(21)
+        accepted = 0
+        for _ in range(10_000):
+            text = _fuzz_text(rng)
+            bulk = dataset_module._convert_chunk([text], np.array([text.count(":")]), 20)
+            if bulk is None:
+                continue
+            accepted += 1
+            line = _line_outcome(text)
+            assert not isinstance(line, str), (text, line)
+            for got, want in zip(bulk, line):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
+        assert accepted > 1000  # the texts reach the conversion, not just the grammar check
+
+    @pytest.mark.parametrize("density", [1.0, 0.2])
+    def test_written_texts_accepted(self, tmp_path, density):
+        rng = np.random.default_rng(22)
+        n, d = 300, 12
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        X[rng.random((n, d)) >= density] = 0.0
+        X[0, :3] = [5e-324, -1.7976931348623157e308, 0.1]
+        y = np.tile([[1, 0, 1], [0, 1, 1]], (n // 2, 1))
+        path = tmp_path / "a.txt"
+        write_multilabel_file(MultiLabelDataset(X, y), path)
+        texts = [line.partition(" ")[2] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        counts = np.array([t.count(":") for t in texts])
+        bulk = dataset_module._convert_chunk(texts, counts, d)
+        assert bulk is not None
+        lines = [dataset_module._convert_line(t.split(), d, 2) for t in texts]
+        idx = [i for line_idx, _ in lines for i in line_idx]
+        val = [v for _, line_val in lines for v in line_val]
+        assert bulk[0].tobytes() == np.array(idx, dtype=np.int32).tobytes()
+        assert bulk[1].tobytes() == np.array(val, dtype=np.float64).tobytes()
 
     def test_bulk_equals_per_line_across_lines(self):
         # one chunk of several lines: indices may restart on each line only
