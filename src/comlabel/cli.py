@@ -104,6 +104,7 @@ CHECKED_FLAGS = {
     "batch_size": "--batch",
     "epochs": "--epochs",
     "folds": "--folds",
+    "max_labels": "--max-labels",
     "relevant_count": "--relevant",
 }
 
@@ -224,6 +225,9 @@ def _print_summary(tag: str, report: AggregateReport) -> None:
 
 def cmd_corrupt(args) -> int:
     _require(args, "data", "out")
+    with _exit_on_bad_value():  # RunConfig checks the values corrupt shares with run_cv
+        relevant = RunConfig.relevant_count if args.relevant is None else args.relevant
+        RunConfig(args.data, args.mode, max_labels=args.max_labels, relevant_count=relevant)
     ds = preprocess_topk_labels(parse_multilabel_file(args.data), args.max_labels)
     cds = corrupt(ds, args.mode, args.seed, args.relevant)
     write_complementary_file(cds, args.out)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .complementary import attach_relevant_subset, corrupt_biased, corrupt_uniform
 from .dataset import (
+    MIN_LABELS,
     ComplementaryDataset,
     FoldSplit,
     MultiLabelDataset,
@@ -38,7 +39,7 @@ from .theory import (
     scenario_distortion,
     theorem1_gap,
 )
-from .transition import estimate_transition, load_transition_csv, uniform_transition
+from .transition import estimate_transition, load_transition_csv, uniform_transition, validate_transition
 
 __all__ = [
     "RunConfig",
@@ -91,6 +92,8 @@ class RunConfig:
             raise ValueError(f"regime must be one of {REGIMES}")
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds!r}")
+        if self.max_labels < MIN_LABELS:
+            raise ValueError(f"max_labels must be at least {MIN_LABELS}, got {self.max_labels!r}")
         if self.relevant_count < 1:
             raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
 
@@ -176,13 +179,52 @@ def _train_for_regime(
     return train_clrl(cds, T, tcfg_eff).model
 
 
+def _train_grid(
+    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
+) -> tuple[list[LinearModel], Exception | None]:
+    """`_train_for_regime` at every grid rate, each training stepping the
+    rates in lockstep, with each model bit for bit that of its rate alone.
+
+    Returns the models of the rates before the first to fail, and its error
+    or None.  The rates run one at a time raise the error of the earliest
+    rate to fail at any stage, so a failing rate drops out with the rates
+    after it, and those before it go on: a later stage may fail one of them.
+    """
+    rates = LEARNING_RATE_GRID
+    if cfg.regime == "supervised":
+        results, failure = train_supervised(train_ds, base, rates)
+        return [r.model for r in results], failure
+    tcfg = replace(base, beta=0.0) if cfg.no_mse else base
+    failure = None
+    if cfg.transition_path is not None:
+        Ts = [cfg.transition] * len(rates)
+    else:
+        predictors, failure = train_cl_predictor(cds, tcfg, rates)
+        Ts = []
+        for result in predictors:
+            try:
+                T = estimate_transition(cds, result.model, use_correlation=not cfg.no_correlation)
+                validate_transition(T)  # the check train_mlcl makes, failing this rate alone
+            except Exception as exc:
+                failure = exc
+                break
+            Ts.append(T)
+        if not Ts:
+            return [], failure
+    train = train_mlcl if cfg.regime == "cl" else train_clrl
+    results, error = train(cds, np.stack(Ts), tcfg, rates[: len(Ts)])
+    return [r.model for r in results], error or failure
+
+
 def select_learning_rate(
     cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
 ) -> float:
     """Pick the grid learning rate with the best validation average precision.
 
     The validation slice's ground truth comes from the fold's fully labeled
-    half; it serves model selection only and never enters training.
+    half; it serves model selection only and never enters training.  If a
+    grid rate fails, the error of the earliest one is raised once the rates
+    before it are scored.
     """
     fit_idx, val_idx = _stratified_validation_split(cds, 0.1, base.seed + 0x5E1)
     if val_idx.size == 0 or fit_idx.size == 0:
@@ -192,11 +234,12 @@ def select_learning_rate(
     fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
     val_X = train_ds.features[val_idx]
     val_y = train_ds.y[val_idx]
+    models, failure = _train_grid(fit_cds, fit_ds, cfg, base)
+    aps = [evaluate_all(forward(model, val_X), val_y).average_precision for model in models]
+    if failure is not None:
+        raise failure
     best_lr, best_ap = None, -np.inf
-    for lr in LEARNING_RATE_GRID:
-        tcfg = replace(base, learning_rate=lr)
-        model = _train_for_regime(fit_cds, fit_ds, cfg, tcfg)
-        ap = evaluate_all(forward(model, val_X), val_y).average_precision
+    for lr, ap in zip(LEARNING_RATE_GRID, aps):
         if ap > best_ap:
             best_lr, best_ap = lr, ap
     return best_lr

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import issparse
 from .model import LinearModel, forward
 
 __all__ = [
@@ -42,7 +43,7 @@ def _bce(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of the binary cross entropy of probabilities P against
     targets Y, and its derivative with respect to P."""
     Pc, interior = _clip(P)
-    values = -(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc)).sum(axis=1)
+    values = -(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc)).sum(axis=-1)
     grad = ((1.0 - Y) / (1.0 - Pc) - Y / Pc) * interior
     return values, grad
 
@@ -50,7 +51,7 @@ def _bce(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _mse(Q: np.ndarray, Ybar: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of (Ybar - Q)^2 for Q = F T, and their derivative with respect to F."""
     R = Ybar - Q
-    return (R**2).sum(axis=1), -2.0 * R @ T.T
+    return (R**2).sum(axis=-1), -2.0 * R @ T.swapaxes(-1, -2)
 
 
 def score_objective(
@@ -65,6 +66,11 @@ def score_objective(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row loss values of the batch of scores F (n x K) and dL/dF.
 
+    F may also be a stack (C, n, K) of C models' scores on one batch, with T
+    then a stack (C, K, K) of their transition matrices; every product is a
+    batched `np.matmul`, one BLAS call per model, so each model's values and
+    gradient are those of its own (n, K) batch, bit for bit.
+
     `cl` holds one complementary label index per row; ybar is its one-hot
     row.  The losses, per row f with q = T^T f:
     * bce_supervised: BCE of f against the relevance vector y;
@@ -77,31 +83,33 @@ def score_objective(
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ValueError(f"scores must be an (n, K) batch, got shape {F.shape}")
+    if F.ndim not in (2, 3):
+        raise ValueError(f"scores must be an (n, K) batch or a (C, n, K) stack, got shape {F.shape}")
     if kind == "bce_supervised":
         return _bce(F, np.asarray(y, dtype=np.float64))
     if kind == "ce_softmax":
-        rows, cl = np.arange(F.shape[0]), np.asarray(cl, dtype=np.int64)
-        p, interior = _clip(F[rows, cl])
+        rows, cl = np.arange(F.shape[-2]), np.asarray(cl, dtype=np.int64)
+        # a stack's gathered scores come out strided; a contiguous copy keeps
+        # each candidate's mean on the pairwise summation of its own batch
+        p, interior = _clip(np.ascontiguousarray(F[..., rows, cl]))
         G = np.zeros_like(F)
-        G[rows, cl] = -interior.astype(np.float64) / p
+        G[..., rows, cl] = -interior.astype(np.float64) / p
         return -np.log(p), G
     if kind == "clrl" and relevant is None:
         raise ValueError("clrl loss requires relevant-label vectors")
     T = np.asarray(T, dtype=np.float64)
-    Ybar = np.eye(F.shape[1])[np.asarray(cl, dtype=np.int64)]
+    Ybar = np.eye(F.shape[-1])[np.asarray(cl, dtype=np.int64)]
     Q = F @ T
     if kind == "cl_mse":
         return _mse(Q, Ybar, T)
     values, g_q = _bce(Q, Ybar)
-    G = g_q @ T.T
+    G = g_q @ T.swapaxes(-1, -2)
     if kind == "mlcl":
         mse, g_mse = _mse(Q, Ybar, T)
         return values + beta * mse, G + beta * g_mse
     if kind == "clrl":
         R = np.asarray(relevant, dtype=np.float64) - F
-        return values + (R**2).sum(axis=1), G - 2.0 * R
+        return values + (R**2).sum(axis=-1), G - 2.0 * R
     return values, G
 
 
@@ -114,19 +122,25 @@ def _chain_head(model: LinearModel, F: np.ndarray, G_f: np.ndarray) -> np.ndarra
     """Gradient with respect to the logits, given dL/dF."""
     if model.head == "sigmoid":
         return G_f * F * (1.0 - F)
-    inner = (G_f * F).sum(axis=1, keepdims=True)
+    inner = (G_f * F).sum(axis=-1, keepdims=True)
     return F * (G_f - inner)
 
 
-def batch_objective(model: LinearModel, X, kind: str, **targets) -> tuple[float, np.ndarray, np.ndarray]:
+def batch_objective(model: LinearModel, X, kind: str, **targets) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Mean loss over the batch X and its gradients (dW, db); `kind` and the
-    keyword `targets` are those of `score_objective`."""
+    keyword `targets` are those of `score_objective`.  For a stack of C
+    models the mean is a (C,) array and the gradients are stacked like the
+    parameters, each model's bit for bit its own."""
     F = forward(model, X)
     values, G_f = score_objective(F, kind, **targets)
-    G_z = _chain_head(model, F, G_f) / F.shape[0]
-    gW = np.asarray(G_z.T @ X)
-    gb = G_z.sum(axis=0)
-    return float(values.mean()), gW, gb
+    G_z = _chain_head(model, F, G_f) / F.shape[-2]
+    if issparse(X):  # one (n, C*K) product, as in `forward`
+        G_flat = G_z.swapaxes(0, -2).reshape(G_z.shape[-2], -1)
+        gW = np.asarray(G_flat.T @ X).reshape(model.weights.shape)
+    else:
+        gW = np.matmul(G_z.swapaxes(-1, -2), X)
+    gb = G_z.sum(axis=-2)
+    return values.mean(axis=-1), gW, gb
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ class LinearModel:
     """z = Wx + b squashed through the configured head.
 
     The head is fixed at construction; parameters are mutated only by the
-    trainer, so forward passes on a frozen model are safe concurrently.
+    trainer, so forward passes on a frozen model are safe concurrently.  The
+    trainer's lockstep grid holds a stack of C models in one: weights
+    (C, K, d) and bias (C, K), scored together.
     """
 
-    weights: np.ndarray  # (K, d)
-    bias: np.ndarray  # (K,)
+    weights: np.ndarray  # (K, d), or (C, K, d) for a stack
+    bias: np.ndarray  # (K,), or (C, K)
     head: str
 
     def __post_init__(self):
@@ -39,18 +41,18 @@ class LinearModel:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("weights must be (K, d) with bias (K,)")
+        if self.weights.ndim not in (2, 3) or self.bias.shape != self.weights.shape[:-1]:
+            raise ValueError("weights must be (K, d) with bias (K,), or (C, K, d) with bias (C, K)")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
 
     @property
     def n_labels(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def n_features(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 def init_linear(d: int, n_labels: int, head: str, seed: int) -> LinearModel:
@@ -77,7 +79,13 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(model: LinearModel, X) -> np.ndarray:
-    """Score a batch, (n, d) dense or sparse; scores lie in [0, 1].
+    """Score a batch, (n, d) dense or sparse; scores lie in [0, 1] and are
+    (n, K), or (C, n, K) for a stack of C models.
+
+    Each model of a stack is scored bit for bit as it would be alone: dense
+    batches go through one batched `np.matmul`, which makes each model's own
+    GEMM call, and a CSR product computes every output column on its own, so
+    the stack's weights are multiplied as one (C*K, d) matrix.
 
     The sigmoid head is `sigmoid`, computed with NumPy alone.  Where NumPy's
     `exp` is not the C library's (builds with AVX-512 kernels), its scores
@@ -86,7 +94,13 @@ def forward(model: LinearModel, X) -> np.ndarray:
     X = X if issparse(X) else np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected an (n, {model.n_features}) batch of features, got shape {X.shape}")
-    Z = np.asarray(X @ model.weights.T + model.bias)
+    W = model.weights
+    if issparse(X):
+        Z = np.asarray(X @ W.reshape(-1, W.shape[-1]).T).reshape(X.shape[0], *W.shape[:-1])
+        Z = np.ascontiguousarray(Z.swapaxes(0, -2))
+    else:
+        Z = np.matmul(X, W.swapaxes(-1, -2))
+    Z = Z + model.bias[..., None, :]
     return sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
 
 

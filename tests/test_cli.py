@@ -179,15 +179,23 @@ class TestCV:
 class TestRelevantCount:
     # --relevant defaults to 1 only when absent; 0 is rejected, not run as 1
     @pytest.mark.parametrize(
-        "command,msg", [("corrupt", "r must be at least 1"), ("clrl", "relevant_count must be at least 1")]
+        "command,msg", [("corrupt", "relevant_count must be at least 1"), ("clrl", "relevant_count must be at least 1")]
     )
     def test_zero_rejected(self, data_file, tmp_path, command, msg):
         out = tmp_path / "out.txt"
         cv_flags = ("--folds", "2", "--epochs", "2", "--lr", "0.01") if command == "clrl" else ()
-        # RunConfig's check exits with a message; corrupt's check is not a config's
-        with pytest.raises(SystemExit if command == "clrl" else ValueError, match=msg):
+        # both commands exit with RunConfig's message
+        with pytest.raises(SystemExit, match=f"^--relevant: {msg}, got 0$"):
             run(command, "--data", data_file, "--relevant", "0", *cv_flags, "--out", out)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, msg",
+        [("--relevant", "0", "relevant_count must be at least 1"), ("--max-labels", "2", "max_labels must be at least 3")],
+    )
+    def test_corrupt_checks_before_reading_data(self, tmp_path, flag, value, msg):
+        with pytest.raises(SystemExit, match=f"^{flag}: {msg}, got {value}$"):
+            run("corrupt", "--data", tmp_path / "missing.txt", flag, value, "--out", tmp_path / "out.txt")
 
     def test_zero_from_config_rejected(self, data_file, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -204,7 +212,8 @@ class TestBadTrainingValue:
         [(c, "--lr", "nan") for c in ("cv", "ablate", "sweep-beta", "clrl", "train", "estimate-t")]
         + [(c, "--weight-decay", "inf") for c in ("cv", "ablate", "sweep-beta", "clrl", "train", "estimate-t")]
         + [(c, "--beta", "nan") for c in ("cv", "ablate", "clrl", "train")]
-        + [("train", "--batch", "0"), ("estimate-t", "--epochs", "-1"), ("cv", "--folds", "1")],
+        + [("train", "--batch", "0"), ("estimate-t", "--epochs", "-1"), ("cv", "--folds", "1")]
+        + [(c, "--max-labels", "2") for c in ("cv", "ablate", "sweep-beta", "clrl")],
     )
     def test_exits_before_training(self, command, flag, value, data_file, tmp_path, monkeypatch):
         import comlabel.optim as optim

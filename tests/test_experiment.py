@@ -91,23 +91,23 @@ class TestRunCV:
         assert len(report.fold_reports) == 2
 
     def test_grid_fit_split_copied_once(self, data_file, monkeypatch):
-        # each grid training sees the fit rows once, shared by both views and
-        # paired with their own labels
+        # the lockstep grid training sees the fit rows once, shared by both
+        # views and paired with their own labels
         import comlabel.experiment as experiment
         from comlabel.complementary import corrupt_uniform
 
         train_ds = parse_multilabel_file(data_file)
         cds, _ = corrupt_uniform(train_ds, seed=4)
-        seen, real = [], experiment._train_for_regime
+        seen, real = [], experiment._train_grid
 
         def spy(fit_cds, fit_ds, *args):
             seen.append((fit_cds, fit_ds))
             return real(fit_cds, fit_ds, *args)
 
-        monkeypatch.setattr(experiment, "_train_for_regime", spy)
+        monkeypatch.setattr(experiment, "_train_grid", spy)
         cfg = quick_config(data_file, learning_rate=None)
         experiment.select_learning_rate(cds, train_ds, cfg, TrainConfig(epochs=2, seed=3))
-        assert len(seen) == 3
+        assert len(seen) == 1
         for fit_cds, fit_ds in seen:
             assert fit_ds.features is fit_cds.features
             rows = [np.flatnonzero((train_ds.features == r).all(axis=1)) for r in fit_ds.features]
@@ -130,17 +130,53 @@ class TestFoldFailure:
         raised = []
         orig = experiment.train_mlcl
 
-        def diverging_on_fold_2(cds, T, tcfg):
+        def diverging_on_fold_2(cds, T, tcfg, *rates):
             if tcfg.seed == cfg.train.seed + 2:  # each fold trains with seed + fold index
                 raised.append(NonFiniteGradientError("non-finite gradient in parameter 0 at index (0, 0) (step 1)"))
+                if rates:  # the grid's lockstep training returns its error with no results
+                    return [], raised[-1]
                 raise raised[-1]
-            return orig(cds, T, tcfg)
+            return orig(cds, T, tcfg, *rates)
 
         monkeypatch.setattr(experiment, "train_mlcl", diverging_on_fold_2)
         with pytest.raises(RuntimeError, match=r"^fold 2 failed: non-finite gradient") as info:
             run_cv(cfg)
         assert len(raised) == 1
         assert info.value.__cause__ is raised[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    """Three exclusive classes in the plane, and ten rows far out along one
+    axis.  Those rows saturate every head, so they add no gradient, until the
+    predictor's weights grow enough for their logits to overflow (NumPy
+    warns of the overflow and of the inf - inf that follows).  Only the lr
+    1e-1 predictor gets there within the epochs."""
+
+    @pytest.fixture(scope="class")
+    def far_rows(self, tmp_path_factory):
+        rng = np.random.default_rng(1)
+        angles = np.array([0.0, 2.0, 4.0]) * np.pi / 3
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        y = rng.integers(0, 3, 120)
+        X = directions[y] * rng.uniform(0.5, 1.5, (120, 1))
+        X[:10], y[:10] = [-1e308, 0.0], 1
+        path = tmp_path_factory.mktemp("diverge") / "far.txt"
+        write_multilabel_file(MultiLabelDataset(X, np.eye(3, dtype=np.uint8)[y]), path)
+        return path
+
+    def test_grid_divergence_names_fold(self, far_rows):
+        cfg = quick_config(far_rows, learning_rate=None, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        message = "fold 1 failed: non-finite gradient in parameter 0 at index (0, 0) (step 22)"
+        with pytest.raises(RuntimeError) as info:
+            run_cv(cfg)
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, NonFiniteGradientError)
+
+    @pytest.mark.parametrize("learning_rate", [1e-2, 1e-3])
+    def test_smaller_rates_converge(self, far_rows, learning_rate):
+        cfg = quick_config(far_rows, learning_rate=learning_rate, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        assert len(run_cv(cfg).fold_reports) == 3
 
 
 class TestEmptyCandidatePool:

@@ -1,0 +1,336 @@
+"""The lr grid's lockstep training: a stack of C models stepped together must
+give, candidate for candidate, the bits of C trainings run one at a time,
+and a failing candidate must surface exactly the error that the run through
+the grid in order raises."""
+
+import re
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import comlabel.experiment as experiment
+import comlabel.optim as optim
+from comlabel.dataset import MultiLabelDataset, make_uniform_cl_spec, sample_from_generative
+from comlabel.loss import batch_objective
+from comlabel.model import LinearModel, forward
+from comlabel.optim import (
+    LEARNING_RATE_GRID,
+    NonFiniteGradientError,
+    TrainConfig,
+    adam_step,
+    init_adam,
+    train_cl_predictor,
+    train_clrl,
+    train_mlcl,
+    train_supervised,
+)
+from comlabel.transition import save_transition_csv
+
+sp = pytest.importorskip("scipy.sparse")
+
+C = len(LEARNING_RATE_GRID)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_transitions(rng, count, K):
+    T = rng.uniform(0.1, 1.0, (count, K, K))
+    T[:, np.arange(K), np.arange(K)] = 0.0
+    return T / T.sum(axis=2, keepdims=True)
+
+
+class TestStackedProducts:
+    """Each candidate's slice of the stacked forward and gradients equals its
+    own 2-D computation, bit for bit, across batch and model shapes."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    @pytest.mark.parametrize("K", [3, 6, 14, 15])
+    @pytest.mark.parametrize("d", [1, 7, 103, 294, 1000])
+    def test_slices_bit_equal(self, d, K, n, fmt):
+        rng = np.random.default_rng(d * 10_000 + K * 1000 + n)
+        X = rng.standard_normal((n, d))
+        if fmt == "csr":
+            X[rng.random((n, d)) < 0.7] = 0.0
+            X = sp.csr_matrix(X)
+        W = rng.standard_normal((C, K, d)) / np.sqrt(d)
+        b = rng.standard_normal((C, K))
+        T = random_transitions(rng, C, K)
+        cl = rng.integers(0, K, n)
+        y = rng.integers(0, 2, (n, K)).astype(np.float64)
+        cases = [
+            ("softmax", "ce_softmax", {"cl": cl}, {}),
+            ("sigmoid", "mlcl", {"cl": cl, "beta": 0.7}, {"T": T}),
+            ("sigmoid", "clrl", {"cl": cl, "relevant": y}, {"T": T}),
+            ("sigmoid", "bce_supervised", {"y": y}, {}),
+        ]
+        for head, kind, shared, stacked in cases:
+            stack = LinearModel(W, b, head)
+            F = forward(stack, X)
+            value, gW, gb = batch_objective(stack, X, kind, **shared, **stacked)
+            assert F.shape == (C, n, K) and gW.shape == W.shape and gb.shape == b.shape
+            for c in range(C):
+                one = LinearModel(W[c], b[c], head)
+                assert same_bits(F[c], forward(one, X)), (kind, c)
+                want = batch_objective(one, X, kind, **shared, **{k: v[c] for k, v in stacked.items()})
+                for got, expected in zip((value[c], gW[c], gb[c]), want):
+                    assert same_bits(got, expected), (kind, c)
+
+
+class TestStackedAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_each_candidate_steps_as_alone(self, weight_decay):
+        rng = np.random.default_rng(5)
+        rates = np.array(LEARNING_RATE_GRID)
+        params = [rng.standard_normal((C, 4, 7)), rng.standard_normal((C, 4))]
+        singles = [[p[c].copy() for p in params] for c in range(C)]
+        state, single_states = init_adam(params), [init_adam(s) for s in singles]
+        for _ in range(40):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
+            adam_step(params, grads, state, TrainConfig(weight_decay=weight_decay), rates)
+            for c, lr in enumerate(rates):
+                cfg = TrainConfig(learning_rate=lr, weight_decay=weight_decay)
+                adam_step(singles[c], [g[c] for g in grads], single_states[c], cfg)
+        for c in range(C):
+            for got, want in zip(params + state.m + state.v, singles[c] + single_states[c].m + single_states[c].v):
+                assert same_bits(got[c], want)
+
+    def test_nonfinite_names_first_candidate_and_writes_nothing(self):
+        rng = np.random.default_rng(6)
+        params = [rng.standard_normal((C, 3, 4)), rng.standard_normal((C, 3))]
+        state = init_adam(params)
+        snapshot = [a.copy() for a in params + state.m + state.v]
+        grads = [np.ones((C, 3, 4)), np.ones((C, 3))]
+        grads[0][2, 0, 1] = np.inf  # the later candidate fails in the first parameter
+        grads[1][1, 2] = np.nan  # the earlier one only in the second
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 1 at index \(2,\) \(step 1\)$") as info:
+            adam_step(params, grads, state, TrainConfig(), np.array(LEARNING_RATE_GRID))
+        assert info.value.candidate == 1
+        assert state.t == 0
+        for got, want in zip(params + state.m + state.v, snapshot):
+            assert same_bits(got, want)
+
+
+@pytest.fixture(scope="module")
+def fold():
+    """A fold's training split with complementary and relevant labels."""
+    K = 5
+    probs = np.zeros(2**K - 2)
+    for k in range(K):
+        probs[(1 << k) - 1] = 0.6 / K
+    probs[(1 << 0 | 1 << 1) - 1] = 0.25
+    probs[(1 << 2 | 1 << 3) - 1] = 0.15
+    train_ds, _ = sample_from_generative(make_uniform_cl_spec(K, probs), 180, 8, seed=21)
+    cds = experiment.corrupt(train_ds, "biased", 4, relevant=1)
+    return cds, train_ds
+
+
+class Recorder:
+    """Spies on the classifier trainings experiment runs, keeping each
+    candidate's T (None when supervised) and model in call order; a lockstep
+    call adds one of each per candidate."""
+
+    def __init__(self, monkeypatch):
+        self.Ts, self.models = [], []
+        for name, takes_T in (("train_supervised", False), ("train_mlcl", True), ("train_clrl", True)):
+            monkeypatch.setattr(experiment, name, self._spy(getattr(experiment, name), takes_T))
+
+    def _spy(self, train, takes_T):
+        def spy(data, *args):
+            out = train(data, *args)
+            T = args[0] if takes_T else None
+            if isinstance(out, tuple):  # a lockstep call: (results, error), T stacked
+                self.Ts += [None if T is None else T[c] for c in range(len(out[0]))]
+                self.models += [r.model for r in out[0]]
+            else:
+                self.Ts.append(T)
+                self.models.append(out.model)
+            return out
+
+        return spy
+
+
+def one_at_a_time(cds, train_ds, cfg, base):
+    """The grid as three separate trainings, one rate after another."""
+    return [experiment._train_for_regime(cds, train_ds, cfg, replace(base, learning_rate=lr)) for lr in LEARNING_RATE_GRID]
+
+
+def reference_rate(cds, train_ds, cfg, base):
+    """select_learning_rate from three separate trainings."""
+    fit_idx, val_idx = experiment._stratified_validation_split(cds, 0.1, base.seed + 0x5E1)
+    fit_cds = experiment._subset_cds(cds, fit_idx)
+    fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
+    aps = [
+        experiment.evaluate_all(forward(m, train_ds.features[val_idx]), train_ds.y[val_idx]).average_precision
+        for m in one_at_a_time(fit_cds, fit_ds, cfg, base)
+    ]
+    return LEARNING_RATE_GRID[int(np.argmax(aps))], aps
+
+
+VARIANTS = {
+    "cl": {},
+    "clrl": {"regime": "clrl"},
+    "supervised": {"regime": "supervised"},
+    "transition_file": {"transition_path": "T"},
+    "no_mse": {"no_mse": True},
+    "no_correlation": {"no_correlation": True},
+}
+
+
+def grid_config(**kw):
+    """A grid run's config; the tests hand the fold's data over directly."""
+    return experiment.RunConfig(data_path="unused", learning_rate=None, **kw)
+
+
+def variant_config(name, tmp_path, K):
+    kw = dict(VARIANTS[name])
+    if "transition_path" in kw:
+        kw["transition_path"] = tmp_path / "T.csv"
+        save_transition_csv(random_transitions(np.random.default_rng(9), 1, K)[0], kw["transition_path"])
+    return grid_config(**kw)
+
+
+class TestLockstepGrid:
+    BASE = TrainConfig(epochs=6, batch_size=50, seed=7)
+
+    @pytest.mark.parametrize("features", ["dense", "csr"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_bit_equal_to_one_rate_at_a_time(self, fold, tmp_path, monkeypatch, variant, features):
+        cds, train_ds = fold
+        if features == "csr":
+            X = np.where(np.abs(train_ds.features) < 0.5, 0.0, train_ds.features)
+            train_ds = MultiLabelDataset(sp.csr_matrix(X), train_ds.y)
+            cds = type(cds)(train_ds.features, cds.cl, cds.n_labels, relevant=cds.relevant)
+        cfg = variant_config(variant, tmp_path, cds.n_labels)
+
+        sequential = Recorder(monkeypatch)
+        want_models = one_at_a_time(cds, train_ds, cfg, self.BASE)
+        assert [m.weights.tobytes() for m in sequential.models] == [m.weights.tobytes() for m in want_models]
+        lockstep = Recorder(monkeypatch)
+        models, failure = experiment._train_grid(cds, train_ds, cfg, self.BASE)
+        assert failure is None and len(models) == len(lockstep.models) == C
+        for got, want in zip(models, want_models):
+            assert same_bits(got.weights, want.weights) and same_bits(got.bias, want.bias)
+        for got, want in zip(lockstep.Ts, sequential.Ts):
+            assert (got is None and want is None) or same_bits(got, want)
+        assert len({m.weights.tobytes() for m in models}) == C  # the rates do differ
+
+        rate, aps = reference_rate(cds, train_ds, cfg, self.BASE)
+        assert experiment.select_learning_rate(cds, train_ds, cfg, self.BASE) == rate
+        assert len(set(aps)) > 1
+
+    @pytest.mark.parametrize("trainer", ["cl_predictor", "mlcl", "clrl", "supervised"])
+    def test_trainers_keep_curves(self, fold, trainer):
+        cds, train_ds = fold
+        Ts = random_transitions(np.random.default_rng(3), C, cds.n_labels)
+
+        def train(cfg, T, rates=None):
+            if trainer == "cl_predictor":
+                return train_cl_predictor(cds, cfg, rates)
+            if trainer == "supervised":
+                return train_supervised(train_ds, cfg, rates)
+            return (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, rates)
+
+        results, error = train(self.BASE, Ts, LEARNING_RATE_GRID)
+        assert error is None
+        for c, (result, lr) in enumerate(zip(results, LEARNING_RATE_GRID, strict=True)):
+            alone = train(replace(self.BASE, learning_rate=lr), Ts[c])
+            assert same_bits(result.model.weights, alone.model.weights)
+            assert same_bits(result.model.bias, alone.model.bias)
+            assert result.epoch_losses == alone.epoch_losses
+            assert all(type(v) is float for v in result.epoch_losses + alone.epoch_losses)
+
+
+STAGES = {"ce_softmax": "predictor", "mlcl": "classifier"}
+
+
+class Faults:
+    """Non-finite values put into chosen candidates: {(stage, candidate):
+    (step, parameter, index)} for the gradient stages, {("transition",
+    candidate): None} for a non-finite estimate of T."""
+
+    def __init__(self, monkeypatch, faults):
+        self.faults, self.candidate, self.steps, self.estimates = faults, None, Counter(), 0
+        real_objective, real_estimate = optim.batch_objective, experiment.estimate_transition
+
+        def objective(model, X, kind, **targets):
+            value, gW, gb = real_objective(model, X, kind, **targets)
+            self.steps[kind] += 1
+            stacked = model.weights.ndim == 3
+            for c in range(len(gW)) if stacked else [self.candidate]:
+                fault = self.faults.get((STAGES[kind], c))
+                if fault and fault[0] == self.steps[kind]:
+                    grad = (gW, gb)[fault[1]]
+                    (grad[c] if stacked else grad)[fault[2]] = np.nan
+            return value, gW, gb
+
+        def estimate(cds, predictor, **kw):
+            c = self.estimates if self.candidate is None else self.candidate
+            self.estimates += 1
+            T = real_estimate(cds, predictor, **kw)
+            return T * np.nan if ("transition", c) in self.faults else T
+
+        monkeypatch.setattr(optim, "batch_objective", objective)
+        monkeypatch.setattr(experiment, "estimate_transition", estimate)
+
+    def one_at_a_time(self, cds, train_ds, cfg, base):
+        """Run the rates one after another, as the grid did before lockstep:
+        the models until the first failure, and that failure."""
+        models = []
+        for c, lr in enumerate(LEARNING_RATE_GRID):
+            self.candidate, self.steps = c, Counter()
+            try:
+                models.append(experiment._train_for_regime(cds, train_ds, cfg, replace(base, learning_rate=lr)))
+            except (NonFiniteGradientError, ValueError) as exc:
+                return models, exc
+        return models, None
+
+    def lockstep(self, cds, train_ds, cfg, base):
+        self.candidate, self.steps, self.estimates = None, Counter(), 0
+        return experiment._train_grid(cds, train_ds, cfg, base)
+
+
+class TestFailurePrecedence:
+    BASE = TrainConfig(epochs=4, batch_size=40, seed=2)
+
+    @pytest.mark.parametrize(
+        "faults, winner, message",
+        [
+            # a later candidate fails first in time, at an earlier stage
+            ({("predictor", 2): (1, 0, (0, 0)), ("classifier", 0): (3, 0, (1, 2))}, 0, r"parameter 0 at index \(1, 2\) \(step 3\)"),
+            # both in the same stage, the later candidate at an earlier step
+            ({("predictor", 1): (2, 1, (3,)), ("predictor", 0): (5, 0, (0, 4))}, 0, r"parameter 0 at index \(0, 4\) \(step 5\)"),
+            ({("classifier", 2): (1, 0, (0, 0)), ("classifier", 1): (4, 1, (2,))}, 1, r"parameter 1 at index \(2,\) \(step 4\)"),
+            ({("transition", 1): None, ("classifier", 0): (2, 0, (4, 7))}, 0, r"parameter 0 at index \(4, 7\) \(step 2\)"),
+            ({("transition", 2): None, ("predictor", 1): (6, 0, (2, 2))}, 1, r"parameter 0 at index \(2, 2\) \(step 6\)"),
+            ({("transition", 1): None}, 1, r"transition matrix has non-finite entries"),
+            ({("classifier", 2): (3, 1, (0,))}, 2, r"parameter 1 at index \(0,\) \(step 3\)"),
+            ({("predictor", 0): (1, 0, (1, 1))}, 0, r"parameter 0 at index \(1, 1\) \(step 1\)"),
+        ],
+    )
+    def test_earliest_candidate_wins(self, fold, monkeypatch, faults, winner, message):
+        cds, train_ds = fold
+        cfg = grid_config()
+        injected = Faults(monkeypatch, faults)
+        want_models, want = injected.one_at_a_time(cds, train_ds, cfg, self.BASE)
+        models, failure = injected.lockstep(cds, train_ds, cfg, self.BASE)
+        assert type(failure) is type(want) and str(failure) == str(want)
+        assert len(want_models) == len(models) == winner
+        for got, expected in zip(models, want_models):
+            assert same_bits(got.weights, expected.weights) and same_bits(got.bias, expected.bias)
+        assert re.search(message, str(failure))
+
+    def test_selection_raises_after_scoring_survivors(self, fold, monkeypatch):
+        cds, train_ds = fold
+        Faults(monkeypatch, {("classifier", 1): (2, 0, (0, 0))})
+        scored = []
+        real = experiment.evaluate_all
+        monkeypatch.setattr(experiment, "evaluate_all", lambda S, Y: scored.append(S) or real(S, Y))
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(0, 0\) \(step 2\)$"):
+            experiment.select_learning_rate(cds, train_ds, grid_config(), self.BASE)
+        assert len(scored) == 1
