@@ -139,13 +139,6 @@ def corrupt(ds: MultiLabelDataset, mode: str, seed: int, relevant: int | None = 
     return cds
 
 
-def _fold_transition(cds: ComplementaryDataset, cfg: RunConfig, tcfg: TrainConfig) -> np.ndarray:
-    if cfg.transition_path is not None:
-        return cfg.transition
-    predictor = train_cl_predictor(cds, tcfg).model
-    return estimate_transition(cds, predictor, use_correlation=not cfg.no_correlation)
-
-
 def _stratified_validation_split(cds: ComplementaryDataset, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Hold out `fraction` of instances, stratified by complementary label."""
     rng = np.random.default_rng(seed)
@@ -167,30 +160,19 @@ def _subset_cds(cds: ComplementaryDataset, idx: np.ndarray) -> ComplementaryData
     return ComplementaryDataset(cds.features[idx], cds.cl[idx], cds.n_labels, relevant=rel)
 
 
-def _train_for_regime(
-    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, tcfg: TrainConfig
-) -> LinearModel:
-    if cfg.regime == "supervised":
-        return train_supervised(train_ds, tcfg).model
-    tcfg_eff = replace(tcfg, beta=0.0) if cfg.no_mse else tcfg
-    T = _fold_transition(cds, cfg, tcfg_eff)
-    if cfg.regime == "cl":
-        return train_mlcl(cds, T, tcfg_eff).model
-    return train_clrl(cds, T, tcfg_eff).model
-
-
 def _train_grid(
-    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
+    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig, rates: tuple[float, ...]
 ) -> tuple[list[LinearModel], Exception | None]:
-    """`_train_for_regime` at every grid rate, each training stepping the
-    rates in lockstep, with each model bit for bit that of its rate alone.
+    """The configured regime trained at each of `rates`, every training
+    stepping the rates in lockstep, with each model bit for bit that of its
+    rate alone: the CL predictor, T estimated from it (or read from the
+    transition file), then the classifier.
 
     Returns the models of the rates before the first to fail, and its error
     or None.  The rates run one at a time raise the error of the earliest
     rate to fail at any stage, so a failing rate drops out with the rates
     after it, and those before it go on: a later stage may fail one of them.
     """
-    rates = LEARNING_RATE_GRID
     if cfg.regime == "supervised":
         results, failure = train_supervised(train_ds, base, rates)
         return [r.model for r in results], failure
@@ -234,7 +216,7 @@ def select_learning_rate(
     fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
     val_X = train_ds.features[val_idx]
     val_y = train_ds.y[val_idx]
-    models, failure = _train_grid(fit_cds, fit_ds, cfg, base)
+    models, failure = _train_grid(fit_cds, fit_ds, cfg, base, LEARNING_RATE_GRID)
     aps = [evaluate_all(forward(model, val_X), val_y).average_precision for model in models]
     if failure is not None:
         raise failure
@@ -265,7 +247,10 @@ def fit_fold(train_ds: MultiLabelDataset, cfg: RunConfig, fold_index: int):
     else:
         tcfg = replace(tcfg, learning_rate=select_learning_rate(cds, train_ds, cfg, tcfg))
 
-    return _train_for_regime(cds, train_ds, cfg, tcfg), scaler
+    models, failure = _train_grid(cds, train_ds, cfg, tcfg, (tcfg.learning_rate,))
+    if failure is not None:
+        raise failure
+    return models[0], scaler
 
 
 def _run_fold(fold: FoldSplit, cfg: RunConfig) -> MetricsReport:

@@ -27,9 +27,9 @@ class LinearModel:
     """z = Wx + b squashed through the configured head.
 
     The head is fixed at construction; parameters are mutated only by the
-    trainer, so forward passes on a frozen model are safe concurrently.  The
-    trainer's lockstep grid holds a stack of C models in one: weights
-    (C, K, d) and bias (C, K), scored together.
+    trainer, so forward passes on a frozen model are safe concurrently.  Every
+    training steps a stack of C >= 1 models held in one: weights (C, K, d)
+    and bias (C, K), scored together.  The models it returns are 2-D.
     """
 
     weights: np.ndarray  # (K, d), or (C, K, d) for a stack

@@ -4,10 +4,12 @@ Training is a pure function of (data, config, seed): the model init, the
 epoch shuffles, and the update arithmetic are all driven by the config seed,
 so reruns at a fixed BLAS thread count are bit-identical.
 
-Every trainer also takes `learning_rates`: it then trains one model per
-rate in lockstep, on a leading candidate axis, and each model comes out bit
-for bit as its own training at that rate would leave it.  It returns their
-`Lockstep` outcome in place of one TrainResult.
+Every training is one loop over a stack of C >= 1 candidate models, one
+per learning rate, stepped in lockstep on a leading candidate axis; each
+model comes out bit for bit as its own training at that rate would leave it.
+A trainer given `learning_rates` returns the stack's `Lockstep` outcome;
+without them it trains at cfg.learning_rate alone, as a one-candidate stack,
+and returns that model's TrainResult.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     cfg: TrainConfig,
-    learning_rates: np.ndarray | None = None,
+    learning_rates: np.ndarray,
 ) -> tuple[list[np.ndarray], AdamState]:
     """One bias-corrected Adam update with coupled L2 weight decay, written
     into the arrays of `params` and `state`, which are returned:
@@ -96,28 +98,26 @@ def adam_step(
         g' = g + wd * p;  m = b1 * m + (1 - b1) * g';  v = b2 * v + (1 - b2) * g' * g'
         p = p - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
-    Weight decay is added to the gradient before the moment updates.  With
-    `learning_rates`, C rates, every array carries a leading axis of C
-    candidates and candidate c steps at rate c; otherwise lr is
-    cfg.learning_rate.  Every gradient is checked before anything is
-    written; the error names the first candidate with a non-finite entry,
-    and its parameter and index within that candidate.
+    Weight decay is added to the gradient before the moment updates.  Every
+    array carries a leading axis of C candidates, and candidate c steps at
+    `learning_rates[c]`, a (C,) array.  Every gradient is checked before
+    anything is written; the error names the first candidate with a
+    non-finite entry, and its parameter and index within that candidate.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and state shapes disagree")
     if not all(np.isfinite(g).all() for g in grads):
-        stacks = grads if learning_rates is not None else [g[None] for g in grads]  # (C, ...) each
-        finite = np.array([np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in stacks])  # (param, C)
+        finite = np.array([np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in grads])  # (param, C)
         c = int(np.flatnonzero(~finite.all(axis=0))[0])
         i = int(np.flatnonzero(~finite[:, c])[0])
-        bad = np.argwhere(~np.isfinite(stacks[i][c]))[0]
+        bad = np.argwhere(~np.isfinite(grads[i][c]))[0]
         raise NonFiniteGradientError(
             f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})", c
         )
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        lr = cfg.learning_rate if learning_rates is None else learning_rates.reshape((-1,) + (1,) * (p.ndim - 1))
+        lr = learning_rates.reshape((-1,) + (1,) * (p.ndim - 1))
         g = g + cfg.weight_decay * p
         m *= b1
         m += (1.0 - b1) * g
@@ -139,34 +139,28 @@ Lockstep = tuple[list[TrainResult], NonFiniteGradientError | None]
 Rates = Sequence[float] | None
 
 
-def _run_loop(
-    ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learning_rates: Rates = None, **fixed
-) -> TrainResult | Lockstep:
+def _run_loop(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, rates: np.ndarray, **fixed) -> Lockstep:
     """The minibatch loop for the loss `kind`.  Each batch gets the rows of
     the `per_instance` arrays it covers; the `fixed` arguments, prepared once
-    per training call, go to every batch unchanged.  Returns a TrainResult.
+    per training call, go to every batch unchanged.
 
-    With `learning_rates`, C rates, C candidates start from the one
-    initialisation and step in lockstep on the same batches: the parameters,
-    the Adam moments and a `fixed` T, then (C, K, K), carry a leading
-    candidate axis.  A candidate whose gradient turns non-finite stops there
-    with its error, and so does every candidate after it, since a run
-    through the rates in order would not reach them; those before it run on.
-    Returns their Lockstep outcome.
+    One candidate per entry of `rates` starts from the one initialisation,
+    and all step in lockstep on the same batches: the parameters, the Adam
+    moments and a `fixed` T, (C, K, K), carry a leading candidate axis.  A
+    candidate whose gradient turns non-finite stops there with its error,
+    and so does every candidate after it, since a run through the rates in
+    order would not reach them; those before it run on.
     """
-    model = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
-    rates, error = None, None
-    if learning_rates is not None:
-        rates = np.array(learning_rates, dtype=np.float64)
-        model = LinearModel(*(np.repeat(p[None], rates.size, axis=0) for p in (model.weights, model.bias)), head)
+    init = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
+    model = LinearModel(*(np.repeat(p[None], rates.size, axis=0) for p in (init.weights, init.bias)), head)
     W, b = model.weights, model.bias  # updated in place, through the views of any later model
     params = [W, b]
     state = init_adam(params)
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
-    curve = []
+    curve, error = [], None
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(ds.n_instances)
-        epoch_loss = np.zeros(np.shape(rates))
+        epoch_loss = np.zeros(rates.size)
         for start in range(0, ds.n_instances, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             rows = {name: a[idx] for name, a in per_instance.items()}
@@ -174,8 +168,6 @@ def _run_loop(
             try:
                 adam_step(params, [gW, gb], state, cfg, rates)
             except NonFiniteGradientError as exc:
-                if rates is None:
-                    raise
                 error, live = exc, exc.candidate
                 if live == 0:
                     return [], error
@@ -189,28 +181,38 @@ def _run_loop(
                 adam_step(params, [gW, gb], state, cfg, rates)
             epoch_loss += value * idx.size
         curve.append(epoch_loss / ds.n_instances)
-    if rates is None:
-        return TrainResult(model=model, epoch_losses=[float(e) for e in curve])
     results = [
         TrainResult(LinearModel(W[c], b[c], head), [float(e[c]) for e in curve]) for c in range(rates.size)
     ]
     return results, error
 
 
-def _transitions(T, learning_rates: Rates) -> np.ndarray:
-    """T as float64 and checked; with `learning_rates`, a stack (C, K, K) of
-    one matrix per rate."""
-    T = np.asarray(T, dtype=np.float64)
-    for t in T if learning_rates is not None else [T]:
-        validate_transition(t)
-    return T
+def _train(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learning_rates: Rates, T=None, **fixed):
+    """Run `_run_loop` at `learning_rates`, with T, when given, a checked
+    (C, K, K) stack, and return its Lockstep outcome.  Without rates, train
+    at cfg.learning_rate alone, as a stack of one with T (K, K) stacked, and
+    return its TrainResult or raise its error: the one place a training is
+    single or stacked."""
+    single = learning_rates is None
+    rates = np.array([cfg.learning_rate] if single else learning_rates, dtype=np.float64)
+    if T is not None:
+        T = np.asarray(T, dtype=np.float64)
+        fixed["T"] = T[None] if single else T
+        for t in fixed["T"]:
+            validate_transition(t)
+    results, error = _run_loop(ds, head, cfg, kind, per_instance, rates, **fixed)
+    if not single:
+        return results, error
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def train_cl_predictor(
     cds: ComplementaryDataset, cfg: TrainConfig, learning_rates: Rates = None
 ) -> TrainResult | Lockstep:
     """Softmax predictor of the complementary label, trained with cross entropy."""
-    return _run_loop(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl}, learning_rates)
+    return _train(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl}, learning_rates)
 
 
 def train_mlcl(
@@ -218,13 +220,12 @@ def train_mlcl(
 ) -> TrainResult | Lockstep:
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
-    T = _transitions(T, learning_rates)
-    return _run_loop(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, learning_rates, T=T, beta=cfg.beta)
+    return _train(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, learning_rates, T=T, beta=cfg.beta)
 
 
 def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig, learning_rates: Rates = None) -> TrainResult | Lockstep:
     """Fully supervised sigmoid classifier under binary cross entropy."""
-    return _run_loop(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)}, learning_rates)
+    return _train(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)}, learning_rates)
 
 
 def train_clrl(
@@ -233,6 +234,5 @@ def train_clrl(
     """Training from one complementary label plus a partial relevant vector."""
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")
-    T = _transitions(T, learning_rates)
     per_instance = {"cl": cds.cl, "relevant": cds.relevant.astype(np.float64)}
-    return _run_loop(cds, "sigmoid", cfg, "clrl", per_instance, learning_rates, T=T)
+    return _train(cds, "sigmoid", cfg, "clrl", per_instance, learning_rates, T=T)

@@ -94,6 +94,8 @@ def estimate_initial_S(cds: ComplementaryDataset, cl_predictor: LinearModel) -> 
 
     Row k is the mean softmax output over instances whose candidate set
     contains label k.  An empty pool yields a uniform row with a warning.
+    Non-finite scores, from logits that overflow, are rejected naming the
+    first instance that has one.
     """
     if cl_predictor.head != "softmax":
         raise ValueError("the complementary-label predictor must use the softmax head")
@@ -101,6 +103,10 @@ def estimate_initial_S(cds: ComplementaryDataset, cl_predictor: LinearModel) -> 
     cand = cds.candidate_matrix().astype(np.float64)
     counts = cand.sum(axis=0)
     F = forward(cl_predictor, cds.features)
+    bad = ~np.isfinite(F).all(axis=1)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"complementary-label predictor gave non-finite scores on instance {first}")
     S = cand.T @ F
     empty = counts == 0
     S = np.where(empty[:, None], 1.0 / K, S / np.where(empty, 1.0, counts)[:, None])

@@ -719,8 +719,14 @@ class TestSubsets:
         assert subset_membership(4).shape == (14, 4)
 
     def test_k13_rejected(self):
-        with pytest.raises(ValueError):
+        from comlabel.theory import random_generative_spec
+
+        with pytest.raises(ValueError, match="^subset enumeration supports 3 <= K <= 12, got 13$"):
             subset_membership(13)
+        with pytest.raises(ValueError, match="^GenerativeSpec requires 3 <= K <= 12$"):
+            GenerativeSpec(13, np.ones(2**13 - 2) / (2**13 - 2), np.zeros((2**13 - 2, 13)))
+        with pytest.raises(ValueError, match=r"^n_labels must lie in \[3, 12\]$"):
+            random_generative_spec(13, np.random.default_rng(0))
 
 
 class TestGenerative:

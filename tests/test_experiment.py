@@ -130,13 +130,11 @@ class TestFoldFailure:
         raised = []
         orig = experiment.train_mlcl
 
-        def diverging_on_fold_2(cds, T, tcfg, *rates):
+        def diverging_on_fold_2(cds, T, tcfg, rates):
             if tcfg.seed == cfg.train.seed + 2:  # each fold trains with seed + fold index
                 raised.append(NonFiniteGradientError("non-finite gradient in parameter 0 at index (0, 0) (step 1)"))
-                if rates:  # the grid's lockstep training returns its error with no results
-                    return [], raised[-1]
-                raise raised[-1]
-            return orig(cds, T, tcfg, *rates)
+                return [], raised[-1]  # a lockstep training returns its error with no results
+            return orig(cds, T, tcfg, rates)
 
         monkeypatch.setattr(experiment, "train_mlcl", diverging_on_fold_2)
         with pytest.raises(RuntimeError, match=r"^fold 2 failed: non-finite gradient") as info:
@@ -172,6 +170,25 @@ class TestDivergence:
             run_cv(cfg)
         assert str(info.value) == message
         assert isinstance(info.value.__cause__, NonFiniteGradientError)
+
+    def test_fixed_lr_divergence_names_fold(self, far_rows):
+        cfg = quick_config(far_rows, learning_rate=1e-1, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        message = "fold 1 failed: non-finite gradient in parameter 0 at index (0, 0) (step 20)"
+        with pytest.raises(RuntimeError) as info:
+            run_cv(cfg)
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, NonFiniteGradientError)
+        assert info.value.__cause__.candidate == 0
+
+    def test_overflowing_predictor_named(self, far_rows):
+        # fewer, larger batches: the lr 1e-1 predictor's logits overflow on the
+        # far rows before any gradient does, and the grid fails that rate
+        cfg = quick_config(far_rows, learning_rate=None, train=TrainConfig(epochs=6, batch_size=32, seed=3))
+        message = "fold 1 failed: complementary-label predictor gave non-finite scores on instance 0"
+        with pytest.raises(RuntimeError) as info:
+            run_cv(cfg)
+        assert str(info.value) == message
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("learning_rate", [1e-2, 1e-3])
     def test_smaller_rates_converge(self, far_rows, learning_rate):

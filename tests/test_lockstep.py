@@ -1,7 +1,7 @@
 """The lr grid's lockstep training: a stack of C models stepped together must
-give, candidate for candidate, the bits of C trainings run one at a time,
-and a failing candidate must surface exactly the error that the run through
-the grid in order raises."""
+give, candidate for candidate, the bits of C one-rate trainings run one at a
+time, and a failing candidate must surface exactly the error that the run
+through the grid in order raises."""
 
 import re
 from collections import Counter
@@ -88,17 +88,17 @@ class TestStackedAdam:
         rng = np.random.default_rng(5)
         rates = np.array(LEARNING_RATE_GRID)
         params = [rng.standard_normal((C, 4, 7)), rng.standard_normal((C, 4))]
-        singles = [[p[c].copy() for p in params] for c in range(C)]
+        singles = [[p[c : c + 1].copy() for p in params] for c in range(C)]  # one-rate stacks
         state, single_states = init_adam(params), [init_adam(s) for s in singles]
+        cfg = TrainConfig(weight_decay=weight_decay)
         for _ in range(40):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
-            adam_step(params, grads, state, TrainConfig(weight_decay=weight_decay), rates)
-            for c, lr in enumerate(rates):
-                cfg = TrainConfig(learning_rate=lr, weight_decay=weight_decay)
-                adam_step(singles[c], [g[c] for g in grads], single_states[c], cfg)
+            adam_step(params, grads, state, cfg, rates)
+            for c in range(C):
+                adam_step(singles[c], [g[c : c + 1] for g in grads], single_states[c], cfg, rates[c : c + 1])
         for c in range(C):
             for got, want in zip(params + state.m + state.v, singles[c] + single_states[c].m + single_states[c].v):
-                assert same_bits(got[c], want)
+                assert same_bits(got[c], want[0])
 
     def test_nonfinite_names_first_candidate_and_writes_nothing(self):
         rng = np.random.default_rng(6)
@@ -132,8 +132,8 @@ def fold():
 
 class Recorder:
     """Spies on the classifier trainings experiment runs, keeping each
-    candidate's T (None when supervised) and model in call order; a lockstep
-    call adds one of each per candidate."""
+    candidate's T (None when supervised) and model in call order; every
+    call is a lockstep one and adds one of each per candidate."""
 
     def __init__(self, monkeypatch):
         self.Ts, self.models = [], []
@@ -142,22 +142,23 @@ class Recorder:
 
     def _spy(self, train, takes_T):
         def spy(data, *args):
-            out = train(data, *args)
-            T = args[0] if takes_T else None
-            if isinstance(out, tuple):  # a lockstep call: (results, error), T stacked
-                self.Ts += [None if T is None else T[c] for c in range(len(out[0]))]
-                self.models += [r.model for r in out[0]]
-            else:
-                self.Ts.append(T)
-                self.models.append(out.model)
+            results, error = out = train(data, *args)
+            T = args[0] if takes_T else None  # stacked, one matrix per candidate
+            self.Ts += [None if T is None else T[c] for c in range(len(results))]
+            self.models += [r.model for r in results]
             return out
 
         return spy
 
 
 def one_at_a_time(cds, train_ds, cfg, base):
-    """The grid as three separate trainings, one rate after another."""
-    return [experiment._train_for_regime(cds, train_ds, cfg, replace(base, learning_rate=lr)) for lr in LEARNING_RATE_GRID]
+    """The grid as three separate one-rate trainings, one rate after another."""
+    models = []
+    for lr in LEARNING_RATE_GRID:
+        (model,), failure = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
+        assert failure is None
+        models.append(model)
+    return models
 
 
 def reference_rate(cds, train_ds, cfg, base):
@@ -212,7 +213,7 @@ class TestLockstepGrid:
         want_models = one_at_a_time(cds, train_ds, cfg, self.BASE)
         assert [m.weights.tobytes() for m in sequential.models] == [m.weights.tobytes() for m in want_models]
         lockstep = Recorder(monkeypatch)
-        models, failure = experiment._train_grid(cds, train_ds, cfg, self.BASE)
+        models, failure = experiment._train_grid(cds, train_ds, cfg, self.BASE, LEARNING_RATE_GRID)
         assert failure is None and len(models) == len(lockstep.models) == C
         for got, want in zip(models, want_models):
             assert same_bits(got.weights, want.weights) and same_bits(got.bias, want.bias)
@@ -261,12 +262,10 @@ class Faults:
         def objective(model, X, kind, **targets):
             value, gW, gb = real_objective(model, X, kind, **targets)
             self.steps[kind] += 1
-            stacked = model.weights.ndim == 3
-            for c in range(len(gW)) if stacked else [self.candidate]:
-                fault = self.faults.get((STAGES[kind], c))
+            for c in range(len(gW)):  # a one-rate training's candidate 0 is self.candidate
+                fault = self.faults.get((STAGES[kind], c if self.candidate is None else self.candidate))
                 if fault and fault[0] == self.steps[kind]:
-                    grad = (gW, gb)[fault[1]]
-                    (grad[c] if stacked else grad)[fault[2]] = np.nan
+                    (gW, gb)[fault[1]][c][fault[2]] = np.nan
             return value, gW, gb
 
         def estimate(cds, predictor, **kw):
@@ -279,20 +278,20 @@ class Faults:
         monkeypatch.setattr(experiment, "estimate_transition", estimate)
 
     def one_at_a_time(self, cds, train_ds, cfg, base):
-        """Run the rates one after another, as the grid did before lockstep:
-        the models until the first failure, and that failure."""
+        """Run the rates one after another, each as a one-rate training: the
+        models until the first failure, and that failure."""
         models = []
         for c, lr in enumerate(LEARNING_RATE_GRID):
             self.candidate, self.steps = c, Counter()
-            try:
-                models.append(experiment._train_for_regime(cds, train_ds, cfg, replace(base, learning_rate=lr)))
-            except (NonFiniteGradientError, ValueError) as exc:
-                return models, exc
+            found, failure = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
+            if failure is not None:
+                return models, failure
+            models += found
         return models, None
 
     def lockstep(self, cds, train_ds, cfg, base):
         self.candidate, self.steps, self.estimates = None, Counter(), 0
-        return experiment._train_grid(cds, train_ds, cfg, base)
+        return experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
 
 
 class TestFailurePrecedence:

@@ -10,7 +10,7 @@ from comlabel.dataset import (
 )
 from comlabel.loss import batch_objective
 from comlabel.metrics import evaluate_all
-from comlabel.model import forward, init_linear
+from comlabel.model import LinearModel, forward, init_linear
 from comlabel.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -70,13 +70,19 @@ class TestTrainConfig:
             TrainConfig(**{name: value})
 
 
+def one_rate(cfg):
+    """The learning rates of a one-candidate stack at cfg's rate."""
+    return np.array([cfg.learning_rate])
+
+
 class TestAdamStep:
+    # every array is a one-candidate stack: a leading axis of length 1
     def test_zero_gradient_no_decay_is_identity(self):
         cfg = TrainConfig(weight_decay=0.0)
-        params = [np.array([[1.0, -2.0]]), np.array([0.5])]
+        params = [np.array([[[1.0, -2.0]]]), np.array([[0.5]])]
         before = [p.copy() for p in params]
-        grads = [np.zeros((1, 2)), np.zeros(1)]
-        out, state = adam_step(params, grads, init_adam(params), cfg)
+        grads = [np.zeros((1, 1, 2)), np.zeros((1, 1))]
+        out, state = adam_step(params, grads, init_adam(params), cfg, one_rate(cfg))
         np.testing.assert_array_equal(out[0], before[0])
         np.testing.assert_array_equal(out[1], before[1])
         assert state.t == 1
@@ -85,13 +91,13 @@ class TestAdamStep:
     def test_in_place_update_bit_identical_to_reference(self, weight_decay):
         cfg = TrainConfig(learning_rate=0.05, weight_decay=weight_decay)
         rng = np.random.default_rng(8)
-        params = [rng.standard_normal((4, 7)), rng.standard_normal(4)]  # (K, d) and (K,)
+        params = [rng.standard_normal((1, 4, 7)), rng.standard_normal((1, 4))]  # (1, K, d) and (1, K)
         ref_params, ref_state = [p.copy() for p in params], init_adam(params)
         state = init_adam(params)
         for _ in range(50):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
             ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, cfg)
-            out, out_state = adam_step(params, grads, state, cfg)
+            out, out_state = adam_step(params, grads, state, cfg, one_rate(cfg))
             assert out is params and out_state is state
         assert state.t == ref_state.t == 50
         for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
@@ -100,14 +106,15 @@ class TestAdamStep:
     def test_nonfinite_gradient_leaves_params_and_moments_untouched(self):
         cfg = TrainConfig(weight_decay=1e-2)
         rng = np.random.default_rng(2)
-        params = [rng.standard_normal((3, 4)), rng.standard_normal(3)]
+        params = [rng.standard_normal((1, 3, 4)), rng.standard_normal((1, 3))]
         state = init_adam(params)
-        adam_step(params, [np.ones((3, 4)), np.ones(3)], state, cfg)
+        adam_step(params, [np.ones((1, 3, 4)), np.ones((1, 3))], state, cfg, one_rate(cfg))
         snapshot = [a.copy() for a in params + state.m + state.v]
         # the good gradient comes first: nothing may be written before the bad one is seen
-        grads = [np.ones((3, 4)), np.array([0.0, np.nan, 0.0])]
-        with pytest.raises(NonFiniteGradientError, match=r"parameter 1 at index \(1,\) \(step 2\)"):
-            adam_step(params, grads, state, cfg)
+        grads = [np.ones((1, 3, 4)), np.array([[0.0, np.nan, 0.0]])]
+        with pytest.raises(NonFiniteGradientError, match=r"parameter 1 at index \(1,\) \(step 2\)") as info:
+            adam_step(params, grads, state, cfg, one_rate(cfg))
+        assert info.value.candidate == 0
         assert state.t == 1
         for got, want in zip(params + state.m + state.v, snapshot):
             assert np.array_equal(got, want)
@@ -116,44 +123,115 @@ class TestAdamStep:
         # closed-form fixed point: with constant g, bias-corrected moments give
         # update -> lr * g / (|g| + eps) ~ lr * sign(g)
         cfg = TrainConfig(learning_rate=0.03, weight_decay=0.0)
-        params = [np.array([0.0])]
-        g = [np.array([0.37])]
+        params = [np.array([[0.0]])]
+        g = [np.array([[0.37]])]
         state = init_adam(params)
-        prev = params[0].copy()
         for _ in range(300):
-            params, state = adam_step(params, g, state, cfg)
-        step = prev[0] - params[0][0]
+            params, state = adam_step(params, g, state, cfg, one_rate(cfg))
         # after many steps each update has magnitude ~ lr
         last = params[0].copy()
-        params, state = adam_step(params, g, state, cfg)
-        np.testing.assert_allclose(abs(last[0] - params[0][0]), cfg.learning_rate, rtol=1e-6)
+        params, state = adam_step(params, g, state, cfg, one_rate(cfg))
+        np.testing.assert_allclose(abs(last[0, 0] - params[0][0, 0]), cfg.learning_rate, rtol=1e-6)
 
     def test_decay_pulls_toward_zero(self):
         cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-        params = [np.array([5.0])]
+        params = [np.array([[5.0]])]
         state = init_adam(params)
         for _ in range(50):
-            params, state = adam_step(params, [np.zeros(1)], state, cfg)
-        assert params[0][0] < 5.0
+            params, state = adam_step(params, [np.zeros((1, 1))], state, cfg, one_rate(cfg))
+        assert params[0][0, 0] < 5.0
 
     def test_nonfinite_gradient_aborts_with_diagnostics(self):
         cfg = TrainConfig()
-        params = [np.zeros((2, 2))]
-        grads = [np.array([[0.0, np.nan], [0.0, 0.0]])]
+        params = [np.zeros((1, 2, 2))]
+        grads = [np.array([[[0.0, np.nan], [0.0, 0.0]]])]
         with pytest.raises(NonFiniteGradientError, match=r"parameter 0 at index \(0, 1\)"):
-            adam_step(params, grads, init_adam(params), cfg)
+            adam_step(params, grads, init_adam(params), cfg, one_rate(cfg))
 
     def test_deterministic(self):
         cfg = TrainConfig(seed=3)
         rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
-        params1 = [rng1.standard_normal((3, 4))]
-        params2 = [rng2.standard_normal((3, 4))]
+        params1 = [rng1.standard_normal((1, 3, 4))]
+        params2 = [rng2.standard_normal((1, 3, 4))]
         s1, s2 = init_adam(params1), init_adam(params2)
         for step in range(20):
-            g = [np.full((3, 4), 0.1 * (step + 1))]
-            params1, s1 = adam_step(params1, g, s1, cfg)
-            params2, s2 = adam_step(params2, g, s2, cfg)
+            g = [np.full((1, 3, 4), 0.1 * (step + 1))]
+            params1, s1 = adam_step(params1, g, s1, cfg, one_rate(cfg))
+            params2, s2 = adam_step(params2, g, s2, cfg, one_rate(cfg))
         np.testing.assert_array_equal(params1[0], params2[0])
+
+
+def reference_training(ds, head, cfg, kind, per_instance, **fixed):
+    """The minibatch loop on one 2-D model with the out-of-place Adam above,
+    on the trainers' seeds: the bits a one-rate training must reproduce."""
+    model = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
+    state = init_adam([model.weights, model.bias])
+    shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
+    curve = []
+    for _ in range(cfg.epochs):
+        perm = shuffle_rng.permutation(ds.n_instances)
+        total = 0.0
+        for start in range(0, ds.n_instances, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            rows = {name: a[idx] for name, a in per_instance.items()}
+            value, gW, gb = batch_objective(model, ds.features[idx], kind, **rows, **fixed)
+            (W, b), state = reference_adam_step([model.weights, model.bias], [gW, gb], state, cfg)
+            model = LinearModel(W, b, head)
+            total += value * idx.size
+        curve.append(float(total / ds.n_instances))
+    return model, curve
+
+
+class TestOneRateTraining:
+    """A trainer at one rate runs as a stack of one candidate, and gives the
+    bits of the plain 2-D loop."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("trainer", ["cl_predictor", "mlcl", "clrl", "supervised"])
+    def test_bit_equal_to_2d_loop(self, trainer, fmt):
+        import scipy.sparse as sp
+
+        from comlabel.dataset import ComplementaryDataset, MultiLabelDataset
+
+        K = 4
+        full, comp = sample_from_generative(make_exclusive_spec(K), 203, 9, seed=12)  # 203 leaves a short batch
+        X = sp.csr_matrix(np.where(np.abs(full.features) < 0.5, 0.0, full.features)) if fmt == "csr" else full.features
+        cds = ComplementaryDataset(X, comp.cl, K, relevant=full.y)
+        ds = MultiLabelDataset(X, full.y)
+        T = uniform_transition(K)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=32, epochs=4, beta=0.7, seed=8)
+        y = full.y.astype(np.float64)
+        if trainer == "cl_predictor":
+            result = train_cl_predictor(cds, cfg)
+            model, curve = reference_training(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl})
+        elif trainer == "mlcl":
+            result = train_mlcl(cds, T, cfg)
+            model, curve = reference_training(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, T=T, beta=cfg.beta)
+        elif trainer == "clrl":
+            result = train_clrl(cds, T, cfg)
+            model, curve = reference_training(cds, "sigmoid", cfg, "clrl", {"cl": cds.cl, "relevant": y}, T=T)
+        else:
+            result = train_supervised(ds, cfg)
+            model, curve = reference_training(ds, "sigmoid", cfg, "bce_supervised", {"y": y})
+        assert result.model.weights.shape == (K, 9) and result.model.bias.shape == (K,)
+        assert result.model.weights.tobytes() == model.weights.tobytes()
+        assert result.model.bias.tobytes() == model.bias.tobytes()
+        assert result.epoch_losses == curve
+
+    def test_error_raised_as_candidate_zero(self, monkeypatch):
+        import comlabel.optim as optim
+
+        _, comp = sample_from_generative(make_exclusive_spec(3), 60, 4, seed=13)
+
+        def poisoned(model, X, kind, **targets):
+            value, gW, gb = batch_objective(model, X, kind, **targets)
+            gW[0, 1, 2] = np.inf
+            return value, gW, gb
+
+        monkeypatch.setattr(optim, "batch_objective", poisoned)
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(1, 2\) \(step 1\)$") as info:
+            train_cl_predictor(comp, TrainConfig(epochs=1, seed=1))
+        assert info.value.candidate == 0
 
 
 class TestTrainingLoops:

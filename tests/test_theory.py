@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from comlabel.dataset import (
+    MAX_ENUM_LABELS,
     make_exclusive_spec,
     make_uniform_cl_spec,
+    sample_from_generative,
     subset_membership,
     uniform_cl_rows,
 )
@@ -128,6 +130,25 @@ class TestTheorem1:
             if lhs > rhs + 1e-9:
                 strict += 1
         assert strict > 50  # correlated masses typically make the bound strict
+
+
+class TestEnumerationLimit:
+    def test_largest_k_runs(self):
+        # K = 12 enumerates 4094 subsets; the spec, every label's bound and a
+        # sample all complete at that size
+        K = MAX_ENUM_LABELS
+        rng = np.random.default_rng(12)
+        spec = random_generative_spec(K, rng)
+        assert K == 12 and spec.n_subsets == 4094
+        post = random_posterior(spec, rng)
+        for j in range(K):
+            lhs, rhs = theorem1_gap(spec, post, j)
+            assert lhs >= rhs - 1e-12
+        full, comp = sample_from_generative(spec, 2000, 20, seed=12)
+        assert full.features.shape == (2000, 20) and full.y.shape == (2000, K)
+        cardinality = full.y.sum(axis=1)
+        assert np.all((cardinality >= 1) & (cardinality < K))
+        assert not full.y[np.arange(2000), comp.cl].any()  # a complementary label is never relevant
 
 
 class TestAnchorQ:

@@ -115,6 +115,17 @@ class TestInitialS:
             S = estimate_initial_S(_cds([0, 0], K), model)
         np.testing.assert_allclose(S[0], 1.0 / K)
 
+    def test_non_finite_scores_name_the_predictor(self, monkeypatch):
+        # logits that overflow give nan softmax scores, which would carry
+        # into every row of T whose pool holds the instance
+        K, d = 3, 2
+        scores = np.full((4, K), 1.0 / K)
+        scores[2, 1] = scores[3, 0] = np.nan
+        model = LinearModel(np.zeros((K, d)), np.zeros(K), "softmax")
+        monkeypatch.setattr("comlabel.transition.forward", lambda m, x: scores)
+        with pytest.raises(ValueError, match="^complementary-label predictor gave non-finite scores on instance 2$"):
+            estimate_initial_S(_cds([0, 1, 2, 0], K, d=d), model)
+
     def test_sigmoid_predictor_rejected(self):
         model = init_linear(2, 3, "sigmoid", seed=0)
         with pytest.raises(ValueError, match="softmax"):
