@@ -77,7 +77,8 @@ OPTIONS = (
     Option("max_labels", ("corrupt", *CV), int, RunConfig.max_labels),
     Option("weight_decay", TRAINING, float, TrainConfig.weight_decay),
     Option("out", ("corrupt", "eval", *CV, "theory-check", "convert"), help="output path"),
-    Option("transition_in", ("train", *CV)),
+    # ablate's no_correlation row estimates T, so it takes no transition file
+    Option("transition_in", ("train", "cv", "sweep-beta", "clrl")),
     Option("transition_out", ("estimate-t", "train")),
     Option("curve_out", ("estimate-t", "train"), help="per-epoch training-loss CSV"),
     Option("normalize_features", CV, default="off", choices=("on", "off")),
@@ -208,7 +209,7 @@ def _run_config(args) -> RunConfig:
             normalize=args.normalize_features == "on",
             learning_rate=args.lr,
             train=_train_config(args),
-            transition_path=args.transition_in,
+            transition_path=getattr(args, "transition_in", None),  # ablate takes no --transition-in
             relevant_count=RunConfig.relevant_count if relevant is None else relevant,
         )
 
@@ -275,6 +276,11 @@ def cmd_eval(args) -> int:
     _require(args, "data", "out", "model_in")
     ds = parse_multilabel_file(args.data)
     model = load_model(args.model_in)
+    if (model.n_features, model.n_labels) != (ds.n_features, ds.n_labels):
+        raise SystemExit(
+            f"{args.model_in}: checkpoint has {model.n_features} features and {model.n_labels} labels, "
+            f"but {args.data} has {ds.n_features} features and {ds.n_labels} labels"
+        )
     report = AggregateReport((evaluate_all(forward(model, ds.features), ds.y),))
     write_report(report, args.out)
     _print_summary("eval", report)
@@ -291,16 +297,13 @@ def cmd_cv(args) -> int:
 
 def cmd_ablate(args) -> int:
     _require(args, "data", "out")
-    cfg = _run_config(args)
-    full = run_cv(cfg)
-    variants = run_ablation(cfg)
+    reports = run_ablation(_run_config(args))
     base = Path(args.out)
-    write_report(full, base)
-    for name, rep in variants.items():
-        path = base.with_name(base.stem + f".{name}" + base.suffix)
+    for name, rep in reports.items():
+        path = base if name == "full" else base.with_name(base.stem + f".{name}" + base.suffix)
         write_report(rep, path)
-        _print_summary(name, rep)
-    _print_summary("full", full)
+    for name in ("no_correlation", "no_mse", "full"):
+        _print_summary(name, reports[name])
     return 0
 
 

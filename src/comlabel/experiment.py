@@ -69,7 +69,9 @@ class RunConfig:
     learning_rate=None selects from the grid {1e-1, 1e-2, 1e-3} on a 10%
     validation split of each training fold (stratified by complementary
     label), scored by average precision.  transition_path=None estimates T
-    on each training fold; a path gives the matrix every fold uses.
+    on each training fold; a path gives the matrix every fold uses, so it
+    cannot be combined with no_correlation, which changes the estimate.
+    The squared-error regulariser is dropped by train.beta = 0.
     """
 
     data_path: str | Path
@@ -81,7 +83,6 @@ class RunConfig:
     learning_rate: float | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     no_correlation: bool = False
-    no_mse: bool = False
     transition_path: str | Path | None = None
     relevant_count: int = 1
 
@@ -96,6 +97,8 @@ class RunConfig:
             raise ValueError(f"max_labels must be at least {MIN_LABELS}, got {self.max_labels!r}")
         if self.relevant_count < 1:
             raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
+        if self.no_correlation and self.transition_path is not None:
+            raise ValueError("no_correlation changes the estimate of T, so it cannot take a transition_path")
 
     @cached_property
     def transition(self) -> np.ndarray:
@@ -176,12 +179,11 @@ def _train_grid(
     if cfg.regime == "supervised":
         results, failure = train_supervised(train_ds, base, rates)
         return [r.model for r in results], failure
-    tcfg = replace(base, beta=0.0) if cfg.no_mse else base
     failure = None
     if cfg.transition_path is not None:
         Ts = [cfg.transition] * len(rates)
     else:
-        predictors, failure = train_cl_predictor(cds, tcfg, rates)
+        predictors, failure = train_cl_predictor(cds, base, rates)
         Ts = []
         for result in predictors:
             try:
@@ -194,7 +196,7 @@ def _train_grid(
         if not Ts:
             return [], failure
     train = train_mlcl if cfg.regime == "cl" else train_clrl
-    results, error = train(cds, np.stack(Ts), tcfg, rates[: len(Ts)])
+    results, error = train(cds, np.stack(Ts), base, rates[: len(Ts)])
     return [r.model for r in results], error or failure
 
 
@@ -281,11 +283,13 @@ def run_cv(cfg: RunConfig) -> AggregateReport:
 
 
 def run_ablation(cfg: RunConfig) -> dict[str, AggregateReport]:
-    """The two single-component ablations: drop the correlation correction, or
-    drop the squared-error regularizer."""
+    """The full pipeline and its two single-component ablations, run in this
+    order: drop the correlation correction, or drop the squared-error
+    regularizer (beta = 0)."""
     return {
-        "no_correlation": run_cv(replace(cfg, no_correlation=True, no_mse=False)),
-        "no_mse": run_cv(replace(cfg, no_mse=True, no_correlation=False)),
+        "full": run_cv(cfg),
+        "no_correlation": run_cv(replace(cfg, no_correlation=True)),
+        "no_mse": run_cv(replace(cfg, train=replace(cfg.train, beta=0.0))),
     }
 
 

@@ -36,7 +36,7 @@ def _clip(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS), interior
 
 
-LOSS_KINDS = ("bce_supervised", "cl_bce", "cl_mse", "mlcl", "clrl", "ce_softmax")
+LOSS_KINDS = ("bce_supervised", "mlcl", "clrl", "ce_softmax")
 
 
 def _bce(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,12 +46,6 @@ def _bce(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = -(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc)).sum(axis=-1)
     grad = ((1.0 - Y) / (1.0 - Pc) - Y / Pc) * interior
     return values, grad
-
-
-def _mse(Q: np.ndarray, Ybar: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of (Ybar - Q)^2 for Q = F T, and their derivative with respect to F."""
-    R = Ybar - Q
-    return (R**2).sum(axis=-1), -2.0 * R @ T.swapaxes(-1, -2)
 
 
 def score_objective(
@@ -75,10 +69,10 @@ def score_objective(
     row.  The losses, per row f with q = T^T f:
     * bce_supervised: BCE of f against the relevance vector y;
     * ce_softmax: -log f[cl] for softmax scores;
-    * cl_bce: BCE of q against ybar (q is clamped, not renormalised);
-    * cl_mse: ||ybar - q||^2, unclamped;
-    * mlcl: cl_bce + beta * cl_mse;
-    * clrl: cl_bce + ||relevant - f||^2 over all coordinates.
+    * mlcl: BCE of q against ybar (q is clamped, not renormalised) plus
+      beta * ||ybar - q||^2 (unclamped); beta = 0 drops the regulariser;
+    * clrl: the BCE of q against ybar plus ||relevant - f||^2 over all
+      coordinates.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -100,17 +94,13 @@ def score_objective(
     T = np.asarray(T, dtype=np.float64)
     Ybar = np.eye(F.shape[-1])[np.asarray(cl, dtype=np.int64)]
     Q = F @ T
-    if kind == "cl_mse":
-        return _mse(Q, Ybar, T)
     values, g_q = _bce(Q, Ybar)
     G = g_q @ T.swapaxes(-1, -2)
     if kind == "mlcl":
-        mse, g_mse = _mse(Q, Ybar, T)
-        return values + beta * mse, G + beta * g_mse
-    if kind == "clrl":
-        R = np.asarray(relevant, dtype=np.float64) - F
-        return values + (R**2).sum(axis=-1), G - 2.0 * R
-    return values, G
+        R = Ybar - Q
+        return values + beta * (R**2).sum(axis=-1), G + beta * (-2.0 * R @ T.swapaxes(-1, -2))
+    R = np.asarray(relevant, dtype=np.float64) - F
+    return values + (R**2).sum(axis=-1), G - 2.0 * R
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,13 @@ def load_model(path: str | Path) -> LinearModel:
     if not lines:
         raise ValueError("empty checkpoint")
     parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError("checkpoint header must be 'd K head'")
+    if len(parts) != 3 or not all(p.isdecimal() and int(p) > 0 for p in parts[:2]):
+        raise ValueError(f"checkpoint header must be 'd K head' with positive integers d and K, got {lines[0]!r}")
     d, K, head = int(parts[0]), int(parts[1]), parts[2]
     if len(lines) < K + 1:
         raise ValueError(f"checkpoint declares {K} rows but has {len(lines) - 1}")
+    if len(lines) > K + 1:
+        raise ValueError(f"checkpoint declares {K} rows, but line {K + 2} follows them")
     W = np.empty((K, d))
     b = np.empty(K)
     for k in range(K):

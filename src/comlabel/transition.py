@@ -182,9 +182,10 @@ def estimate_transition(
 
 
 def save_transition_csv(T: np.ndarray, path: str | Path) -> None:
-    """K rows of K comma-separated decimals at 12 significant digits."""
+    """K rows of K comma-separated decimals at 17 significant digits, so the
+    matrix reads back bit for bit."""
     T = np.asarray(T, dtype=np.float64)
-    lines = [",".join(f"{v:.12g}" for v in row) for row in T]
+    lines = [",".join(f"{v:.17g}" for v in row) for row in T]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

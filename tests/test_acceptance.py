@@ -10,6 +10,7 @@ Each criterion prints one PASS line with its measured values.
 
 import time
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,10 +69,18 @@ class TestCriterion1TransitionAlgebra:
 
 
 class TestCriterion2Gradients:
-    KINDS = ("bce_supervised", "cl_bce", "cl_mse", "mlcl", "clrl", "ce_softmax")
+    # (label, loss kind, beta): every kind, and mlcl at beta 0 and 1 besides
+    CASES = (
+        ("bce_supervised", "bce_supervised", None),
+        ("mlcl_beta0", "mlcl", 0.0),
+        ("mlcl_beta1", "mlcl", 1.0),
+        ("mlcl", "mlcl", None),
+        ("clrl", "clrl", None),
+        ("ce_softmax", "ce_softmax", None),
+    )
 
     @staticmethod
-    def _config(kind, rng):
+    def _config(kind, rng, beta=None):
         K = int(rng.integers(3, 6))
         d = int(rng.integers(2, 7))
         n = int(rng.integers(2, 7))
@@ -89,7 +98,7 @@ class TestCriterion2Gradients:
                 np.fill_diagonal(T, 0.0)
                 kwargs["T"] = T / T.sum(axis=1, keepdims=True)
             if kind == "mlcl":
-                kwargs["beta"] = float(rng.random() * 2)
+                kwargs["beta"] = float(rng.random() * 2) if beta is None else beta
             if kind == "clrl":
                 rel = np.zeros((n, K))
                 for i in range(n):
@@ -100,10 +109,10 @@ class TestCriterion2Gradients:
     def test_analytic_matches_finite_differences(self):
         start = time.perf_counter()
         worst = 0.0
-        for kind in self.KINDS:
-            rng = np.random.default_rng(zlib.crc32(kind.encode()))
+        for label, kind, beta in self.CASES:
+            rng = np.random.default_rng(zlib.crc32(label.encode()))
             for _ in range(50):
-                model, X, kwargs = self._config(kind, rng)
+                model, X, kwargs = self._config(kind, rng, beta)
                 report = gradient_check(model, X, kind, tolerance=1e-4, fd_eps=1e-5, **kwargs)
                 assert report.passed, f"{kind}: {report.worst_param} rel err {report.max_rel_error:.2e}"
                 worst = max(worst, report.max_rel_error)
@@ -111,7 +120,7 @@ class TestCriterion2Gradients:
         assert elapsed < 30.0, f"gradient checks took {elapsed:.1f}s"
         announce(
             "criterion 2 (gradient correctness)",
-            f"6 losses x 50 configs, worst relative error {worst:.2e}, {elapsed:.1f}s",
+            f"6 loss cases x 50 configs, worst relative error {worst:.2e}, {elapsed:.1f}s",
         )
 
 
@@ -259,7 +268,8 @@ class TestCriterion9aYeastAblation:
 @needs_scene
 class TestCriterion9bSceneAblation:
     def test_mse_regularizer_matters(self, scene_cv):
-        variant = run_cv(_paper_config(SCENE, no_mse=True))
+        cfg = _paper_config(SCENE)
+        variant = run_cv(replace(cfg, train=replace(cfg.train, beta=0.0)))
         full_ap = scene_cv.mean("average_precision")
         abl_ap = variant.mean("average_precision")
         assert full_ap - abl_ap >= 0.08, f"full {full_ap:.3f} vs without-regularizer {abl_ap:.3f}"

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from comlabel.cli import COMMANDS, _resolve, build_parser, load_config_file, main
-from comlabel.dataset import DatasetFormatError, parse_complementary_file, parse_multilabel_file
+from comlabel.dataset import (
+    DatasetFormatError,
+    MultiLabelDataset,
+    parse_complementary_file,
+    parse_multilabel_file,
+    write_multilabel_file,
+)
 from comlabel.experiment import read_report
 from comlabel.model import load_model
 from comlabel.transition import load_transition_csv, validate_transition
@@ -48,6 +54,17 @@ class TestEstimateT:
         T = load_transition_csv(tfile)
         validate_transition(T)
 
+    def test_transition_file_gives_the_checkpoint_of_its_estimate(self, data_file, tmp_path):
+        # the file holds T to the bit, so training through it is training through the estimate
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp, "--seed", "3")
+        fit = ("--epochs", "20", "--lr", "0.01", "--seed", "3")
+        tfile = tmp_path / "T.csv"
+        run("estimate-t", "--data", comp, "--transition-out", tfile, *fit)
+        run("train", "--data", comp, "--model-out", tmp_path / "own.txt", *fit)
+        run("train", "--data", comp, "--transition-in", tfile, "--model-out", tmp_path / "read.txt", *fit)
+        assert (tmp_path / "read.txt").read_bytes() == (tmp_path / "own.txt").read_bytes()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, data_file, tmp_path):
@@ -71,6 +88,19 @@ class TestTrainEval:
         assert run("eval", "--data", data_file, "--model-in", model_path, "--out", report_path) == 0
         rep = read_report(report_path)
         assert len(rep.fold_reports) == 1
+
+    @pytest.mark.parametrize("features, labels", [(5, 4), (6, 3)])
+    def test_eval_rejects_checkpoint_of_other_shape(self, data_file, tmp_path, features, labels):
+        model_path = tmp_path / "sup.txt"
+        run("train", "--data", data_file, "--regime", "supervised", "--model-out", model_path, "--epochs", "1")
+        X = np.random.default_rng(0).standard_normal((10, features))
+        other = tmp_path / "other.txt"
+        write_multilabel_file(MultiLabelDataset(X, np.eye(labels, dtype=np.uint8)[np.arange(10) % labels]), other)
+        out = tmp_path / "eval.csv"
+        want = f"sup.txt: checkpoint has 6 features and 4 labels, but .*other.txt has {features} features and {labels} labels$"
+        with pytest.raises(SystemExit, match=want):
+            run("eval", "--data", other, "--model-in", model_path, "--out", out)
+        assert not out.exists()
 
     def test_train_supervised(self, data_file, tmp_path):
         model_path = tmp_path / "sup.txt"
@@ -129,7 +159,13 @@ class TestCV:
             run("cv", "--data", data_file, "--folds", "3", "--epochs", "5", "--lr", "0.01",
                 "--transition-in", tfile, "--out", tmp_path / "cv.csv")  # fmt: skip
 
-    def test_ablate_writes_three_reports(self, data_file, tmp_path):
+    def test_ablate_writes_three_reports(self, data_file, tmp_path, monkeypatch):
+        import comlabel.cli as cli
+
+        def no_run_cv(cfg):
+            raise AssertionError("ablate ran run_cv beside run_ablation")
+
+        monkeypatch.setattr(cli, "run_cv", no_run_cv)  # run_ablation's rows are every report ablate writes
         out = tmp_path / "ab.csv"
         assert run("ablate", "--data", data_file, "--folds", "2", "--epochs", "10", "--lr", "0.01", "--out", out) == 0
         assert out.exists()

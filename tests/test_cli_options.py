@@ -32,7 +32,7 @@ DROPPED = {
     "train": ("mode", "folds", "max_labels", "out", "normalize_features"),
     "eval": ("mode", "seed", "max_labels", *UNTRAINED, *NOT_CV),
     "cv": ("transition_out", "curve_out"),
-    "ablate": ("transition_out", "curve_out"),
+    "ablate": ("transition_in", "transition_out", "curve_out"),
     "sweep-beta": ("beta", "transition_out", "curve_out"),
     "clrl": ("transition_out", "curve_out"),
     "theory-check": ("data", "mode", "max_labels", *UNTRAINED, *NOT_CV),
@@ -93,14 +93,14 @@ def test_options_match_snapshot(command):
     assert _describe(command) == _expected(command)
 
 
-def test_seventy_one_slots_dropped():
+def test_seventy_two_slots_dropped():
     slots = {command: len(_describe(command)["options"]) for command in cli.COMMANDS}
-    assert sum(len(d) for d in DROPPED.values()) == 71
+    assert sum(len(d) for d in DROPPED.values()) == 72
     assert slots == {
         "corrupt": 7, "estimate-t": 10, "train": 13, "eval": 4, "cv": 14,
-        "ablate": 14, "sweep-beta": 14, "clrl": 15, "theory-check": 5, "convert": 4,
+        "ablate": 13, "sweep-beta": 14, "clrl": 15, "theory-check": 5, "convert": 4,
     }  # fmt: skip
-    assert sum(slots.values()) == 100
+    assert sum(slots.values()) == 99
 
 
 def test_config_keys_match_snapshot():

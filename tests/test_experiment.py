@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -277,9 +277,17 @@ class TestAblation:
         T_off = estimate_transition(comp, predictor, use_correlation=False)
         np.testing.assert_allclose(T_off, correct_and_normalize(S, np.eye(5)), atol=1e-12)
 
-    def test_two_variant_reports(self, data_file):
-        out = run_ablation(quick_config(data_file))
-        assert set(out) == {"no_correlation", "no_mse"}
+    def test_two_variant_reports(self, data_file, monkeypatch):
+        # the full run and its two variants, in that order, each one run_cv
+        import comlabel.experiment as experiment
+
+        runs = []
+        real = experiment.run_cv
+        monkeypatch.setattr(experiment, "run_cv", lambda cfg: runs.append(cfg) or real(cfg))
+        cfg = quick_config(data_file)
+        out = run_ablation(cfg)
+        assert list(out) == ["full", "no_correlation", "no_mse"]
+        assert runs == [cfg, replace(cfg, no_correlation=True), replace(cfg, train=replace(cfg.train, beta=0.0))]
         for rep in out.values():
             assert len(rep.fold_reports) == 3
 
@@ -362,3 +370,11 @@ class TestConfigValidation:
     def test_bad_corruption(self, data_file):
         with pytest.raises(ValueError):
             RunConfig(data_path=data_file, corruption="adversarial")
+
+    def test_no_correlation_takes_no_transition_file(self, data_file):
+        # a read T would make the no_correlation run the full run under another name
+        with pytest.raises(ValueError, match="^no_correlation changes the estimate of T, so it cannot take a transition_path$"):
+            RunConfig(data_path=data_file, no_correlation=True, transition_path="T.csv")
+
+    def test_no_regulariser_switch_but_beta(self):
+        assert "no_mse" not in {f.name for f in fields(RunConfig)}

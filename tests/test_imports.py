@@ -150,8 +150,13 @@ class TestImportHygiene:
         assert not nested, f"{path.name} imports comlabel modules inside functions: {nested}"
 
 
-# the package's __init__ imports names to re-export them
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_package_reexports_nothing():
+    # each public name has one import path, its module's
+    tree = ast.parse(Path(comlabel.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _declared_exports(tree)

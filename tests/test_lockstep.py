@@ -178,7 +178,7 @@ VARIANTS = {
     "clrl": {"regime": "clrl"},
     "supervised": {"regime": "supervised"},
     "transition_file": {"transition_path": "T"},
-    "no_mse": {"no_mse": True},
+    "no_mse": {"beta": 0.0},
     "no_correlation": {"no_correlation": True},
 }
 
@@ -188,12 +188,14 @@ def grid_config(**kw):
     return experiment.RunConfig(data_path="unused", learning_rate=None, **kw)
 
 
-def variant_config(name, tmp_path, K):
+def variant_config(name, tmp_path, K, base):
+    """The variant's run config, and `base` with its beta (0 drops the regulariser)."""
     kw = dict(VARIANTS[name])
+    base = replace(base, beta=kw.pop("beta", base.beta))
     if "transition_path" in kw:
         kw["transition_path"] = tmp_path / "T.csv"
         save_transition_csv(random_transitions(np.random.default_rng(9), 1, K)[0], kw["transition_path"])
-    return grid_config(**kw)
+    return grid_config(**kw), base
 
 
 class TestLockstepGrid:
@@ -207,13 +209,13 @@ class TestLockstepGrid:
             X = np.where(np.abs(train_ds.features) < 0.5, 0.0, train_ds.features)
             train_ds = MultiLabelDataset(sp.csr_matrix(X), train_ds.y)
             cds = type(cds)(train_ds.features, cds.cl, cds.n_labels, relevant=cds.relevant)
-        cfg = variant_config(variant, tmp_path, cds.n_labels)
+        cfg, base = variant_config(variant, tmp_path, cds.n_labels, self.BASE)
 
         sequential = Recorder(monkeypatch)
-        want_models = one_at_a_time(cds, train_ds, cfg, self.BASE)
+        want_models = one_at_a_time(cds, train_ds, cfg, base)
         assert [m.weights.tobytes() for m in sequential.models] == [m.weights.tobytes() for m in want_models]
         lockstep = Recorder(monkeypatch)
-        models, failure = experiment._train_grid(cds, train_ds, cfg, self.BASE, LEARNING_RATE_GRID)
+        models, failure = experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
         assert failure is None and len(models) == len(lockstep.models) == C
         for got, want in zip(models, want_models):
             assert same_bits(got.weights, want.weights) and same_bits(got.bias, want.bias)
@@ -221,8 +223,8 @@ class TestLockstepGrid:
             assert (got is None and want is None) or same_bits(got, want)
         assert len({m.weights.tobytes() for m in models}) == C  # the rates do differ
 
-        rate, aps = reference_rate(cds, train_ds, cfg, self.BASE)
-        assert experiment.select_learning_rate(cds, train_ds, cfg, self.BASE) == rate
+        rate, aps = reference_rate(cds, train_ds, cfg, base)
+        assert experiment.select_learning_rate(cds, train_ds, cfg, base) == rate
         assert len(set(aps)) > 1
 
     @pytest.mark.parametrize("trainer", ["cl_predictor", "mlcl", "clrl", "supervised"])

@@ -3,6 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
+from comlabel import optim
+from comlabel.dataset import ComplementaryDataset, MultiLabelDataset
 from comlabel.loss import (
     CLAMP_EPS,
     LOSS_KINDS,
@@ -31,6 +33,35 @@ def onehot(index, n_labels):
     return np.eye(n_labels)[index]
 
 
+def mse_term(f, **kwargs):
+    """The regulariser of mlcl alone: its value and gradient at beta = 1 less
+    those at beta = 0."""
+    (v1, g1), (v0, g0) = (one("mlcl", f, beta=beta, **kwargs) for beta in (1.0, 0.0))
+    return v1 - v0, g1 - g0
+
+
+def test_one_kind_per_trainer(monkeypatch):
+    """The loss kinds are exactly those the four trainers train with."""
+    kinds = []
+    real = optim.batch_objective
+
+    def spy(model, X, kind, **targets):
+        kinds.append(kind)
+        return real(model, X, kind, **targets)
+
+    monkeypatch.setattr(optim, "batch_objective", spy)
+    y = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    X = np.arange(8.0).reshape(4, 2)
+    cds = ComplementaryDataset(X, np.array([1, 0, 2, 0]), 3, relevant=y)
+    cfg = optim.TrainConfig(epochs=1)
+    optim.train_cl_predictor(cds, cfg)
+    optim.train_mlcl(cds, uniform_transition(3), cfg)
+    optim.train_clrl(cds, uniform_transition(3), cfg)
+    optim.train_supervised(MultiLabelDataset(X, y), cfg)
+    assert LOSS_KINDS == ("bce_supervised", "mlcl", "clrl", "ce_softmax")
+    assert set(kinds) == set(LOSS_KINDS)
+
+
 class TestBCE:
     def test_uninformative(self):
         value, _ = one("bce_supervised", np.full(4, 0.5), y=[1, 0, 1, 0])
@@ -48,31 +79,35 @@ class TestBCE:
 
 
 class TestClBCE:
+    """The complementary BCE term: mlcl at beta = 0."""
+
     def test_perfect_complementary_fit(self):
         # identity transition makes q = f directly
-        value, _ = one("cl_bce", onehot(1, 3), T=np.eye(3), cl=[1])
+        value, _ = one("mlcl", onehot(1, 3), T=np.eye(3), cl=[1], beta=0.0)
         assert 0 <= value < 1e-9
 
     def test_hand_value(self):
-        value, _ = one("cl_bce", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1])
+        value, _ = one("mlcl", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1], beta=0.0)
         expected = -(np.log(0.8) + np.log(0.7) + np.log(0.9))
         np.testing.assert_allclose(value, expected)
         np.testing.assert_allclose(value, 0.6851, atol=1e-4)
 
     def test_zero_scores_clamped_finite(self):
         K = 3
-        value, grad = one("cl_bce", np.zeros(K), T=uniform_transition(K), cl=[0])
+        value, grad = one("mlcl", np.zeros(K), T=uniform_transition(K), cl=[0], beta=0.0)
         eps = CLAMP_EPS
         np.testing.assert_allclose(value, -np.log(eps) - 2 * np.log(1 - eps))
         assert np.all(np.isfinite(grad))
 
 
 class TestClMSE:
+    """The squared-error regulariser: mlcl at beta = 1 less mlcl at beta = 0."""
+
     def test_zero_residual(self):
-        assert one("cl_mse", onehot(2, 3), T=np.eye(3), cl=[2])[0] == 0.0
+        assert mse_term(onehot(2, 3), T=np.eye(3), cl=[2])[0] == 0.0
 
     def test_hand_value(self):
-        value, _ = one("cl_mse", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1])
+        value, _ = mse_term([0.2, 0.7, 0.1], T=np.eye(3), cl=[1])
         np.testing.assert_allclose(value, 0.14)
 
     def test_quadratic_homogeneity(self):
@@ -81,18 +116,36 @@ class TestClMSE:
         f1 = np.array([0.9, 0.1, 0.2])  # residual r
         r = ybar - f1
         f2 = ybar - 2 * r  # doubled residual
-        np.testing.assert_allclose(one("cl_mse", f2, T=T, cl=[0])[0], 4 * one("cl_mse", f1, T=T, cl=[0])[0])
+        np.testing.assert_allclose(mse_term(f2, T=T, cl=[0])[0], 4 * mse_term(f1, T=T, cl=[0])[0])
+
+
+def complementary_terms(F, T, cl):
+    """The two terms of mlcl by their textbook formulas: per-row BCE of
+    q = F T against the one-hot complementary rows, and ||ybar - q||^2, each
+    with its gradient with respect to F."""
+    Ybar = np.eye(F.shape[-1])[cl]
+    Q = F @ T
+    Qc = np.clip(Q, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    interior = (Q > CLAMP_EPS) & (Q < 1.0 - CLAMP_EPS)
+    bce = -(Ybar * np.log(Qc) + (1.0 - Ybar) * np.log(1.0 - Qc)).sum(axis=-1)
+    g_bce = (((1.0 - Ybar) / (1.0 - Qc) - Ybar / Qc) * interior) @ T.T
+    R = Ybar - Q
+    return (bce, g_bce), ((R**2).sum(axis=-1), -2.0 * R @ T.T)
 
 
 class TestMLCL:
     def test_beta_zero_equals_cl_bce(self):
+        # beta = 0 drops the regulariser to the bit, with the clamp active or not
         rng = np.random.default_rng(0)
-        T = random_row_stochastic(4, rng)
-        f = rng.random(4) * 0.8 + 0.1
-        a = one("mlcl", f, T=T, cl=[2], beta=0.0)
-        b = one("cl_bce", f, T=T, cl=[2])
-        np.testing.assert_allclose(a[0], b[0])
-        np.testing.assert_allclose(a[1], b[1])
+        for _ in range(200):
+            K, n = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+            T = random_row_stochastic(K, rng)
+            F = rng.random((n, K))
+            F[0, 0] = 0.0
+            cl = rng.integers(0, K, size=n)
+            (bce, g_bce), _ = complementary_terms(F, T, cl)
+            values, G = score_objective(F, "mlcl", T=T, cl=cl, beta=0.0)
+            assert values.tobytes() == bce.tobytes() and G.tobytes() == g_bce.tobytes()
 
     def test_sum_of_components(self):
         value, _ = one("mlcl", [0.2, 0.7, 0.1], T=np.eye(3), cl=[1], beta=1.0)
@@ -113,8 +166,7 @@ class TestMLCL:
         cl = rng.integers(0, 4, size=6)
         beta = 0.63
         values, G = score_objective(F, "mlcl", T=T, cl=cl, beta=beta)
-        v_bce, g_bce = score_objective(F, "cl_bce", T=T, cl=cl)
-        v_mse, g_mse = score_objective(F, "cl_mse", T=T, cl=cl)
+        (v_bce, g_bce), (v_mse, g_mse) = complementary_terms(F, T, cl)
         assert values.tobytes() == (v_bce + beta * v_mse).tobytes()
         assert G.tobytes() == (g_bce + beta * g_mse).tobytes()
 
@@ -132,7 +184,7 @@ class TestCLRL:
     def test_relevant_term_hand_value(self):
         f = np.array([0.8, 0.1, 0.3])
         ytilde = np.array([[1.0, 0.0, 0.0]])
-        base = one("cl_bce", f, T=np.eye(3), cl=[1])[0]
+        base = one("mlcl", f, T=np.eye(3), cl=[1], beta=0.0)[0]
         value, _ = one("clrl", f, T=np.eye(3), cl=[1], relevant=ytilde)
         np.testing.assert_allclose(value - base, 0.04 + 0.01 + 0.09)
 
@@ -143,7 +195,7 @@ class TestCLRL:
         y = np.array([1.0, 0.0, 1.0, 0.0])
         T = random_row_stochastic(4, rng)
         value, _ = one("clrl", f, T=T, cl=[3], relevant=y[None])
-        np.testing.assert_allclose(value, one("cl_bce", f, T=T, cl=[3])[0] + ((y - f) ** 2).sum())
+        np.testing.assert_allclose(value, one("mlcl", f, T=T, cl=[3], beta=0.0)[0] + ((y - f) ** 2).sum())
 
     def test_relevant_vectors_required(self):
         with pytest.raises(ValueError, match="relevant"):
@@ -173,8 +225,8 @@ class TestFiniteness:
         for f in (np.zeros(K), np.ones(K), np.full(K, 0.5), onehot(2, K)):
             for value, grad in (
                 one("bce_supervised", f, y=ytilde),
-                one("cl_bce", f, T=T, cl=[0]),
-                one("cl_mse", f, T=T, cl=[0]),
+                one("mlcl", f, T=T, cl=[0], beta=0.0),
+                mse_term(f, T=T, cl=[0]),
                 one("mlcl", f, T=T, cl=[0]),
                 one("clrl", f, T=T, cl=[0], relevant=ytilde[None]),
             ):
@@ -188,10 +240,10 @@ class TestFiniteness:
     def test_single_score_row_rejected(self):
         # one instance is a batch of one, shape (1, K)
         with pytest.raises(ValueError, match=r"\(n, K\) batch"):
-            score_objective(np.full(3, 0.5), "cl_mse", T=np.eye(3), cl=[1])
+            score_objective(np.full(3, 0.5), "mlcl", T=np.eye(3), cl=[1])
 
 
-def _random_config(kind, rng):
+def _random_config(kind, rng, beta=None):
     """A model/batch pair whose probabilities stay inside the clamp interior."""
     K = int(rng.integers(3, 6))
     d = int(rng.integers(2, 7))
@@ -209,7 +261,7 @@ def _random_config(kind, rng):
         if kind != "ce_softmax":
             kwargs["T"] = random_row_stochastic(K, rng)
         if kind == "mlcl":
-            kwargs["beta"] = float(rng.random() * 2)
+            kwargs["beta"] = float(rng.random() * 2) if beta is None else beta
         if kind == "clrl":
             rel = np.zeros((n, K))
             for i in range(n):
@@ -219,12 +271,17 @@ def _random_config(kind, rng):
     return model, X, kwargs
 
 
+# every kind at its own random draws, and mlcl at beta = 0 and 1 besides
+GRADIENT_CASES = {**{kind: (kind, None) for kind in LOSS_KINDS}, "mlcl_beta0": ("mlcl", 0.0), "mlcl_beta1": ("mlcl", 1.0)}
+
+
 class TestGradientCheck:
-    @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_fifty_random_configs(self, kind):
-        rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    @pytest.mark.parametrize("case", list(GRADIENT_CASES))
+    def test_fifty_random_configs(self, case):
+        kind, beta = GRADIENT_CASES[case]
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         for _ in range(50):
-            model, X, kwargs = _random_config(kind, rng)
+            model, X, kwargs = _random_config(kind, rng, beta)
             report = gradient_check(model, X, kind, tolerance=1e-4, **kwargs)
             assert report.passed, f"{kind}: {report.worst_param} rel err {report.max_rel_error:.2e}"
 

@@ -167,3 +167,17 @@ class TestCheckpoint:
         path = tmp_path / "model.txt"
         save_model(m, path)
         assert path.read_text().splitlines()[0] == "3 4 sigmoid"
+
+    def test_line_after_the_rows_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(init_linear(3, 4, "sigmoid", seed=0), path)
+        path.write_text(path.read_text() + "1 2 3\n")
+        with pytest.raises(ValueError, match="^checkpoint declares 4 rows, but line 6 follows them$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", ["0 4 sigmoid", "3 -4 sigmoid", "3 x sigmoid", "2.5 4 sigmoid", "3 4"])
+    def test_header_needs_positive_integer_shape(self, tmp_path, header):
+        path = tmp_path / "model.txt"
+        path.write_text(f"{header}\n0 0 0 0\n")
+        with pytest.raises(ValueError, match="^checkpoint header must be 'd K head' with positive integers d and K, got "):
+            load_model(path)

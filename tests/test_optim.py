@@ -3,6 +3,7 @@ import pytest
 
 from comlabel.complementary import corrupt_uniform
 from comlabel.dataset import (
+    ComplementaryDataset,
     GenerativeSpec,
     make_exclusive_spec,
     sample_from_generative,
@@ -352,3 +353,55 @@ class TestTrainingLoops:
         result = train_mlcl(comp, uniform_transition(3), cfg)
         assert np.linalg.norm(result.model.weights) < 1e3
         assert np.all(np.isfinite(result.model.weights))
+
+
+def substitute_relevant(comp, full, rho, seed):
+    """`comp` with each complementary label, with probability `rho`, replaced
+    by the index of a relevant label of its instance: label noise that the
+    transition does not model."""
+    rng = np.random.default_rng(seed)
+    cl = comp.cl.copy()
+    for i in np.flatnonzero(rng.random(cl.size) < rho):
+        cl[i] = rng.choice(np.flatnonzero(full.y[i]))
+    return ComplementaryDataset(comp.features, cl, comp.n_labels)
+
+
+class TestRegulariserGrid:
+    """Where the squared-error regulariser helps: train_mlcl through U on
+    exclusive tables, correctly specified, for beta in {0, 1, 4} with a share
+    rho in {0, 0.1} of complementary labels replaced by a relevant one.  One
+    draw per table; the table is printed, not gated (rho stays below 1/K,
+    where the labels are still identifiable)."""
+
+    TABLES = {"K5_n4000_d20_e60": (5, 4000, 20, 60), "K8_n600_d60_e300": (8, 600, 60, 300)}
+    BETAS, RHOS = (0.0, 1.0, 4.0), (0.0, 0.1)
+
+    @staticmethod
+    def cell(comp, K, epochs, beta):
+        cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, beta=beta, seed=3)
+        return train_mlcl(comp, uniform_transition(K), cfg)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_reported_grid(self, table):
+        K, n, d, epochs = self.TABLES[table]
+        spec = make_exclusive_spec(K)
+        full, comp = sample_from_generative(spec, n, d, seed=21)
+        test_full, _ = sample_from_generative(spec, 2000, d, seed=22)
+        for rho in self.RHOS:
+            noisy = substitute_relevant(comp, full, rho, seed=23)
+            reports = []
+            for beta in self.BETAS:
+                result = self.cell(noisy, K, epochs, beta)
+                assert np.all(np.isfinite(result.epoch_losses))
+                reports.append(evaluate_all(forward(result.model, test_full.features), test_full.y))
+            assert all(np.isfinite(getattr(r, name)) for r in reports for name in r.METRIC_NAMES)
+            print(
+                f"{table} rho={rho}: hamming beta 0/1/4 = "
+                + " / ".join(f"{r.hamming_loss:.3f}" for r in reports)
+                + ", AP = "
+                + " / ".join(f"{r.average_precision:.3f}" for r in reports)
+            )
+        again = self.cell(noisy, K, epochs, self.BETAS[-1])
+        assert again.model.weights.tobytes() == result.model.weights.tobytes()
+        assert again.model.bias.tobytes() == result.model.bias.tobytes()
+        assert again.epoch_losses == result.epoch_losses

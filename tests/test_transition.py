@@ -260,9 +260,11 @@ class TestCorrectionFlattensToUniform:
 
 
 def _composed_residual(T, F, cl):
-    """Per-row ||e_cl - F T||^2 and its score gradient: the unclamped cl_mse
-    term, which sees each score row f through the transition as q = T^T f."""
-    return score_objective(F, "cl_mse", T=T, cl=cl)
+    """Per-row ||e_cl - F T||^2 and its score gradient: the unclamped
+    regulariser of mlcl (its beta = 1 loss less its beta = 0 loss), which sees
+    each score row f through the transition as q = T^T f."""
+    (v1, g1), (v0, g0) = (score_objective(F, "mlcl", T=T, cl=cl, beta=beta) for beta in (1.0, 0.0))
+    return v1 - v0, g1 - g0
 
 
 class TestApplyTransition:
@@ -357,7 +359,10 @@ class TestEndToEnd:
         path = tmp_path / "t.csv"
         save_transition_csv(T, path)
         back = load_transition_csv(path)
-        np.testing.assert_allclose(back, T, atol=1e-11)
+        np.testing.assert_array_equal(back, T)
+        for K in range(3, 13):  # U reads back as 1/(K-1) to the bit
+            save_transition_csv(uniform_transition(K), path)
+            np.testing.assert_array_equal(load_transition_csv(path), uniform_transition(K))
 
 
 GOOD_T = "0,0.5,0.5\n0.25,0,0.75\n0.5,0.5,0\n"
