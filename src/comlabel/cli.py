@@ -240,7 +240,7 @@ def cmd_estimate_t(args) -> int:
     _require(args, "data", "transition_out")
     cfg = _train_config(args)
     cds = parse_complementary_file(args.data)
-    result = train_cl_predictor(cds, cfg)
+    result = train_cl_predictor(cds, cfg, curve=bool(args.curve_out))
     T = estimate_transition(cds, result.model, use_correlation=not args.no_correlation)
     save_transition_csv(T, args.transition_out)
     if args.curve_out:
@@ -254,17 +254,18 @@ def cmd_train(args) -> int:
     tcfg = _train_config(args)
     if args.regime == "supervised":
         ds = parse_multilabel_file(args.data)
-        result = train_supervised(ds, tcfg)
+        result = train_supervised(ds, tcfg, curve=bool(args.curve_out))
     else:
         cds = parse_complementary_file(args.data)
         if args.transition_in:
             T = load_transition_csv(args.transition_in)
         else:
-            predictor = train_cl_predictor(cds, tcfg).model
+            predictor = train_cl_predictor(cds, tcfg, curve=False).model
             T = estimate_transition(cds, predictor)
         if args.transition_out:
             save_transition_csv(T, args.transition_out)
-        result = train_clrl(cds, T, tcfg) if args.regime == "clrl" else train_mlcl(cds, T, tcfg)
+        train = train_clrl if args.regime == "clrl" else train_mlcl
+        result = train(cds, T, tcfg, curve=bool(args.curve_out))
     save_model(result.model, args.model_out)
     if args.curve_out:
         _write_curve(result.epoch_losses, args.curve_out)

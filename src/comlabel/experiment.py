@@ -176,14 +176,15 @@ def _train_grid(
     rate to fail at any stage, so a failing rate drops out with the rates
     after it, and those before it go on: a later stage may fail one of them.
     """
+    curve = False  # nothing here reads a loss curve, so none is computed
     if cfg.regime == "supervised":
-        results, failure = train_supervised(train_ds, base, rates)
+        results, failure = train_supervised(train_ds, base, rates, curve)
         return [r.model for r in results], failure
     failure = None
     if cfg.transition_path is not None:
         Ts = [cfg.transition] * len(rates)
     else:
-        predictors, failure = train_cl_predictor(cds, base, rates)
+        predictors, failure = train_cl_predictor(cds, base, rates, curve)
         Ts = []
         for result in predictors:
             try:
@@ -196,7 +197,7 @@ def _train_grid(
         if not Ts:
             return [], failure
     train = train_mlcl if cfg.regime == "cl" else train_clrl
-    results, error = train(cds, np.stack(Ts), base, rates[: len(Ts)])
+    results, error = train(cds, np.stack(Ts), base, rates[: len(Ts)], curve)
     return [r.model for r in results], error or failure
 
 
@@ -343,8 +344,8 @@ def consistency_experiment(
     test_full, _ = sample_from_generative(spec, n_test, n_features, seed + 1)
     tcfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=seed)
     T = uniform_transition(n_labels)
-    mlcl_model = train_mlcl(train_comp, T, tcfg).model
-    sup_model = train_supervised(train_full, tcfg).model
+    mlcl_model = train_mlcl(train_comp, T, tcfg, curve=False).model
+    sup_model = train_supervised(train_full, tcfg, curve=False).model
     ham_mlcl = evaluate_all(forward(mlcl_model, test_full.features), test_full.y).hamming_loss
     ham_sup = evaluate_all(forward(sup_model, test_full.features), test_full.y).hamming_loss
     return {

@@ -39,13 +39,16 @@ def _clip(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 LOSS_KINDS = ("bce_supervised", "mlcl", "clrl", "ce_softmax")
 
 
-def _bce(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of the binary cross entropy of probabilities P against
-    targets Y, and its derivative with respect to P."""
+def _bce(P: np.ndarray, pos: np.ndarray, with_values: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Row sums of the binary cross entropy of probabilities P against the
+    0/1 targets whose 1s are the mask `pos`, and its derivative with respect
+    to P.  A 0/1 target selects one of the two log terms, so each cell takes
+    one log and one divide; the result is bit for bit that of the two-term
+    form -(y log p + (1 - y) log(1 - p))."""
     Pc, interior = _clip(P)
-    values = -(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc)).sum(axis=-1)
-    grad = ((1.0 - Y) / (1.0 - Pc) - Y / Pc) * interior
-    return values, grad
+    sel = np.where(pos, Pc, 1.0 - Pc)
+    grad = np.where(pos, -1.0, 1.0) / sel * interior
+    return (-np.log(sel).sum(axis=-1) if with_values else None), grad
 
 
 def score_objective(
@@ -57,8 +60,10 @@ def score_objective(
     relevant: np.ndarray | None = None,
     T: np.ndarray | None = None,
     beta: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row loss values of the batch of scores F (n x K) and dL/dF.
+    with_values: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Per-row loss values of the batch of scores F (n x K) and dL/dF; with
+    `with_values` false the values are not computed and come back as None.
 
     F may also be a stack (C, n, K) of C models' scores on one batch, with T
     then a stack (C, K, K) of their transition matrices; every product is a
@@ -67,7 +72,8 @@ def score_objective(
 
     `cl` holds one complementary label index per row; ybar is its one-hot
     row.  The losses, per row f with q = T^T f:
-    * bce_supervised: BCE of f against the relevance vector y;
+    * bce_supervised: BCE of f against the relevance vector y, whose
+      entries must be 0 or 1;
     * ce_softmax: -log f[cl] for softmax scores;
     * mlcl: BCE of q against ybar (q is clamped, not renormalised) plus
       beta * ||ybar - q||^2 (unclamped); beta = 0 drops the regulariser;
@@ -80,27 +86,39 @@ def score_objective(
     if F.ndim not in (2, 3):
         raise ValueError(f"scores must be an (n, K) batch or a (C, n, K) stack, got shape {F.shape}")
     if kind == "bce_supervised":
-        return _bce(F, np.asarray(y, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64)
+        pos = y == 1.0
+        binary = pos | (y == 0.0)
+        if not binary.all():
+            index = tuple(int(i) for i in np.argwhere(~binary)[0])
+            raise ValueError(f"bce_supervised targets must be 0 or 1, got y{list(index)} = {float(y[index])!r}")
+        return _bce(F, pos, with_values)
+    cl = np.asarray(cl, dtype=np.int64)
     if kind == "ce_softmax":
-        rows, cl = np.arange(F.shape[-2]), np.asarray(cl, dtype=np.int64)
+        rows = np.arange(F.shape[-2])
         # a stack's gathered scores come out strided; a contiguous copy keeps
         # each candidate's mean on the pairwise summation of its own batch
         p, interior = _clip(np.ascontiguousarray(F[..., rows, cl]))
         G = np.zeros_like(F)
         G[..., rows, cl] = -interior.astype(np.float64) / p
-        return -np.log(p), G
+        return (-np.log(p) if with_values else None), G
     if kind == "clrl" and relevant is None:
         raise ValueError("clrl loss requires relevant-label vectors")
     T = np.asarray(T, dtype=np.float64)
-    Ybar = np.eye(F.shape[-1])[np.asarray(cl, dtype=np.int64)]
+    Tt = np.ascontiguousarray(T.swapaxes(-1, -2))  # both gradient products take a contiguous T^T
+    ybar = np.eye(F.shape[-1], dtype=bool)[cl]  # the one-hot rows, as a mask
     Q = F @ T
-    values, g_q = _bce(Q, Ybar)
-    G = g_q @ T.swapaxes(-1, -2)
+    values, g_q = _bce(Q, ybar, with_values)
+    G = g_q @ Tt
     if kind == "mlcl":
-        R = Ybar - Q
-        return values + beta * (R**2).sum(axis=-1), G + beta * (-2.0 * R @ T.swapaxes(-1, -2))
+        R = ybar - Q
+        if with_values:
+            values = values + beta * (R**2).sum(axis=-1)
+        return values, G + beta * (-2.0 * R @ Tt)
     R = np.asarray(relevant, dtype=np.float64) - F
-    return values + (R**2).sum(axis=-1), G - 2.0 * R
+    if with_values:
+        values = values + (R**2).sum(axis=-1)
+    return values, G - 2.0 * R
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +134,32 @@ def _chain_head(model: LinearModel, F: np.ndarray, G_f: np.ndarray) -> np.ndarra
     return F * (G_f - inner)
 
 
-def batch_objective(model: LinearModel, X, kind: str, **targets) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Mean loss over the batch X and its gradients (dW, db); `kind` and the
-    keyword `targets` are those of `score_objective`.  For a stack of C
-    models the mean is a (C,) array and the gradients are stacked like the
-    parameters, each model's bit for bit its own."""
+def batch_objective(
+    model: LinearModel, X, kind: str, *, with_values: bool = True, out: np.ndarray | None = None, **targets
+) -> tuple[float | np.ndarray | None, np.ndarray, np.ndarray]:
+    """Mean loss over the batch X and its gradients (dW, db); `kind`, the
+    keyword `targets` and `with_values` are those of `score_objective`, and
+    without values the mean is None.  For a stack of C models the mean is a
+    (C,) array and the gradients are stacked like the parameters, each
+    model's bit for bit its own.
+
+    dW and db are views of one array that holds each model's weight rows with
+    its bias as a last column, (..., K, d+1): `out` when given, else a new one.
+    """
     F = forward(model, X)
-    values, G_f = score_objective(F, kind, **targets)
+    values, G_f = score_objective(F, kind, with_values=with_values, **targets)
     G_z = _chain_head(model, F, G_f) / F.shape[-2]
+    d = model.n_features
+    if out is None:
+        out = np.empty(model.bias.shape + (d + 1,))
+    gW, gb = out[..., :d], out[..., d]
     if issparse(X):  # one (n, C*K) product, as in `forward`
         G_flat = G_z.swapaxes(0, -2).reshape(G_z.shape[-2], -1)
-        gW = np.asarray(G_flat.T @ X).reshape(model.weights.shape)
+        gW[...] = np.asarray(G_flat.T @ X).reshape(gW.shape)
     else:
-        gW = np.matmul(G_z.swapaxes(-1, -2), X)
-    gb = G_z.sum(axis=-2)
-    return values.mean(axis=-1), gW, gb
+        np.matmul(G_z.swapaxes(-1, -2), X, out=gW)
+    G_z.sum(axis=-2, out=gb)
+    return (values.mean(axis=-1) if with_values else None), gW, gb
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ class LinearModel:
     The head is fixed at construction; parameters are mutated only by the
     trainer, so forward passes on a frozen model are safe concurrently.  Every
     training steps a stack of C >= 1 models held in one: weights (C, K, d)
-    and bias (C, K), scored together.  The models it returns are 2-D.
+    and bias (C, K), scored together.  The models it returns are 2-D, and
+    their weights and bias may be views of the training's parameter buffer.
     """
 
     weights: np.ndarray  # (K, d), or (C, K, d) for a stack
@@ -73,7 +74,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
+    # the row maxima come from a (K, ...) copy: NumPy reduces one long axis
+    # much faster than many K-long rows, and a maximum is exact in any order
+    z = z - np.ascontiguousarray(np.moveaxis(z, -1, 0)).max(axis=0)[..., None]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -85,7 +88,11 @@ def forward(model: LinearModel, X) -> np.ndarray:
     Each model of a stack is scored bit for bit as it would be alone: dense
     batches go through one batched `np.matmul`, which makes each model's own
     GEMM call, and a CSR product computes every output column on its own, so
-    the stack's weights are multiplied as one (C*K, d) matrix.
+    the stack's weights are multiplied as one (C*K, d) matrix.  The dense
+    product takes the weights as a contiguous (..., d, K) copy: a GEMM on two
+    untransposed operands is the faster one, and on batches of at most about
+    200 rows it may round the last bit differently from a product against the
+    transposed view.
 
     The sigmoid head is `sigmoid`, computed with NumPy alone.  Where NumPy's
     `exp` is not the C library's (builds with AVX-512 kernels), its scores
@@ -99,7 +106,7 @@ def forward(model: LinearModel, X) -> np.ndarray:
         Z = np.asarray(X @ W.reshape(-1, W.shape[-1]).T).reshape(X.shape[0], *W.shape[:-1])
         Z = np.ascontiguousarray(Z.swapaxes(0, -2))
     else:
-        Z = np.matmul(X, W.swapaxes(-1, -2))
+        Z = np.matmul(X, np.ascontiguousarray(W.swapaxes(-1, -2)))
     Z = Z + model.bias[..., None, :]
     return sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
 

@@ -9,7 +9,8 @@ per learning rate, stepped in lockstep on a leading candidate axis; each
 model comes out bit for bit as its own training at that rate would leave it.
 A trainer given `learning_rates` returns the stack's `Lockstep` outcome;
 without them it trains at cfg.learning_rate alone, as a one-candidate stack,
-and returns that model's TrainResult.
+and returns that model's TrainResult.  A trainer called with `curve=False`
+computes no loss value, only gradients, and its results carry no curve.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
     learning_rates: np.ndarray,
+    named: Sequence[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], AdamState]:
     """One bias-corrected Adam update with coupled L2 weight decay, written
     into the arrays of `params` and `state`, which are returned:
@@ -103,14 +105,17 @@ def adam_step(
     `learning_rates[c]`, a (C,) array.  Every gradient is checked before
     anything is written; the error names the first candidate with a
     non-finite entry, and its parameter and index within that candidate.
+    Parameters are counted in `named`, views that cover `grads` (by default
+    `grads` itself), so one buffer can hold several named parameters.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and state shapes disagree")
     if not all(np.isfinite(g).all() for g in grads):
-        finite = np.array([np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in grads])  # (param, C)
+        named = grads if named is None else named
+        finite = np.array([np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in named])  # (param, C)
         c = int(np.flatnonzero(~finite.all(axis=0))[0])
         i = int(np.flatnonzero(~finite[:, c])[0])
-        bad = np.argwhere(~np.isfinite(grads[i][c]))[0]
+        bad = np.argwhere(~np.isfinite(named[i][c]))[0]
         raise NonFiniteGradientError(
             f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})", c
         )
@@ -139,55 +144,65 @@ Lockstep = tuple[list[TrainResult], NonFiniteGradientError | None]
 Rates = Sequence[float] | None
 
 
-def _run_loop(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, rates: np.ndarray, **fixed) -> Lockstep:
+def _run_loop(
+    ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, rates: np.ndarray, curve: bool, **fixed
+) -> Lockstep:
     """The minibatch loop for the loss `kind`.  Each batch gets the rows of
     the `per_instance` arrays it covers; the `fixed` arguments, prepared once
-    per training call, go to every batch unchanged.
+    per training call, go to every batch unchanged.  With `curve` false no
+    loss value is computed and every result's `epoch_losses` is empty.
 
     One candidate per entry of `rates` starts from the one initialisation,
     and all step in lockstep on the same batches: the parameters, the Adam
-    moments and a `fixed` T, (C, K, K), carry a leading candidate axis.  A
+    moments and a `fixed` T, (C, K, K), carry a leading candidate axis.  The
+    parameters are one (C, K, d+1) buffer, each model's weight rows with its
+    bias as a last column; W and b are views of it, the gradients fill one
+    buffer of the same shape, and Adam steps the whole buffer at once.  A
     candidate whose gradient turns non-finite stops there with its error,
     and so does every candidate after it, since a run through the rates in
     order would not reach them; those before it run on.
     """
-    init = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
-    model = LinearModel(*(np.repeat(p[None], rates.size, axis=0) for p in (init.weights, init.bias)), head)
-    W, b = model.weights, model.bias  # updated in place, through the views of any later model
-    params = [W, b]
-    state = init_adam(params)
+    d = ds.n_features
+    init = init_linear(d, ds.n_labels, head, cfg.seed)
+    P = np.repeat(np.concatenate([init.weights, init.bias[:, None]], axis=1)[None], rates.size, axis=0)
+    G = np.empty_like(P)
+    model = LinearModel(P[..., :d], P[..., d], head)  # views: Adam's updates of P reach the model
+    state = init_adam([P])
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
-    curve, error = [], None
+    losses, error = [], None
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(ds.n_instances)
         epoch_loss = np.zeros(rates.size)
         for start in range(0, ds.n_instances, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             rows = {name: a[idx] for name, a in per_instance.items()}
-            value, gW, gb = batch_objective(model, ds.features[idx], kind, **rows, **fixed)
+            value, gW, gb = batch_objective(model, ds.features[idx], kind, with_values=curve, out=G, **rows, **fixed)
             try:
-                adam_step(params, [gW, gb], state, cfg, rates)
+                adam_step([P], [G], state, cfg, rates, named=(gW, gb))
             except NonFiniteGradientError as exc:
                 error, live = exc, exc.candidate
                 if live == 0:
                     return [], error
-                model = LinearModel(model.weights[:live], model.bias[:live], head)
-                params = [model.weights, model.bias]
+                P, G, rates, epoch_loss = P[:live], G[:live], rates[:live], epoch_loss[:live]
+                model = LinearModel(P[..., :d], P[..., d], head)
                 state.m, state.v = [m[:live] for m in state.m], [v[:live] for v in state.v]
-                rates, value, gW, gb = rates[:live], value[:live], gW[:live], gb[:live]
-                epoch_loss = epoch_loss[:live]
                 if "T" in fixed:
                     fixed["T"] = fixed["T"][:live]
-                adam_step(params, [gW, gb], state, cfg, rates)
-            epoch_loss += value * idx.size
-        curve.append(epoch_loss / ds.n_instances)
+                adam_step([P], [G], state, cfg, rates)
+            if curve:  # this step's values still hold any candidates it dropped
+                epoch_loss += value[: rates.size] * idx.size
+        if curve:
+            losses.append(epoch_loss / ds.n_instances)
     results = [
-        TrainResult(LinearModel(W[c], b[c], head), [float(e[c]) for e in curve]) for c in range(rates.size)
+        TrainResult(LinearModel(P[c, :, :d], P[c, :, d], head), [float(e[c]) for e in losses])
+        for c in range(rates.size)
     ]
     return results, error
 
 
-def _train(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learning_rates: Rates, T=None, **fixed):
+def _train(
+    ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learning_rates: Rates, curve: bool, T=None, **fixed
+):
     """Run `_run_loop` at `learning_rates`, with T, when given, a checked
     (C, K, K) stack, and return its Lockstep outcome.  Without rates, train
     at cfg.learning_rate alone, as a stack of one with T (K, K) stacked, and
@@ -200,7 +215,7 @@ def _train(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learn
         fixed["T"] = T[None] if single else T
         for t in fixed["T"]:
             validate_transition(t)
-    results, error = _run_loop(ds, head, cfg, kind, per_instance, rates, **fixed)
+    results, error = _run_loop(ds, head, cfg, kind, per_instance, rates, curve, **fixed)
     if not single:
         return results, error
     if error is not None:
@@ -209,30 +224,32 @@ def _train(ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learn
 
 
 def train_cl_predictor(
-    cds: ComplementaryDataset, cfg: TrainConfig, learning_rates: Rates = None
+    cds: ComplementaryDataset, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
 ) -> TrainResult | Lockstep:
     """Softmax predictor of the complementary label, trained with cross entropy."""
-    return _train(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl}, learning_rates)
+    return _train(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl}, learning_rates, curve)
 
 
 def train_mlcl(
-    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None
+    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
 ) -> TrainResult | Lockstep:
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
-    return _train(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, learning_rates, T=T, beta=cfg.beta)
+    return _train(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, learning_rates, curve, T=T, beta=cfg.beta)
 
 
-def train_supervised(ds: MultiLabelDataset, cfg: TrainConfig, learning_rates: Rates = None) -> TrainResult | Lockstep:
+def train_supervised(
+    ds: MultiLabelDataset, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
+) -> TrainResult | Lockstep:
     """Fully supervised sigmoid classifier under binary cross entropy."""
-    return _train(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)}, learning_rates)
+    return _train(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)}, learning_rates, curve)
 
 
 def train_clrl(
-    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None
+    cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
 ) -> TrainResult | Lockstep:
     """Training from one complementary label plus a partial relevant vector."""
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")
     per_instance = {"cl": cds.cl, "relevant": cds.relevant.astype(np.float64)}
-    return _train(cds, "sigmoid", cfg, "clrl", per_instance, learning_rates, T=T)
+    return _train(cds, "sigmoid", cfg, "clrl", per_instance, learning_rates, curve, T=T)

@@ -66,6 +66,32 @@ class TestEstimateT:
         assert (tmp_path / "read.txt").read_bytes() == (tmp_path / "own.txt").read_bytes()
 
 
+class TestCurveOut:
+    """The loss curves `--curve-out` writes, at 12 significant digits: the
+    bytes of the two-term BCE formula's values, which the one-log form
+    reproduces bit for bit."""
+
+    CURVES = {
+        "estimate-t": ("2.05140889863", "1.94572224561", "1.86321278008", "1.78762692402"),
+        "cl": ("4.03853121296", "3.90141769598", "3.77745578637", "3.67521261902"),
+        "clrl": ("4.10857100709", "3.958380805", "3.81917670785", "3.69817948872"),
+        "supervised": ("3.38261210714", "3.2129682496", "3.06612462505", "2.9307349969"),
+    }
+
+    @pytest.mark.parametrize("command", list(CURVES))
+    def test_bytes(self, data_file, tmp_path, command):
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp, "--seed", "2", "--relevant", "1")
+        fit = ("--epochs", "4", "--seed", "3", "--batch", "64", "--curve-out", tmp_path / "curve.csv")
+        if command == "estimate-t":
+            run("estimate-t", "--data", comp, "--transition-out", tmp_path / "T.csv", *fit)
+        else:
+            data = data_file if command == "supervised" else comp
+            run("train", "--data", data, "--regime", command, "--model-out", tmp_path / "m.txt", *fit)
+        want = "epoch,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(self.CURVES[command]))
+        assert (tmp_path / "curve.csv").read_text() == want
+
+
 class TestTrainEval:
     def test_train_then_eval(self, data_file, tmp_path):
         comp = tmp_path / "comp.txt"

@@ -121,6 +121,65 @@ class TestRunCV:
         assert report.mean("average_precision") > 0.55
 
 
+class TestNoCurve:
+    """A training asked for no loss curve computes no loss value and
+    leaves its models as they are with one."""
+
+    @pytest.mark.parametrize("features", ["dense", "csr"])
+    @pytest.mark.parametrize("rates", [None, (1e-1, 1e-2, 1e-3)], ids=["alone", "lockstep"])
+    @pytest.mark.parametrize("trainer", ["cl_predictor", "mlcl", "clrl", "supervised"])
+    def test_models_bit_equal_and_curve_empty(self, data_file, trainer, rates, features):
+        import scipy.sparse as sp
+
+        from comlabel.experiment import corrupt
+        from comlabel.optim import train_cl_predictor, train_clrl, train_mlcl, train_supervised
+        from comlabel.transition import uniform_transition
+
+        train_ds = parse_multilabel_file(data_file)
+        if features == "csr":
+            X = np.where(np.abs(train_ds.features) < 0.5, 0.0, train_ds.features)
+            train_ds = MultiLabelDataset(sp.csr_matrix(X), train_ds.y)
+        cds = corrupt(train_ds, "biased", 3, relevant=1)
+        T = uniform_transition(cds.n_labels)
+        T = T if rates is None else np.stack([T] * len(rates))
+        cfg = TrainConfig(epochs=3, batch_size=50, seed=5)
+
+        def train(curve):
+            if trainer == "cl_predictor":
+                out = train_cl_predictor(cds, cfg, rates, curve)
+            elif trainer == "supervised":
+                out = train_supervised(train_ds, cfg, rates, curve)
+            else:
+                out = (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, rates, curve)
+            if rates is None:
+                return [out]
+            results, error = out
+            assert error is None
+            return results
+
+        kept, skipped = train(True), train(False)
+        assert len(kept) == len(skipped) == (1 if rates is None else len(rates))
+        for a, b in zip(kept, skipped):
+            assert a.model.weights.tobytes() == b.model.weights.tobytes()
+            assert a.model.bias.tobytes() == b.model.bias.tobytes()
+            assert len(a.epoch_losses) == cfg.epochs and b.epoch_losses == []
+
+    @pytest.mark.parametrize("regime", ["cl", "clrl", "supervised"])
+    def test_run_cv_computes_no_loss_value(self, data_file, monkeypatch, regime):
+        import comlabel.loss as loss
+
+        asked, real = [], loss.score_objective
+
+        def spy(F, kind, **kw):
+            values, G = real(F, kind, **kw)
+            asked.append(values is not None)
+            return values, G
+
+        monkeypatch.setattr(loss, "score_objective", spy)
+        run_cv(quick_config(data_file, regime=regime, learning_rate=None, train=TrainConfig(epochs=2, seed=3)))
+        assert asked and not any(asked)
+
+
 class TestFoldFailure:
     @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
     def test_error_names_fold_and_keeps_cause(self, data_file, monkeypatch, learning_rate):
@@ -130,11 +189,11 @@ class TestFoldFailure:
         raised = []
         orig = experiment.train_mlcl
 
-        def diverging_on_fold_2(cds, T, tcfg, rates):
+        def diverging_on_fold_2(cds, T, tcfg, rates, *rest):
             if tcfg.seed == cfg.train.seed + 2:  # each fold trains with seed + fold index
                 raised.append(NonFiniteGradientError("non-finite gradient in parameter 0 at index (0, 0) (step 1)"))
                 return [], raised[-1]  # a lockstep training returns its error with no results
-            return orig(cds, T, tcfg, rates)
+            return orig(cds, T, tcfg, rates, *rest)
 
         monkeypatch.setattr(experiment, "train_mlcl", diverging_on_fold_2)
         with pytest.raises(RuntimeError, match=r"^fold 2 failed: non-finite gradient") as info:

@@ -77,6 +77,16 @@ class TestBCE:
         np.testing.assert_allclose(value, -np.log(0.9) - np.log(0.8))
         np.testing.assert_allclose(value, 0.3285, atol=5e-5)
 
+    @pytest.mark.parametrize("bad, index", [(0.5, (1, 2)), (-1.0, (0, 1)), (np.nan, (1, 0)), (2.0, (0, 0))])
+    def test_rejects_targets_outside_zero_one(self, bad, index):
+        # the first bad entry in row order is named, with a second one after it
+        y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        y[index] = bad
+        if index != (1, 2):
+            y[1, 2] = 0.5
+        with pytest.raises(ValueError, match=rf"^bce_supervised targets must be 0 or 1, got y\[{index[0]}, {index[1]}\] = {bad!r}$"):
+            score_objective(np.full((2, 3), 0.5), "bce_supervised", y=y)
+
 
 class TestClBCE:
     """The complementary BCE term: mlcl at beta = 0."""
@@ -119,18 +129,104 @@ class TestClMSE:
         np.testing.assert_allclose(mse_term(f2, T=T, cl=[0])[0], 4 * mse_term(f1, T=T, cl=[0])[0])
 
 
+def two_log_bce(P, Y):
+    """Row sums of the binary cross entropy by its two-term formula, two logs
+    and two divides per cell, and its gradient with respect to P."""
+    Pc = np.clip(P, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    interior = (P > CLAMP_EPS) & (P < 1.0 - CLAMP_EPS)
+    values = -(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc)).sum(axis=-1)
+    return values, ((1.0 - Y) / (1.0 - Pc) - Y / Pc) * interior
+
+
 def complementary_terms(F, T, cl):
     """The two terms of mlcl by their textbook formulas: per-row BCE of
     q = F T against the one-hot complementary rows, and ||ybar - q||^2, each
-    with its gradient with respect to F."""
+    with its gradient with respect to F; F and T may be (C, n, K) and
+    (C, K, K) stacks.  T^T is taken contiguous, as the
+    library takes it: a product against the transposed view may round the
+    last bit differently (on one-row batches, for one)."""
     Ybar = np.eye(F.shape[-1])[cl]
     Q = F @ T
-    Qc = np.clip(Q, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    interior = (Q > CLAMP_EPS) & (Q < 1.0 - CLAMP_EPS)
-    bce = -(Ybar * np.log(Qc) + (1.0 - Ybar) * np.log(1.0 - Qc)).sum(axis=-1)
-    g_bce = (((1.0 - Ybar) / (1.0 - Qc) - Ybar / Qc) * interior) @ T.T
+    Tt = np.ascontiguousarray(T.swapaxes(-1, -2))
+    bce, g_q = two_log_bce(Q, Ybar)
     R = Ybar - Q
-    return (bce, g_bce), ((R**2).sum(axis=-1), -2.0 * R @ T.T)
+    return (bce, g_q @ Tt), ((R**2).sum(axis=-1), -2.0 * R @ Tt)
+
+
+def special_scores(rng, shape):
+    """Random scores with cells at 0, 1, CLAMP_EPS, 1 - CLAMP_EPS and below
+    the clamp floor mixed in."""
+    P = rng.random(shape)
+    special = np.array([0.0, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS, CLAMP_EPS / 3, 1.0 - CLAMP_EPS / 3])
+    picked = rng.random(shape) < 0.2
+    P[picked] = rng.choice(special, size=int(picked.sum()))
+    return P
+
+
+class TestOneLogBCE:
+    """The one-log BCE core gives the bits of the two-term formula
+    -(y log p + (1 - y) log(1 - p)) on 0/1 targets, in values and gradients,
+    for every loss kind built on it, on stacks of one to three models."""
+
+    DRAWS = 120
+
+    def draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(self.DRAWS):
+            C, n, K = int(rng.integers(1, 4)), int(rng.integers(1, 301)), int(rng.integers(3, 41))
+            shape = (n, K) if i % 4 == 0 else (C, n, K)  # some 2-D batches besides the stacks
+            yield rng, shape, K
+
+    def test_bce_supervised(self):
+        for i, (rng, shape, K) in enumerate(self.draws(11)):
+            P = special_scores(rng, shape)
+            n = shape[-2]
+            Y = np.eye(K)[rng.integers(0, K, n)] if i % 2 else (rng.random((n, K)) < 0.4).astype(np.float64)
+            values, G = score_objective(P, "bce_supervised", y=Y)
+            want_values, want_G = two_log_bce(P, Y)
+            assert values.tobytes() == want_values.tobytes() and G.tobytes() == want_G.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 1.0])
+    def test_mlcl(self, beta):
+        for i, (rng, shape, K) in enumerate(self.draws(12)):
+            F = special_scores(rng, shape)
+            # through the identity, q = f and the special cells reach the clamp
+            T = np.eye(K) if i % 2 else random_row_stochastic(K, rng)
+            T = np.broadcast_to(T, shape[:-2] + (K, K)).copy()
+            cl = rng.integers(0, K, shape[-2])
+            values, G = score_objective(F, "mlcl", T=T, cl=cl, beta=beta)
+            (v_bce, g_bce), (v_mse, g_mse) = complementary_terms(F, T, cl)
+            assert values.tobytes() == (v_bce + beta * v_mse).tobytes()
+            assert G.tobytes() == (g_bce + beta * g_mse).tobytes()
+
+    def test_clrl(self):
+        for i, (rng, shape, K) in enumerate(self.draws(13)):
+            F = special_scores(rng, shape)
+            T = np.eye(K) if i % 2 else random_row_stochastic(K, rng)
+            T = np.broadcast_to(T, shape[:-2] + (K, K)).copy()
+            cl = rng.integers(0, K, shape[-2])
+            relevant = (rng.random(shape[-2:]) < 0.3).astype(np.float64)
+            values, G = score_objective(F, "clrl", T=T, cl=cl, relevant=relevant)
+            (v_bce, g_bce), _ = complementary_terms(F, T, cl)
+            R = relevant - F
+            assert values.tobytes() == (v_bce + (R**2).sum(axis=-1)).tobytes()
+            assert G.tobytes() == (g_bce - 2.0 * R).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bce_supervised", "mlcl", "clrl", "ce_softmax"])
+    def test_gradient_without_values(self, kind):
+        rng = np.random.default_rng(14)
+        K, n = 5, 40
+        F = special_scores(rng, (2, n, K))
+        cl = rng.integers(0, K, n)
+        targets = {
+            "bce_supervised": {"y": (rng.random((n, K)) < 0.4).astype(np.float64)},
+            "mlcl": {"cl": cl, "T": np.stack([random_row_stochastic(K, rng) for _ in range(2)]), "beta": 0.7},
+            "clrl": {"cl": cl, "T": np.stack([np.eye(K)] * 2), "relevant": np.eye(K)[(cl + 1) % K]},
+            "ce_softmax": {"cl": cl},
+        }[kind]
+        values, G = score_objective(F, kind, with_values=False, **targets)
+        assert values is None
+        assert G.tobytes() == score_objective(F, kind, **targets)[1].tobytes()
 
 
 class TestMLCL:
