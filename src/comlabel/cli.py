@@ -178,8 +178,8 @@ def _require(args, *names):
 
 @contextmanager
 def _exit_on_bad_value(flag: str | None = None):
-    """Exit with the message of a TrainConfig or RunConfig check that fails
-    inside, naming `flag`, or else the flag that sets the checked field."""
+    """Exit with the message of a check that fails inside, naming `flag` (or
+    a file), or else the flag that sets the checked config field."""
     try:
         yield
     except ValueError as exc:
@@ -276,7 +276,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _require(args, "data", "out", "model_in")
     ds = parse_multilabel_file(args.data)
-    model = load_model(args.model_in)
+    with _exit_on_bad_value(args.model_in):
+        model = load_model(args.model_in)
     if (model.n_features, model.n_labels) != (ds.n_features, ds.n_labels):
         raise SystemExit(
             f"{args.model_in}: checkpoint has {model.n_features} features and {model.n_labels} labels, "

@@ -39,7 +39,7 @@ from .theory import (
     scenario_distortion,
     theorem1_gap,
 )
-from .transition import estimate_transition, load_transition_csv, uniform_transition, validate_transition
+from .transition import estimate_transition, load_transition_csv, uniform_transition
 
 __all__ = [
     "RunConfig",
@@ -165,40 +165,22 @@ def _subset_cds(cds: ComplementaryDataset, idx: np.ndarray) -> ComplementaryData
 
 def _train_grid(
     cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig, rates: tuple[float, ...]
-) -> tuple[list[LinearModel], Exception | None]:
+) -> list[LinearModel]:
     """The configured regime trained at each of `rates`, every training
     stepping the rates in lockstep, with each model bit for bit that of its
     rate alone: the CL predictor, T estimated from it (or read from the
-    transition file), then the classifier.
-
-    Returns the models of the rates before the first to fail, and its error
-    or None.  The rates run one at a time raise the error of the earliest
-    rate to fail at any stage, so a failing rate drops out with the rates
-    after it, and those before it go on: a later stage may fail one of them.
-    """
+    transition file), then the classifier.  A failure at any rate fails the
+    whole call."""
     curve = False  # nothing here reads a loss curve, so none is computed
     if cfg.regime == "supervised":
-        results, failure = train_supervised(train_ds, base, rates, curve)
-        return [r.model for r in results], failure
-    failure = None
+        return [r.model for r in train_supervised(train_ds, base, rates, curve)]
     if cfg.transition_path is not None:
         Ts = [cfg.transition] * len(rates)
     else:
-        predictors, failure = train_cl_predictor(cds, base, rates, curve)
-        Ts = []
-        for result in predictors:
-            try:
-                T = estimate_transition(cds, result.model, use_correlation=not cfg.no_correlation)
-                validate_transition(T)  # the check train_mlcl makes, failing this rate alone
-            except Exception as exc:
-                failure = exc
-                break
-            Ts.append(T)
-        if not Ts:
-            return [], failure
+        predictors = train_cl_predictor(cds, base, rates, curve)
+        Ts = [estimate_transition(cds, r.model, use_correlation=not cfg.no_correlation) for r in predictors]
     train = train_mlcl if cfg.regime == "cl" else train_clrl
-    results, error = train(cds, np.stack(Ts), base, rates[: len(Ts)], curve)
-    return [r.model for r in results], error or failure
+    return [r.model for r in train(cds, np.stack(Ts), base, rates, curve)]
 
 
 def select_learning_rate(
@@ -207,9 +189,10 @@ def select_learning_rate(
     """Pick the grid learning rate with the best validation average precision.
 
     The validation slice's ground truth comes from the fold's fully labeled
-    half; it serves model selection only and never enters training.  If a
-    grid rate fails, the error of the earliest one is raised once the rates
-    before it are scored.
+    half; it serves model selection only and never enters training.  If the
+    lockstep grid fails, the rates are trained and scored one at a time, in
+    order, and the first to fail alone raises its error; if none does, the
+    lockstep's error is raised.
     """
     fit_idx, val_idx = _stratified_validation_split(cds, 0.1, base.seed + 0x5E1)
     if val_idx.size == 0 or fit_idx.size == 0:
@@ -217,12 +200,18 @@ def select_learning_rate(
     fit_cds = _subset_cds(cds, fit_idx)
     # cds carries train_ds's features, so fit_cds already holds the fit rows
     fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
-    val_X = train_ds.features[val_idx]
-    val_y = train_ds.y[val_idx]
-    models, failure = _train_grid(fit_cds, fit_ds, cfg, base, LEARNING_RATE_GRID)
-    aps = [evaluate_all(forward(model, val_X), val_y).average_precision for model in models]
-    if failure is not None:
-        raise failure
+    val_X, val_y = train_ds.features[val_idx], train_ds.y[val_idx]
+
+    def score(model: LinearModel) -> float:
+        return evaluate_all(forward(model, val_X), val_y).average_precision
+
+    try:
+        aps = [score(model) for model in _train_grid(fit_cds, fit_ds, cfg, base, LEARNING_RATE_GRID)]
+    except Exception:
+        for lr in LEARNING_RATE_GRID:
+            (model,) = _train_grid(fit_cds, fit_ds, cfg, base, (lr,))
+            score(model)
+        raise
     best_lr, best_ap = None, -np.inf
     for lr, ap in zip(LEARNING_RATE_GRID, aps):
         if ap > best_ap:
@@ -250,10 +239,8 @@ def fit_fold(train_ds: MultiLabelDataset, cfg: RunConfig, fold_index: int):
     else:
         tcfg = replace(tcfg, learning_rate=select_learning_rate(cds, train_ds, cfg, tcfg))
 
-    models, failure = _train_grid(cds, train_ds, cfg, tcfg, (tcfg.learning_rate,))
-    if failure is not None:
-        raise failure
-    return models[0], scaler
+    (model,) = _train_grid(cds, train_ds, cfg, tcfg, (tcfg.learning_rate,))
+    return model, scaler
 
 
 def _run_fold(fold: FoldSplit, cfg: RunConfig) -> MetricsReport:

@@ -70,8 +70,8 @@ def score_objective(
     batched `np.matmul`, one BLAS call per model, so each model's values and
     gradient are those of its own (n, K) batch, bit for bit.
 
-    `cl` holds one complementary label index per row; ybar is its one-hot
-    row.  The losses, per row f with q = T^T f:
+    `cl` holds one complementary label index in [0, K) per row; ybar is its
+    one-hot row.  The losses, per row f with q = T^T f:
     * bce_supervised: BCE of f against the relevance vector y, whose
       entries must be 0 or 1;
     * ce_softmax: -log f[cl] for softmax scores;
@@ -94,6 +94,9 @@ def score_objective(
             raise ValueError(f"bce_supervised targets must be 0 or 1, got y{list(index)} = {float(y[index])!r}")
         return _bce(F, pos, with_values)
     cl = np.asarray(cl, dtype=np.int64)
+    outside = np.flatnonzero((cl < 0) | (cl >= F.shape[-1]))
+    if outside.size:
+        raise ValueError(f"complementary labels must lie in [0, {F.shape[-1]}), got cl[{outside[0]}] = {cl[outside[0]]}")
     if kind == "ce_softmax":
         rows = np.arange(F.shape[-2])
         # a stack's gathered scores come out strided; a contiguous copy keeps

@@ -153,7 +153,12 @@ def load_model(path: str | Path) -> LinearModel:
     W = np.empty((K, d))
     b = np.empty(K)
     for k in range(K):
-        vals = np.array([float(t) for t in lines[k + 1].split()])
+        try:
+            vals = np.array([float(t) for t in lines[k + 1].split()])
+        except ValueError:
+            raise ValueError(f"line {k + 2}: non-numeric entry in {lines[k + 1]!r}") from None
+        if not np.isfinite(vals).all():
+            raise ValueError(f"line {k + 2}: non-finite entry in {lines[k + 1]!r}")
         if vals.shape[0] != d + 1:
             raise ValueError(f"checkpoint row {k} has {vals.shape[0]} values, expected {d + 1}")
         W[k] = vals[:d]

@@ -7,10 +7,12 @@ so reruns at a fixed BLAS thread count are bit-identical.
 Every training is one loop over a stack of C >= 1 candidate models, one
 per learning rate, stepped in lockstep on a leading candidate axis; each
 model comes out bit for bit as its own training at that rate would leave it.
-A trainer given `learning_rates` returns the stack's `Lockstep` outcome;
-without them it trains at cfg.learning_rate alone, as a one-candidate stack,
-and returns that model's TrainResult.  A trainer called with `curve=False`
-computes no loss value, only gradients, and its results carry no curve.
+A trainer given `learning_rates` returns one TrainResult per rate; without
+them it trains at cfg.learning_rate alone, as a one-candidate stack, and
+returns that model's TrainResult.  A non-finite gradient in any candidate
+fails the whole training; to learn which rate fails first, train the rates
+one at a time.  A trainer called with `curve=False` computes no loss value,
+only gradients, and its results carry no curve.
 """
 
 from __future__ import annotations
@@ -66,12 +68,7 @@ class TrainConfig:
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient turned non-finite; the step is aborted with diagnostics.
-    `candidate` is the position of the failing model in a lockstep stack."""
-
-    def __init__(self, message: str, candidate: int = 0):
-        super().__init__(message)
-        self.candidate = candidate
+    """A gradient turned non-finite; the step is aborted with diagnostics."""
 
 
 @dataclass
@@ -103,21 +100,18 @@ def adam_step(
     Weight decay is added to the gradient before the moment updates.  Every
     array carries a leading axis of C candidates, and candidate c steps at
     `learning_rates[c]`, a (C,) array.  Every gradient is checked before
-    anything is written; the error names the first candidate with a
-    non-finite entry, and its parameter and index within that candidate.
-    Parameters are counted in `named`, views that cover `grads` (by default
-    `grads` itself), so one buffer can hold several named parameters.
+    anything is written; the error names the first parameter with a
+    non-finite entry, and that entry's index within its candidate.  Views
+    `named` that cover `grads` (by default `grads` itself) count the
+    parameters, so one buffer can hold several named parameters.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and state shapes disagree")
     if not all(np.isfinite(g).all() for g in grads):
-        named = grads if named is None else named
-        finite = np.array([np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in named])  # (param, C)
-        c = int(np.flatnonzero(~finite.all(axis=0))[0])
-        i = int(np.flatnonzero(~finite[:, c])[0])
-        bad = np.argwhere(~np.isfinite(named[i][c]))[0]
+        i, g = next((i, g) for i, g in enumerate(grads if named is None else named) if not np.isfinite(g).all())
+        bad = np.argwhere(~np.isfinite(g))[0][1:]  # the leading coordinate is the candidate's
         raise NonFiniteGradientError(
-            f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})", c
+            f"non-finite gradient in parameter {i} at index {tuple(int(x) for x in bad)} (step {state.t + 1})"
         )
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -138,15 +132,12 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-# A lockstep training's outcome: the results of the candidates that finished,
-# in order, and the error that stopped the next one, or None.
-Lockstep = tuple[list[TrainResult], NonFiniteGradientError | None]
 Rates = Sequence[float] | None
 
 
 def _run_loop(
     ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, rates: np.ndarray, curve: bool, **fixed
-) -> Lockstep:
+) -> list[TrainResult]:
     """The minibatch loop for the loss `kind`.  Each batch gets the rows of
     the `per_instance` arrays it covers; the `fixed` arguments, prepared once
     per training call, go to every batch unchanged.  With `curve` false no
@@ -157,10 +148,7 @@ def _run_loop(
     moments and a `fixed` T, (C, K, K), carry a leading candidate axis.  The
     parameters are one (C, K, d+1) buffer, each model's weight rows with its
     bias as a last column; W and b are views of it, the gradients fill one
-    buffer of the same shape, and Adam steps the whole buffer at once.  A
-    candidate whose gradient turns non-finite stops there with its error,
-    and so does every candidate after it, since a run through the rates in
-    order would not reach them; those before it run on.
+    buffer of the same shape, and Adam steps the whole buffer at once.
     """
     d = ds.n_features
     init = init_linear(d, ds.n_labels, head, cfg.seed)
@@ -169,7 +157,7 @@ def _run_loop(
     model = LinearModel(P[..., :d], P[..., d], head)  # views: Adam's updates of P reach the model
     state = init_adam([P])
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
-    losses, error = [], None
+    losses = []
     for _ in range(cfg.epochs):
         perm = shuffle_rng.permutation(ds.n_instances)
         epoch_loss = np.zeros(rates.size)
@@ -177,37 +165,25 @@ def _run_loop(
             idx = perm[start : start + cfg.batch_size]
             rows = {name: a[idx] for name, a in per_instance.items()}
             value, gW, gb = batch_objective(model, ds.features[idx], kind, with_values=curve, out=G, **rows, **fixed)
-            try:
-                adam_step([P], [G], state, cfg, rates, named=(gW, gb))
-            except NonFiniteGradientError as exc:
-                error, live = exc, exc.candidate
-                if live == 0:
-                    return [], error
-                P, G, rates, epoch_loss = P[:live], G[:live], rates[:live], epoch_loss[:live]
-                model = LinearModel(P[..., :d], P[..., d], head)
-                state.m, state.v = [m[:live] for m in state.m], [v[:live] for v in state.v]
-                if "T" in fixed:
-                    fixed["T"] = fixed["T"][:live]
-                adam_step([P], [G], state, cfg, rates)
-            if curve:  # this step's values still hold any candidates it dropped
-                epoch_loss += value[: rates.size] * idx.size
+            adam_step([P], [G], state, cfg, rates, named=(gW, gb))
+            if curve:
+                epoch_loss += value * idx.size
         if curve:
             losses.append(epoch_loss / ds.n_instances)
-    results = [
+    return [
         TrainResult(LinearModel(P[c, :, :d], P[c, :, d], head), [float(e[c]) for e in losses])
         for c in range(rates.size)
     ]
-    return results, error
 
 
 def _train(
     ds, head: str, cfg: TrainConfig, kind: str, per_instance: dict, learning_rates: Rates, curve: bool, T=None, **fixed
 ):
     """Run `_run_loop` at `learning_rates`, with T, when given, a checked
-    (C, K, K) stack, and return its Lockstep outcome.  Without rates, train
-    at cfg.learning_rate alone, as a stack of one with T (K, K) stacked, and
-    return its TrainResult or raise its error: the one place a training is
-    single or stacked."""
+    (C, K, K) stack, and return its results.  Without rates, train at
+    cfg.learning_rate alone, as a stack of one with T (K, K) stacked, and
+    return its one TrainResult: the one place a training is single or
+    stacked."""
     single = learning_rates is None
     rates = np.array([cfg.learning_rate] if single else learning_rates, dtype=np.float64)
     if T is not None:
@@ -215,24 +191,20 @@ def _train(
         fixed["T"] = T[None] if single else T
         for t in fixed["T"]:
             validate_transition(t)
-    results, error = _run_loop(ds, head, cfg, kind, per_instance, rates, curve, **fixed)
-    if not single:
-        return results, error
-    if error is not None:
-        raise error
-    return results[0]
+    results = _run_loop(ds, head, cfg, kind, per_instance, rates, curve, **fixed)
+    return results[0] if single else results
 
 
 def train_cl_predictor(
     cds: ComplementaryDataset, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
-) -> TrainResult | Lockstep:
+) -> TrainResult | list[TrainResult]:
     """Softmax predictor of the complementary label, trained with cross entropy."""
     return _train(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl}, learning_rates, curve)
 
 
 def train_mlcl(
     cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
-) -> TrainResult | Lockstep:
+) -> TrainResult | list[TrainResult]:
     """Sigmoid multi-label classifier trained on the transition-composed loss
     (complementary BCE plus cfg.beta times the squared-error regularizer)."""
     return _train(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, learning_rates, curve, T=T, beta=cfg.beta)
@@ -240,14 +212,14 @@ def train_mlcl(
 
 def train_supervised(
     ds: MultiLabelDataset, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
-) -> TrainResult | Lockstep:
+) -> TrainResult | list[TrainResult]:
     """Fully supervised sigmoid classifier under binary cross entropy."""
     return _train(ds, "sigmoid", cfg, "bce_supervised", {"y": ds.y.astype(np.float64)}, learning_rates, curve)
 
 
 def train_clrl(
     cds: ComplementaryDataset, T: np.ndarray, cfg: TrainConfig, learning_rates: Rates = None, curve: bool = True
-) -> TrainResult | Lockstep:
+) -> TrainResult | list[TrainResult]:
     """Training from one complementary label plus a partial relevant vector."""
     if cds.relevant is None:
         raise ValueError("clrl training requires relevant-label vectors on every instance")

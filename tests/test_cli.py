@@ -128,6 +128,15 @@ class TestTrainEval:
             run("eval", "--data", other, "--model-in", model_path, "--out", out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, what", [("x", "non-numeric"), ("inf", "non-finite")])
+    def test_eval_names_checkpoint_line_of_bad_entry(self, data_file, tmp_path, entry, what):
+        model_path = tmp_path / "sup.txt"
+        model_path.write_text("6 2 sigmoid\n" + "0 " * 6 + "0\n" + "0 " * 6 + f"{entry}\n")
+        out = tmp_path / "eval.csv"
+        with pytest.raises(SystemExit, match=f"sup.txt: line 3: {what} entry in '0 0 0 0 0 0 {entry}'$"):
+            run("eval", "--data", data_file, "--model-in", model_path, "--out", out)
+        assert not out.exists()
+
     def test_train_supervised(self, data_file, tmp_path):
         model_path = tmp_path / "sup.txt"
         assert run("train", "--data", data_file, "--regime", "supervised", "--model-out", model_path, "--epochs", "10") == 0

@@ -1,10 +1,9 @@
 """The lr grid's lockstep training: a stack of C models stepped together must
 give, candidate for candidate, the bits of C one-rate trainings run one at a
-time, and a failing candidate must surface exactly the error that the run
-through the grid in order raises."""
+time, and a failing grid must surface exactly the error that the run through
+the grid in order raises."""
 
 import re
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -106,11 +105,11 @@ class TestStackedAdam:
         state = init_adam(params)
         snapshot = [a.copy() for a in params + state.m + state.v]
         grads = [np.ones((C, 3, 4)), np.ones((C, 3))]
-        grads[0][2, 0, 1] = np.inf  # the later candidate fails in the first parameter
-        grads[1][1, 2] = np.nan  # the earlier one only in the second
-        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 1 at index \(2,\) \(step 1\)$") as info:
+        grads[0][2, 0, 1] = np.inf  # the first parameter fails in two candidates;
+        grads[0][1, 2, 3] = np.nan  # the index named is the earlier one's
+        grads[1][0, 2] = np.nan  # the second parameter, in an earlier candidate, is not named
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(2, 3\) \(step 1\)$"):
             adam_step(params, grads, state, TrainConfig(), np.array(LEARNING_RATE_GRID))
-        assert info.value.candidate == 1
         assert state.t == 0
         for got, want in zip(params + state.m + state.v, snapshot):
             assert same_bits(got, want)
@@ -142,11 +141,11 @@ class Recorder:
 
     def _spy(self, train, takes_T):
         def spy(data, *args):
-            results, error = out = train(data, *args)
+            results = train(data, *args)
             T = args[0] if takes_T else None  # stacked, one matrix per candidate
             self.Ts += [None if T is None else T[c] for c in range(len(results))]
             self.models += [r.model for r in results]
-            return out
+            return results
 
         return spy
 
@@ -155,19 +154,24 @@ def one_at_a_time(cds, train_ds, cfg, base):
     """The grid as three separate one-rate trainings, one rate after another."""
     models = []
     for lr in LEARNING_RATE_GRID:
-        (model,), failure = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
-        assert failure is None
+        (model,) = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
         models.append(model)
     return models
 
 
-def reference_rate(cds, train_ds, cfg, base):
-    """select_learning_rate from three separate trainings."""
+def fit_split(cds, train_ds, base):
+    """The fit rows select_learning_rate trains on, and its validation rows."""
     fit_idx, val_idx = experiment._stratified_validation_split(cds, 0.1, base.seed + 0x5E1)
     fit_cds = experiment._subset_cds(cds, fit_idx)
     fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
+    return fit_cds, fit_ds, train_ds.features[val_idx], train_ds.y[val_idx]
+
+
+def reference_rate(cds, train_ds, cfg, base):
+    """select_learning_rate from three separate trainings."""
+    fit_cds, fit_ds, val_X, val_y = fit_split(cds, train_ds, base)
     aps = [
-        experiment.evaluate_all(forward(m, train_ds.features[val_idx]), train_ds.y[val_idx]).average_precision
+        experiment.evaluate_all(forward(m, val_X), val_y).average_precision
         for m in one_at_a_time(fit_cds, fit_ds, cfg, base)
     ]
     return LEARNING_RATE_GRID[int(np.argmax(aps))], aps
@@ -215,8 +219,8 @@ class TestLockstepGrid:
         want_models = one_at_a_time(cds, train_ds, cfg, base)
         assert [m.weights.tobytes() for m in sequential.models] == [m.weights.tobytes() for m in want_models]
         lockstep = Recorder(monkeypatch)
-        models, failure = experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
-        assert failure is None and len(models) == len(lockstep.models) == C
+        models = experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
+        assert len(models) == len(lockstep.models) == C
         for got, want in zip(models, want_models):
             assert same_bits(got.weights, want.weights) and same_bits(got.bias, want.bias)
         for got, want in zip(lockstep.Ts, sequential.Ts):
@@ -239,8 +243,7 @@ class TestLockstepGrid:
                 return train_supervised(train_ds, cfg, rates)
             return (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, rates)
 
-        results, error = train(self.BASE, Ts, LEARNING_RATE_GRID)
-        assert error is None
+        results = train(self.BASE, Ts, LEARNING_RATE_GRID)
         for c, (result, lr) in enumerate(zip(results, LEARNING_RATE_GRID, strict=True)):
             alone = train(replace(self.BASE, learning_rate=lr), Ts[c])
             assert same_bits(result.model.weights, alone.model.weights)
@@ -250,88 +253,119 @@ class TestLockstepGrid:
 
 
 STAGES = {"ce_softmax": "predictor", "mlcl": "classifier"}
+R0, R1, R2 = LEARNING_RATE_GRID
 
 
 class Faults:
-    """Non-finite values put into chosen candidates: {(stage, candidate):
-    (step, parameter, index)} for the gradient stages, {("transition",
-    candidate): None} for a non-finite estimate of T."""
+    """Non-finite values put into the trainings at chosen learning rates:
+    {(stage, rate): (step, parameter, index)} for the gradient stages, and
+    {("transition", rate): None} for a non-finite estimate of T from the
+    predictor trained at that rate.  A fault fires wherever its rate trains,
+    alone or in a lockstep stack, at the step counted within that training."""
 
     def __init__(self, monkeypatch, faults):
-        self.faults, self.candidate, self.steps, self.estimates = faults, None, Counter(), 0
-        real_objective, real_estimate = optim.batch_objective, experiment.estimate_transition
+        self.faults, self.rates, self.step, self.predictor_rates = faults, [], 0, []
+        real_loop, real_objective = optim._run_loop, optim.batch_objective
+        real_estimate = experiment.estimate_transition
+
+        def loop(ds, head, cfg, kind, per_instance, rates, *args, **kw):
+            self.rates, self.step = rates.tolist(), 0
+            results = real_loop(ds, head, cfg, kind, per_instance, rates, *args, **kw)
+            if kind == "ce_softmax":  # T is estimated from each predictor, in rate order
+                self.predictor_rates = list(self.rates)
+            return results
 
         def objective(model, X, kind, **targets):
             value, gW, gb = real_objective(model, X, kind, **targets)
-            self.steps[kind] += 1
-            for c in range(len(gW)):  # a one-rate training's candidate 0 is self.candidate
-                fault = self.faults.get((STAGES[kind], c if self.candidate is None else self.candidate))
-                if fault and fault[0] == self.steps[kind]:
+            self.step += 1
+            for c, lr in enumerate(self.rates):
+                fault = self.faults.get((STAGES[kind], lr))
+                if fault and fault[0] == self.step:
                     (gW, gb)[fault[1]][c][fault[2]] = np.nan
             return value, gW, gb
 
         def estimate(cds, predictor, **kw):
-            c = self.estimates if self.candidate is None else self.candidate
-            self.estimates += 1
             T = real_estimate(cds, predictor, **kw)
-            return T * np.nan if ("transition", c) in self.faults else T
+            return T * np.nan if ("transition", self.predictor_rates.pop(0)) in self.faults else T
 
+        monkeypatch.setattr(optim, "_run_loop", loop)
         monkeypatch.setattr(optim, "batch_objective", objective)
         monkeypatch.setattr(experiment, "estimate_transition", estimate)
 
-    def one_at_a_time(self, cds, train_ds, cfg, base):
-        """Run the rates one after another, each as a one-rate training: the
-        models until the first failure, and that failure."""
-        models = []
-        for c, lr in enumerate(LEARNING_RATE_GRID):
-            self.candidate, self.steps = c, Counter()
-            found, failure = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
-            if failure is not None:
-                return models, failure
-            models += found
-        return models, None
 
-    def lockstep(self, cds, train_ds, cfg, base):
-        self.candidate, self.steps, self.estimates = None, Counter(), 0
-        return experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
+def first_failure(cds, train_ds, cfg, base):
+    """The rates trained one after another, each as a one-rate training: how
+    many finish before the first failure, and that failure."""
+    for finished, lr in enumerate(LEARNING_RATE_GRID):
+        try:
+            experiment._train_grid(cds, train_ds, cfg, base, (lr,))
+        except Exception as exc:
+            return finished, exc
+    raise AssertionError("no rate failed alone")
+
+
+def scored_models(monkeypatch):
+    """The score arrays experiment evaluates, in call order."""
+    scored, real = [], experiment.evaluate_all
+    monkeypatch.setattr(experiment, "evaluate_all", lambda S, Y: scored.append(S) or real(S, Y))
+    return scored
 
 
 class TestFailurePrecedence:
+    """A failing grid raises the error of the rates run one at a time, in
+    order, once the rates before the first to fail are scored."""
+
     BASE = TrainConfig(epochs=4, batch_size=40, seed=2)
 
     @pytest.mark.parametrize(
         "faults, winner, message",
         [
-            # a later candidate fails first in time, at an earlier stage
-            ({("predictor", 2): (1, 0, (0, 0)), ("classifier", 0): (3, 0, (1, 2))}, 0, r"parameter 0 at index \(1, 2\) \(step 3\)"),
-            # both in the same stage, the later candidate at an earlier step
-            ({("predictor", 1): (2, 1, (3,)), ("predictor", 0): (5, 0, (0, 4))}, 0, r"parameter 0 at index \(0, 4\) \(step 5\)"),
-            ({("classifier", 2): (1, 0, (0, 0)), ("classifier", 1): (4, 1, (2,))}, 1, r"parameter 1 at index \(2,\) \(step 4\)"),
-            ({("transition", 1): None, ("classifier", 0): (2, 0, (4, 7))}, 0, r"parameter 0 at index \(4, 7\) \(step 2\)"),
-            ({("transition", 2): None, ("predictor", 1): (6, 0, (2, 2))}, 1, r"parameter 0 at index \(2, 2\) \(step 6\)"),
-            ({("transition", 1): None}, 1, r"transition matrix has non-finite entries"),
-            ({("classifier", 2): (3, 1, (0,))}, 2, r"parameter 1 at index \(0,\) \(step 3\)"),
-            ({("predictor", 0): (1, 0, (1, 1))}, 0, r"parameter 0 at index \(1, 1\) \(step 1\)"),
+            # a later rate fails first in time, at an earlier stage
+            ({("predictor", R2): (1, 0, (0, 0)), ("classifier", R0): (3, 0, (1, 2))}, 0, r"parameter 0 at index \(1, 2\) \(step 3\)"),
+            # both in the same stage, the later rate at an earlier step
+            ({("predictor", R1): (2, 1, (3,)), ("predictor", R0): (5, 0, (0, 4))}, 0, r"parameter 0 at index \(0, 4\) \(step 5\)"),
+            ({("classifier", R2): (1, 0, (0, 0)), ("classifier", R1): (4, 1, (2,))}, 1, r"parameter 1 at index \(2,\) \(step 4\)"),
+            ({("transition", R1): None, ("classifier", R0): (2, 0, (4, 7))}, 0, r"parameter 0 at index \(4, 7\) \(step 2\)"),
+            ({("transition", R2): None, ("predictor", R1): (6, 0, (2, 2))}, 1, r"parameter 0 at index \(2, 2\) \(step 6\)"),
+            ({("transition", R1): None}, 1, r"transition matrix has non-finite entries"),
+            ({("classifier", R2): (3, 1, (0,))}, 2, r"parameter 1 at index \(0,\) \(step 3\)"),
+            ({("predictor", R0): (1, 0, (1, 1))}, 0, r"parameter 0 at index \(1, 1\) \(step 1\)"),
         ],
     )
     def test_earliest_candidate_wins(self, fold, monkeypatch, faults, winner, message):
         cds, train_ds = fold
         cfg = grid_config()
-        injected = Faults(monkeypatch, faults)
-        want_models, want = injected.one_at_a_time(cds, train_ds, cfg, self.BASE)
-        models, failure = injected.lockstep(cds, train_ds, cfg, self.BASE)
-        assert type(failure) is type(want) and str(failure) == str(want)
-        assert len(want_models) == len(models) == winner
-        for got, expected in zip(models, want_models):
-            assert same_bits(got.weights, expected.weights) and same_bits(got.bias, expected.bias)
-        assert re.search(message, str(failure))
+        Faults(monkeypatch, faults)
+        fit_cds, fit_ds, _, _ = fit_split(cds, train_ds, self.BASE)
+        finished, want = first_failure(fit_cds, fit_ds, cfg, self.BASE)
+        assert finished == winner and re.search(message, str(want))
+        scored = scored_models(monkeypatch)
+        with pytest.raises(Exception) as info:
+            experiment.select_learning_rate(cds, train_ds, cfg, self.BASE)
+        assert type(info.value) is type(want) and str(info.value) == str(want)
+        assert len(scored) == winner
 
     def test_selection_raises_after_scoring_survivors(self, fold, monkeypatch):
         cds, train_ds = fold
-        Faults(monkeypatch, {("classifier", 1): (2, 0, (0, 0))})
-        scored = []
-        real = experiment.evaluate_all
-        monkeypatch.setattr(experiment, "evaluate_all", lambda S, Y: scored.append(S) or real(S, Y))
+        Faults(monkeypatch, {("classifier", R1): (2, 0, (0, 0))})
+        scored = scored_models(monkeypatch)
         with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(0, 0\) \(step 2\)$"):
             experiment.select_learning_rate(cds, train_ds, grid_config(), self.BASE)
         assert len(scored) == 1
+
+    def test_fault_of_the_lockstep_alone_raises_its_error(self, fold, monkeypatch):
+        # the fault fires only in a stack of C: every rate succeeds alone
+        cds, train_ds = fold
+        real = optim.batch_objective
+
+        def objective(model, X, kind, **targets):
+            value, gW, gb = real(model, X, kind, **targets)
+            if len(gW) == C:
+                gW[1, 0, 3] = np.nan
+            return value, gW, gb
+
+        monkeypatch.setattr(optim, "batch_objective", objective)
+        scored = scored_models(monkeypatch)
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(0, 3\) \(step 1\)$"):
+            experiment.select_learning_rate(cds, train_ds, grid_config(), self.BASE)
+        assert len(scored) == C

@@ -333,6 +333,14 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="unknown loss kind"):
             score_objective(np.full((1, 3), 0.5), "hinge")
 
+    @pytest.mark.parametrize("kind", ["mlcl", "clrl", "ce_softmax"])
+    @pytest.mark.parametrize("cl, row", [([0, -1, 3], 1), ([2, 3, -1], 1), ([1, 2, -3], 2)])
+    def test_complementary_label_outside_range_rejected(self, kind, cl, row):
+        # an index of -1 would pick label K - 1 and one of K would fail in NumPy
+        K = 3
+        with pytest.raises(ValueError, match=rf"^complementary labels must lie in \[0, 3\), got cl\[{row}\] = {cl[row]}$"):
+            score_objective(np.full((3, K), 0.4), kind, cl=cl, T=uniform_transition(K), relevant=np.ones((3, K)))
+
     def test_single_score_row_rejected(self):
         # one instance is a batch of one, shape (1, K)
         with pytest.raises(ValueError, match=r"\(n, K\) batch"):

@@ -175,6 +175,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^checkpoint declares 4 rows, but line 6 follows them$"):
             load_model(path)
 
+    @pytest.mark.parametrize("entry, what", [("x", "non-numeric"), ("nan", "non-finite"), ("-inf", "non-finite")])
+    def test_bad_entry_names_its_line(self, tmp_path, entry, what):
+        path = tmp_path / "model.txt"
+        path.write_text(f"3 2 sigmoid\n0 0 0 0\n0 {entry} 0 0\n")
+        with pytest.raises(ValueError, match=f"^line 3: {what} entry in '0 {entry} 0 0'$"):
+            load_model(path)
+
     @pytest.mark.parametrize("header", ["0 4 sigmoid", "3 -4 sigmoid", "3 x sigmoid", "2.5 4 sigmoid", "3 4"])
     def test_header_needs_positive_integer_shape(self, tmp_path, header):
         path = tmp_path / "model.txt"
