@@ -42,7 +42,8 @@ from .experiment import (
 )
 from .metrics import MetricsReport, evaluate_all
 from .model import forward, load_model, save_model
-from .optim import TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
+from .optim import DEFAULT_LEARNING_RATE, LEARNING_RATE_GRID, TrainConfig
+from .optim import train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .transition import estimate_transition, load_transition_csv, save_transition_csv
 
 
@@ -69,7 +70,8 @@ OPTIONS = (
     Option("data", ("corrupt", "eval", *TRAINING), help="input data file"),
     Option("mode", ("corrupt", *CV), default=RunConfig.corruption, help="corruption mode", choices=CORRUPTION_MODES),
     Option("seed", ("corrupt", "theory-check", *TRAINING), int, TrainConfig.seed),
-    Option("lr", TRAINING, float, help="learning rate; omit to select from {1e-1,1e-2,1e-3}"),
+    Option("lr", TRAINING, float, help=f"learning rate; without it, estimate-t and train use {DEFAULT_LEARNING_RATE} "
+           f"and the cross-validated commands select one per fold from {{{', '.join(map(str, LEARNING_RATE_GRID))}}}"),
     Option("epochs", TRAINING, int, TrainConfig.epochs),
     Option("batch", TRAINING, int, TrainConfig.batch_size),
     Option("beta", ("train", "cv", "ablate", "clrl"), float, TrainConfig.beta, "trade-off weight of the squared-error regularizer"),
@@ -97,9 +99,10 @@ OPTIONS = (
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
 SUPERVISED_UNREAD = ("beta", "transition_in", "transition_out")  # read only by train's complementary regimes
 # The flag that sets each field TrainConfig and RunConfig check on the options'
-# values; each check's message begins with the field's name.
+# values, and run_cv checks against the data (folds); each check's message
+# begins with the field's name.
 CHECKED_FLAGS = {
-    "learning_rate": "--lr",
+    "learning_rates": "--lr",
     "weight_decay": "--weight-decay",
     "beta": "--beta",
     "batch_size": "--batch",
@@ -179,39 +182,46 @@ def _require(args, *names):
 @contextmanager
 def _exit_on_bad_value(flag: str | None = None):
     """Exit with the message of a check that fails inside, naming `flag` (or
-    a file), or else the flag that sets the checked config field."""
+    a file), or else the flag that sets the checked config field; a value
+    error from no such check, such as a data file's, propagates."""
     try:
         yield
     except ValueError as exc:
-        raise SystemExit(f"{flag or CHECKED_FLAGS[str(exc).split()[0]]}: {exc}") from None
+        name = flag or CHECKED_FLAGS.get(str(exc).partition(" ")[0])
+        if name is None:
+            raise
+        raise SystemExit(f"{name}: {exc}") from None
 
 
 def _train_config(args) -> TrainConfig:
-    with _exit_on_bad_value():
-        return TrainConfig(
-            learning_rate=TrainConfig.learning_rate if args.lr is None else args.lr,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch,
-            epochs=args.epochs,
-            beta=getattr(args, "beta", TrainConfig.beta),  # estimate-t and sweep-beta take no --beta
-            seed=args.seed,
-        )
+    # without --lr, the cross-validated commands select from the grid and the others train one model
+    default = LEARNING_RATE_GRID if args.command in CV else (DEFAULT_LEARNING_RATE,)
+    return TrainConfig(
+        learning_rates=default if args.lr is None else (args.lr,),
+        weight_decay=args.weight_decay,
+        batch_size=args.batch,
+        epochs=args.epochs,
+        beta=getattr(args, "beta", TrainConfig.beta),  # estimate-t and sweep-beta take no --beta
+        seed=args.seed,
+    )
 
 
 def _run_config(args) -> RunConfig:
     relevant = getattr(args, "relevant", None)  # of the commands built on run_cv, only clrl takes --relevant
-    with _exit_on_bad_value():
-        return RunConfig(
-            data_path=args.data,
-            corruption=args.mode,
-            folds=args.folds,
-            max_labels=args.max_labels,
-            normalize=args.normalize_features == "on",
-            learning_rate=args.lr,
-            train=_train_config(args),
-            transition_path=getattr(args, "transition_in", None),  # ablate takes no --transition-in
-            relevant_count=RunConfig.relevant_count if relevant is None else relevant,
-        )
+    cfg = RunConfig(
+        data_path=args.data,
+        corruption=args.mode,
+        folds=args.folds,
+        max_labels=args.max_labels,
+        normalize=args.normalize_features == "on",
+        train=_train_config(args),
+        transition_path=getattr(args, "transition_in", None),  # ablate takes no --transition-in
+        relevant_count=RunConfig.relevant_count if relevant is None else relevant,
+    )
+    if cfg.transition_path is not None:
+        with _exit_on_bad_value(cfg.transition_path):
+            cfg.transition  # read and check the file before the data
+    return cfg
 
 
 def _write_curve(curve: list[float], path: str) -> None:
@@ -226,9 +236,9 @@ def _print_summary(tag: str, report: AggregateReport) -> None:
 
 def cmd_corrupt(args) -> int:
     _require(args, "data", "out")
-    with _exit_on_bad_value():  # RunConfig checks the values corrupt shares with run_cv
-        relevant = RunConfig.relevant_count if args.relevant is None else args.relevant
-        RunConfig(args.data, args.mode, max_labels=args.max_labels, relevant_count=relevant)
+    relevant = RunConfig.relevant_count if args.relevant is None else args.relevant
+    # RunConfig checks the values corrupt shares with run_cv
+    RunConfig(args.data, args.mode, max_labels=args.max_labels, relevant_count=relevant)
     ds = preprocess_topk_labels(parse_multilabel_file(args.data), args.max_labels)
     cds = corrupt(ds, args.mode, args.seed, args.relevant)
     write_complementary_file(cds, args.out)
@@ -240,7 +250,7 @@ def cmd_estimate_t(args) -> int:
     _require(args, "data", "transition_out")
     cfg = _train_config(args)
     cds = parse_complementary_file(args.data)
-    result = train_cl_predictor(cds, cfg, curve=bool(args.curve_out))
+    (result,) = train_cl_predictor(cds, cfg, curve=bool(args.curve_out))
     T = estimate_transition(cds, result.model, use_correlation=not args.no_correlation)
     save_transition_csv(T, args.transition_out)
     if args.curve_out:
@@ -254,18 +264,19 @@ def cmd_train(args) -> int:
     tcfg = _train_config(args)
     if args.regime == "supervised":
         ds = parse_multilabel_file(args.data)
-        result = train_supervised(ds, tcfg, curve=bool(args.curve_out))
+        (result,) = train_supervised(ds, tcfg, curve=bool(args.curve_out))
     else:
         cds = parse_complementary_file(args.data)
         if args.transition_in:
-            T = load_transition_csv(args.transition_in)
+            with _exit_on_bad_value(args.transition_in):
+                T = load_transition_csv(args.transition_in)
         else:
-            predictor = train_cl_predictor(cds, tcfg, curve=False).model
-            T = estimate_transition(cds, predictor)
+            (predictor,) = train_cl_predictor(cds, tcfg, curve=False)
+            T = estimate_transition(cds, predictor.model)
         if args.transition_out:
             save_transition_csv(T, args.transition_out)
         train = train_clrl if args.regime == "clrl" else train_mlcl
-        result = train(cds, T, tcfg, curve=bool(args.curve_out))
+        (result,) = train(cds, T, tcfg, curve=bool(args.curve_out))
     save_model(result.model, args.model_out)
     if args.curve_out:
         _write_curve(result.epoch_losses, args.curve_out)
@@ -402,7 +413,8 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _resolve(build_parser().parse_args(argv))
-    return COMMANDS[args.command][0](args)
+    with _exit_on_bad_value():
+        return COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .dataset import (
 )
 from .metrics import MetricsReport, evaluate_all
 from .model import LinearModel, forward
-from .optim import LEARNING_RATE_GRID, TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
+from .optim import DEFAULT_LEARNING_RATE, TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .theory import (
     corollary3_bound,
     grid_scenarios,
@@ -66,11 +66,13 @@ CONSISTENCY_GAP = 0.05  # largest test hamming-loss gap the consistency check ac
 class RunConfig:
     """One cross-validated run.
 
-    learning_rate=None selects from the grid {1e-1, 1e-2, 1e-3} on a 10%
+    One rate in train.learning_rates trains every fold at it; several (by
+    default the grid {1e-1, 1e-2, 1e-3}) are trained in lockstep on a 10%
     validation split of each training fold (stratified by complementary
-    label), scored by average precision.  transition_path=None estimates T
-    on each training fold; a path gives the matrix every fold uses, so it
-    cannot be combined with no_correlation, which changes the estimate.
+    label), and the fold is fitted at the one with the best average
+    precision.  transition_path=None estimates T on each training fold; a
+    path gives the matrix every fold uses, so it cannot be combined with
+    no_correlation, which changes the estimate.
     The squared-error regulariser is dropped by train.beta = 0.
     """
 
@@ -80,7 +82,6 @@ class RunConfig:
     folds: int = 10
     max_labels: int = 15
     normalize: bool = False
-    learning_rate: float | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     no_correlation: bool = False
     transition_path: str | Path | None = None
@@ -164,39 +165,40 @@ def _subset_cds(cds: ComplementaryDataset, idx: np.ndarray) -> ComplementaryData
 
 
 def _train_grid(
-    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig, rates: tuple[float, ...]
+    cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
 ) -> list[LinearModel]:
-    """The configured regime trained at each of `rates`, every training
-    stepping the rates in lockstep, with each model bit for bit that of its
-    rate alone: the CL predictor, T estimated from it (or read from the
-    transition file), then the classifier.  A failure at any rate fails the
-    whole call."""
+    """The configured regime trained at each of base.learning_rates, every
+    training stepping the rates in lockstep, with each model bit for bit that
+    of its rate alone: the CL predictor, T estimated from it (or read from
+    the transition file), then the classifier.  A failure at any rate fails
+    the whole call."""
     curve = False  # nothing here reads a loss curve, so none is computed
     if cfg.regime == "supervised":
-        return [r.model for r in train_supervised(train_ds, base, rates, curve)]
+        return [r.model for r in train_supervised(train_ds, base, curve)]
     if cfg.transition_path is not None:
-        Ts = [cfg.transition] * len(rates)
+        T = cfg.transition
     else:
-        predictors = train_cl_predictor(cds, base, rates, curve)
-        Ts = [estimate_transition(cds, r.model, use_correlation=not cfg.no_correlation) for r in predictors]
+        predictors = train_cl_predictor(cds, base, curve)
+        T = np.stack([estimate_transition(cds, r.model, use_correlation=not cfg.no_correlation) for r in predictors])
     train = train_mlcl if cfg.regime == "cl" else train_clrl
-    return [r.model for r in train(cds, np.stack(Ts), base, rates, curve)]
+    return [r.model for r in train(cds, T, base, curve)]
 
 
 def select_learning_rate(
     cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
 ) -> float:
-    """Pick the grid learning rate with the best validation average precision.
+    """Pick the rate of base.learning_rates with the best validation average
+    precision, or DEFAULT_LEARNING_RATE when the fold is too small to split.
 
     The validation slice's ground truth comes from the fold's fully labeled
     half; it serves model selection only and never enters training.  If the
-    lockstep grid fails, the rates are trained and scored one at a time, in
-    order, and the first to fail alone raises its error; if none does, the
-    lockstep's error is raised.
+    lockstep training fails, the rates are trained and scored one at a time,
+    in order, and the first to fail alone raises its error; if none does,
+    the lockstep's error is raised.
     """
     fit_idx, val_idx = _stratified_validation_split(cds, 0.1, base.seed + 0x5E1)
     if val_idx.size == 0 or fit_idx.size == 0:
-        return base.learning_rate
+        return DEFAULT_LEARNING_RATE
     fit_cds = _subset_cds(cds, fit_idx)
     # cds carries train_ds's features, so fit_cds already holds the fit rows
     fit_ds = MultiLabelDataset(fit_cds.features, train_ds.y[fit_idx])
@@ -206,14 +208,14 @@ def select_learning_rate(
         return evaluate_all(forward(model, val_X), val_y).average_precision
 
     try:
-        aps = [score(model) for model in _train_grid(fit_cds, fit_ds, cfg, base, LEARNING_RATE_GRID)]
+        aps = [score(model) for model in _train_grid(fit_cds, fit_ds, cfg, base)]
     except Exception:
-        for lr in LEARNING_RATE_GRID:
-            (model,) = _train_grid(fit_cds, fit_ds, cfg, base, (lr,))
+        for lr in base.learning_rates:
+            (model,) = _train_grid(fit_cds, fit_ds, cfg, replace(base, learning_rates=(lr,)))
             score(model)
         raise
     best_lr, best_ap = None, -np.inf
-    for lr, ap in zip(LEARNING_RATE_GRID, aps):
+    for lr, ap in zip(base.learning_rates, aps):
         if ap > best_ap:
             best_lr, best_ap = lr, ap
     return best_lr
@@ -234,12 +236,9 @@ def fit_fold(train_ds: MultiLabelDataset, cfg: RunConfig, fold_index: int):
 
     cds = corrupt(train_ds, cfg.corruption, fold_seed, cfg.relevant_count if cfg.regime == "clrl" else None)
 
-    if cfg.learning_rate is not None:
-        tcfg = replace(tcfg, learning_rate=cfg.learning_rate)
-    else:
-        tcfg = replace(tcfg, learning_rate=select_learning_rate(cds, train_ds, cfg, tcfg))
-
-    (model,) = _train_grid(cds, train_ds, cfg, tcfg, (tcfg.learning_rate,))
+    if len(tcfg.learning_rates) > 1:
+        tcfg = replace(tcfg, learning_rates=(select_learning_rate(cds, train_ds, cfg, tcfg),))
+    (model,) = _train_grid(cds, train_ds, cfg, tcfg)
     return model, scaler
 
 
@@ -252,6 +251,9 @@ def _run_fold(fold: FoldSplit, cfg: RunConfig) -> MetricsReport:
 def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
     ds = parse_multilabel_file(cfg.data_path)
     ds = preprocess_topk_labels(ds, cfg.max_labels)
+    if ds.n_instances < cfg.folds:
+        n = ds.n_instances
+        raise ValueError(f"folds must be at most the {n} instances left after label filtering, got {cfg.folds}")
     return kfold_split(ds, cfg.folds, cfg.train.seed)
 
 
@@ -329,12 +331,12 @@ def consistency_experiment(
     spec = make_exclusive_spec(n_labels)
     train_full, train_comp = sample_from_generative(spec, n_train, n_features, seed)
     test_full, _ = sample_from_generative(spec, n_test, n_features, seed + 1)
-    tcfg = TrainConfig(learning_rate=1e-2, epochs=epochs, seed=seed)
+    tcfg = TrainConfig(learning_rates=(1e-2,), epochs=epochs, seed=seed)
     T = uniform_transition(n_labels)
-    mlcl_model = train_mlcl(train_comp, T, tcfg, curve=False).model
-    sup_model = train_supervised(train_full, tcfg, curve=False).model
-    ham_mlcl = evaluate_all(forward(mlcl_model, test_full.features), test_full.y).hamming_loss
-    ham_sup = evaluate_all(forward(sup_model, test_full.features), test_full.y).hamming_loss
+    (mlcl,) = train_mlcl(train_comp, T, tcfg, curve=False)
+    (sup,) = train_supervised(train_full, tcfg, curve=False)
+    ham_mlcl = evaluate_all(forward(mlcl.model, test_full.features), test_full.y).hamming_loss
+    ham_sup = evaluate_all(forward(sup.model, test_full.features), test_full.y).hamming_loss
     return {
         "hamming_mlcl": ham_mlcl,
         "hamming_supervised": ham_sup,

@@ -1,4 +1,5 @@
 import argparse
+import re
 import shlex
 from pathlib import Path
 
@@ -190,9 +191,48 @@ class TestCV:
         monkeypatch.setattr(experiment, "fit_fold", no_training)
         tfile = tmp_path / "t.csv"
         tfile.write_text("0,0.5,0.25,0.25\n0.5,0,0.25,0.25\n0.5,0.25,0,0.25\n0.5,0.25,0.5,0\n")
-        with pytest.raises(ValueError, match="^line 4: transition matrix rows must sum to 1"):
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(tfile))}: line 4: transition matrix rows must sum to 1"):
             run("cv", "--data", data_file, "--folds", "3", "--epochs", "5", "--lr", "0.01",
                 "--transition-in", tfile, "--out", tmp_path / "cv.csv")  # fmt: skip
+
+    @pytest.mark.parametrize("command", ["sweep-beta", "clrl", "train"])
+    def test_bad_transition_file_named_before_training(self, command, data_file, tmp_path, monkeypatch):
+        import comlabel.optim as optim
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the transition file was checked")
+
+        out = tmp_path / "out"
+        if command == "train":  # train reads complementary labels
+            run("corrupt", "--data", data_file, "--out", tmp_path / "comp.txt", "--seed", "1")
+            argv = ("--data", tmp_path / "comp.txt", "--model-out", out)
+        else:
+            argv = ("--data", data_file, "--out", out)
+        monkeypatch.setattr(optim, "_run_loop", no_training)
+        tfile = tmp_path / "t.csv"
+        tfile.write_text("0,1,x\n")
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(tfile))}: line 1: non-numeric entry in '0,1,x'$"):
+            run(command, *argv, "--transition-in", tfile, "--epochs", "1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "sweep-beta"])
+    def test_more_folds_than_rows_named(self, command, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+
+        monkeypatch.setattr(experiment, "fit_fold", no_training)
+        # eight rows; keeping the four most frequent labels leaves one row with
+        # no label and one with all four, and both are dropped
+        y = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+             [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 1, 0]]  # fmt: skip
+        data = tmp_path / "small.txt"
+        write_multilabel_file(MultiLabelDataset(np.eye(8, 3), np.array(y, dtype=np.uint8)), data)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit, match="^--folds: folds must be at most the 6 instances left after label filtering, got 10$"):
+            run(command, "--data", data, "--max-labels", "4", "--folds", "10", "--lr", "0.01", "--out", out)
+        assert not out.exists()
 
     def test_ablate_writes_three_reports(self, data_file, tmp_path, monkeypatch):
         import comlabel.cli as cli

@@ -26,7 +26,7 @@ from comlabel.experiment import (
     write_theory_csv,
 )
 from comlabel.metrics import MetricsReport
-from comlabel.optim import NonFiniteGradientError, TrainConfig
+from comlabel.optim import LEARNING_RATE_GRID, NonFiniteGradientError, TrainConfig
 from comlabel.transition import correct_and_normalize, estimate_initial_S, estimate_transition
 from comlabel.model import init_linear
 
@@ -50,15 +50,16 @@ def data_file(tmp_path_factory):
     return path
 
 
-def quick_config(data_file, **kw):
+def quick_config(data_file, rates=(1e-2,), **kw):
+    """A short run at `rates`, one fixed rate unless told otherwise."""
     defaults = dict(
         data_path=data_file,
         corruption="uniform",
         folds=3,
-        learning_rate=1e-2,
         train=TrainConfig(epochs=25, seed=11),
     )
     defaults.update(kw)
+    defaults["train"] = replace(defaults["train"], learning_rates=rates)
     return RunConfig(**defaults)
 
 
@@ -86,7 +87,7 @@ class TestRunCV:
         assert len(report.fold_reports) == 3
 
     def test_learning_rate_grid_selection(self, data_file):
-        cfg = quick_config(data_file, learning_rate=None, folds=2, train=TrainConfig(epochs=8, seed=3))
+        cfg = quick_config(data_file, LEARNING_RATE_GRID, folds=2, train=TrainConfig(epochs=8, seed=3))
         report = run_cv(cfg)
         assert len(report.fold_reports) == 2
 
@@ -105,7 +106,7 @@ class TestRunCV:
             return real(fit_cds, fit_ds, *args)
 
         monkeypatch.setattr(experiment, "_train_grid", spy)
-        cfg = quick_config(data_file, learning_rate=None)
+        cfg = quick_config(data_file, LEARNING_RATE_GRID)
         experiment.select_learning_rate(cds, train_ds, cfg, TrainConfig(epochs=2, seed=3))
         assert len(seen) == 1
         for fit_cds, fit_ds in seen:
@@ -126,7 +127,7 @@ class TestNoCurve:
     leaves its models as they are with one."""
 
     @pytest.mark.parametrize("features", ["dense", "csr"])
-    @pytest.mark.parametrize("rates", [None, (1e-1, 1e-2, 1e-3)], ids=["alone", "lockstep"])
+    @pytest.mark.parametrize("rates", [(1e-2,), (1e-1, 1e-2, 1e-3)], ids=["alone", "lockstep"])
     @pytest.mark.parametrize("trainer", ["cl_predictor", "mlcl", "clrl", "supervised"])
     def test_models_bit_equal_and_curve_empty(self, data_file, trainer, rates, features):
         import scipy.sparse as sp
@@ -141,20 +142,18 @@ class TestNoCurve:
             train_ds = MultiLabelDataset(sp.csr_matrix(X), train_ds.y)
         cds = corrupt(train_ds, "biased", 3, relevant=1)
         T = uniform_transition(cds.n_labels)
-        T = T if rates is None else np.stack([T] * len(rates))
-        cfg = TrainConfig(epochs=3, batch_size=50, seed=5)
+        T = T if len(rates) == 1 else np.stack([T] * len(rates))
+        cfg = TrainConfig(learning_rates=rates, epochs=3, batch_size=50, seed=5)
 
         def train(curve):
             if trainer == "cl_predictor":
-                out = train_cl_predictor(cds, cfg, rates, curve)
-            elif trainer == "supervised":
-                out = train_supervised(train_ds, cfg, rates, curve)
-            else:
-                out = (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, rates, curve)
-            return [out] if rates is None else out
+                return train_cl_predictor(cds, cfg, curve)
+            if trainer == "supervised":
+                return train_supervised(train_ds, cfg, curve)
+            return (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, curve)
 
         kept, skipped = train(True), train(False)
-        assert len(kept) == len(skipped) == (1 if rates is None else len(rates))
+        assert len(kept) == len(skipped) == len(rates)
         for a, b in zip(kept, skipped):
             assert a.model.weights.tobytes() == b.model.weights.tobytes()
             assert a.model.bias.tobytes() == b.model.bias.tobytes()
@@ -172,30 +171,30 @@ class TestNoCurve:
             return values, G
 
         monkeypatch.setattr(loss, "score_objective", spy)
-        run_cv(quick_config(data_file, regime=regime, learning_rate=None, train=TrainConfig(epochs=2, seed=3)))
+        run_cv(quick_config(data_file, LEARNING_RATE_GRID, regime=regime, train=TrainConfig(epochs=2, seed=3)))
         assert asked and not any(asked)
 
 
 class TestFoldFailure:
-    @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
-    def test_error_names_fold_and_keeps_cause(self, data_file, monkeypatch, learning_rate):
+    @pytest.mark.parametrize("rates", [(1e-2,), LEARNING_RATE_GRID], ids=["fixed_lr", "grid"])
+    def test_error_names_fold_and_keeps_cause(self, data_file, monkeypatch, rates):
         import comlabel.experiment as experiment
 
-        cfg = quick_config(data_file, learning_rate=learning_rate, train=TrainConfig(epochs=2, seed=11))
+        cfg = quick_config(data_file, rates, train=TrainConfig(epochs=2, seed=11))
         raised = []
         orig = experiment.train_mlcl
 
-        def diverging_on_fold_2(cds, T, tcfg, rates, *rest):
+        def diverging_on_fold_2(cds, T, tcfg, *rest):
             if tcfg.seed == cfg.train.seed + 2:  # each fold trains with seed + fold index
                 raised.append(NonFiniteGradientError("non-finite gradient in parameter 0 at index (0, 0) (step 1)"))
                 raise raised[-1]
-            return orig(cds, T, tcfg, rates, *rest)
+            return orig(cds, T, tcfg, *rest)
 
         monkeypatch.setattr(experiment, "train_mlcl", diverging_on_fold_2)
         with pytest.raises(RuntimeError, match=r"^fold 2 failed: non-finite gradient") as info:
             run_cv(cfg)
         # a failed grid is rerun one rate at a time, and its first rate fails too
-        assert len(raised) == (1 if learning_rate else 2)
+        assert len(raised) == (1 if len(rates) == 1 else 2)
         assert info.value.__cause__ is raised[-1]
 
 
@@ -220,7 +219,7 @@ class TestDivergence:
         return path
 
     def test_grid_divergence_names_fold(self, far_rows):
-        cfg = quick_config(far_rows, learning_rate=None, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        cfg = quick_config(far_rows, LEARNING_RATE_GRID, train=TrainConfig(epochs=10, batch_size=16, seed=3))
         message = "fold 1 failed: non-finite gradient in parameter 0 at index (0, 0) (step 22)"
         with pytest.raises(RuntimeError) as info:
             run_cv(cfg)
@@ -228,7 +227,7 @@ class TestDivergence:
         assert isinstance(info.value.__cause__, NonFiniteGradientError)
 
     def test_fixed_lr_divergence_names_fold(self, far_rows):
-        cfg = quick_config(far_rows, learning_rate=1e-1, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        cfg = quick_config(far_rows, (1e-1,), train=TrainConfig(epochs=10, batch_size=16, seed=3))
         message = "fold 1 failed: non-finite gradient in parameter 0 at index (0, 0) (step 20)"
         with pytest.raises(RuntimeError) as info:
             run_cv(cfg)
@@ -238,7 +237,7 @@ class TestDivergence:
     def test_overflowing_predictor_named(self, far_rows):
         # fewer, larger batches: the lr 1e-1 predictor's logits overflow on the
         # far rows before any gradient does, and the grid fails that rate
-        cfg = quick_config(far_rows, learning_rate=None, train=TrainConfig(epochs=6, batch_size=32, seed=3))
+        cfg = quick_config(far_rows, LEARNING_RATE_GRID, train=TrainConfig(epochs=6, batch_size=32, seed=3))
         message = "fold 1 failed: complementary-label predictor gave non-finite scores on instance 0"
         with pytest.raises(RuntimeError) as info:
             run_cv(cfg)
@@ -247,7 +246,7 @@ class TestDivergence:
 
     @pytest.mark.parametrize("learning_rate", [1e-2, 1e-3])
     def test_smaller_rates_converge(self, far_rows, learning_rate):
-        cfg = quick_config(far_rows, learning_rate=learning_rate, train=TrainConfig(epochs=10, batch_size=16, seed=3))
+        cfg = quick_config(far_rows, (learning_rate,), train=TrainConfig(epochs=10, batch_size=16, seed=3))
         assert len(run_cv(cfg).fold_reports) == 3
 
 
@@ -264,9 +263,9 @@ class TestEmptyCandidatePool:
         write_multilabel_file(MultiLabelDataset(rng.standard_normal((60, 5)), y), path)
         return path
 
-    @pytest.mark.parametrize("learning_rate", [1e-2, None], ids=["fixed_lr", "grid"])
-    def test_run_completes_with_both_fallbacks(self, one_label_never_relevant, learning_rate):
-        cfg = quick_config(one_label_never_relevant, learning_rate=learning_rate, train=TrainConfig(epochs=5, seed=3))
+    @pytest.mark.parametrize("rates", [(1e-2,), LEARNING_RATE_GRID], ids=["fixed_lr", "grid"])
+    def test_run_completes_with_both_fallbacks(self, one_label_never_relevant, rates):
+        cfg = quick_config(one_label_never_relevant, rates, train=TrainConfig(epochs=5, seed=3))
         with pytest.warns(UserWarning) as caught:
             report = run_cv(cfg)
         messages = {str(w.message) for w in caught}
@@ -274,6 +273,24 @@ class TestEmptyCandidatePool:
         assert any(m.startswith("labels [2] appear as the complementary label of every instance") for m in messages), messages
         for name in MetricsReport.METRIC_NAMES:
             assert np.isfinite(report.mean(name))
+
+
+class TestEmptyValidationSplit:
+    def test_selection_falls_back_to_one_hundredth(self, monkeypatch):
+        # each label is the complementary label of at most one row, so the
+        # stratified split holds out no row and nothing is trained to select
+        import comlabel.experiment as experiment
+        from comlabel.dataset import ComplementaryDataset
+
+        def no_training(*args):
+            raise AssertionError("a rate was trained with no row to score it on")
+
+        monkeypatch.setattr(experiment, "_train_grid", no_training)
+        X = np.random.default_rng(3).standard_normal((3, 5))
+        train_ds = MultiLabelDataset(X, np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+        cds = ComplementaryDataset(X, np.array([3, 0, 1]), 4)
+        cfg = quick_config("unused", LEARNING_RATE_GRID)
+        assert experiment.select_learning_rate(cds, train_ds, cfg, cfg.train) == 1e-2
 
 
 class TestLeakageAudit:
@@ -311,7 +328,7 @@ class TestTransitionFile:
         T = rng.random((5, 5))
         np.fill_diagonal(T, 0.0)
         save_transition_csv(T / T.sum(axis=1, keepdims=True), tmp_path / "t.csv")
-        cfg = quick_config(data_file, learning_rate=None, transition_path=tmp_path / "t.csv")
+        cfg = quick_config(data_file, LEARNING_RATE_GRID, transition_path=tmp_path / "t.csv")
         reads = []
         load = experiment.load_transition_csv
         monkeypatch.setattr(experiment, "load_transition_csv", lambda path: reads.append(path) or load(path))
@@ -433,3 +450,8 @@ class TestConfigValidation:
 
     def test_no_regulariser_switch_but_beta(self):
         assert "no_mse" not in {f.name for f in fields(RunConfig)}
+
+    def test_rates_set_only_by_the_training_config(self):
+        # one place sets what a run trains at: train.learning_rates, by default the grid
+        assert not {"learning_rate", "learning_rates"} & {f.name for f in fields(RunConfig)}
+        assert RunConfig(data_path="unused", train=TrainConfig(epochs=5)).train.learning_rates == LEARNING_RATE_GRID

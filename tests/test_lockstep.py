@@ -86,32 +86,33 @@ class TestStackedAdam:
     def test_each_candidate_steps_as_alone(self, weight_decay):
         rng = np.random.default_rng(5)
         rates = np.array(LEARNING_RATE_GRID)
-        params = [rng.standard_normal((C, 4, 7)), rng.standard_normal((C, 4))]
-        singles = [[p[c : c + 1].copy() for p in params] for c in range(C)]  # one-rate stacks
-        state, single_states = init_adam(params), [init_adam(s) for s in singles]
+        P = rng.standard_normal((C, 4, 8))  # (C, K, d+1)
+        singles = [P[c : c + 1].copy() for c in range(C)]  # one-rate stacks
+        state, single_states = init_adam(P), [init_adam(s) for s in singles]
         cfg = TrainConfig(weight_decay=weight_decay)
         for _ in range(40):
-            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
-            adam_step(params, grads, state, cfg, rates)
+            G = rng.standard_normal(P.shape) * 10.0 ** rng.integers(-4, 3, size=P.shape[-1])  # a scale per column
+            adam_step(P, G, state, cfg, rates)
             for c in range(C):
-                adam_step(singles[c], [g[c : c + 1] for g in grads], single_states[c], cfg, rates[c : c + 1])
+                adam_step(singles[c], G[c : c + 1], single_states[c], cfg, rates[c : c + 1])
         for c in range(C):
-            for got, want in zip(params + state.m + state.v, singles[c] + single_states[c].m + single_states[c].v):
+            for got, want in zip((P, state.m, state.v), (singles[c], single_states[c].m, single_states[c].v)):
                 assert same_bits(got[c], want[0])
 
     def test_nonfinite_names_first_candidate_and_writes_nothing(self):
         rng = np.random.default_rng(6)
-        params = [rng.standard_normal((C, 3, 4)), rng.standard_normal((C, 3))]
-        state = init_adam(params)
-        snapshot = [a.copy() for a in params + state.m + state.v]
-        grads = [np.ones((C, 3, 4)), np.ones((C, 3))]
-        grads[0][2, 0, 1] = np.inf  # the first parameter fails in two candidates;
-        grads[0][1, 2, 3] = np.nan  # the index named is the earlier one's
-        grads[1][0, 2] = np.nan  # the second parameter, in an earlier candidate, is not named
+        P = rng.standard_normal((C, 3, 5))  # the weights (C, 3, 4), then the bias
+        state = init_adam(P)
+        snapshot = [a.copy() for a in (P, state.m, state.v)]
+        G = np.ones((C, 3, 5))
+        gW, gb = G[..., :4], G[..., 4]
+        gW[2, 0, 1] = np.inf  # the first parameter fails in two candidates;
+        gW[1, 2, 3] = np.nan  # the index named is the earlier one's
+        gb[0, 2] = np.nan  # the second parameter, in an earlier candidate, is not named
         with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(2, 3\) \(step 1\)$"):
-            adam_step(params, grads, state, TrainConfig(), np.array(LEARNING_RATE_GRID))
+            adam_step(P, G, state, TrainConfig(), np.array(LEARNING_RATE_GRID), named=(gW, gb))
         assert state.t == 0
-        for got, want in zip(params + state.m + state.v, snapshot):
+        for got, want in zip((P, state.m, state.v), snapshot):
             assert same_bits(got, want)
 
 
@@ -132,7 +133,8 @@ def fold():
 class Recorder:
     """Spies on the classifier trainings experiment runs, keeping each
     candidate's T (None when supervised) and model in call order; every
-    call is a lockstep one and adds one of each per candidate."""
+    call is a lockstep one and adds one of each per candidate, and a T
+    shared by the candidates counts once for each."""
 
     def __init__(self, monkeypatch):
         self.Ts, self.models = [], []
@@ -142,7 +144,7 @@ class Recorder:
     def _spy(self, train, takes_T):
         def spy(data, *args):
             results = train(data, *args)
-            T = args[0] if takes_T else None  # stacked, one matrix per candidate
+            T = np.broadcast_to(args[0], (len(results), *np.shape(args[0])[-2:])) if takes_T else None
             self.Ts += [None if T is None else T[c] for c in range(len(results))]
             self.models += [r.model for r in results]
             return results
@@ -154,7 +156,7 @@ def one_at_a_time(cds, train_ds, cfg, base):
     """The grid as three separate one-rate trainings, one rate after another."""
     models = []
     for lr in LEARNING_RATE_GRID:
-        (model,) = experiment._train_grid(cds, train_ds, cfg, base, (lr,))
+        (model,) = experiment._train_grid(cds, train_ds, cfg, replace(base, learning_rates=(lr,)))
         models.append(model)
     return models
 
@@ -189,7 +191,7 @@ VARIANTS = {
 
 def grid_config(**kw):
     """A grid run's config; the tests hand the fold's data over directly."""
-    return experiment.RunConfig(data_path="unused", learning_rate=None, **kw)
+    return experiment.RunConfig(data_path="unused", **kw)
 
 
 def variant_config(name, tmp_path, K, base):
@@ -219,7 +221,7 @@ class TestLockstepGrid:
         want_models = one_at_a_time(cds, train_ds, cfg, base)
         assert [m.weights.tobytes() for m in sequential.models] == [m.weights.tobytes() for m in want_models]
         lockstep = Recorder(monkeypatch)
-        models = experiment._train_grid(cds, train_ds, cfg, base, LEARNING_RATE_GRID)
+        models = experiment._train_grid(cds, train_ds, cfg, base)
         assert len(models) == len(lockstep.models) == C
         for got, want in zip(models, want_models):
             assert same_bits(got.weights, want.weights) and same_bits(got.bias, want.bias)
@@ -236,16 +238,16 @@ class TestLockstepGrid:
         cds, train_ds = fold
         Ts = random_transitions(np.random.default_rng(3), C, cds.n_labels)
 
-        def train(cfg, T, rates=None):
+        def train(cfg, T):
             if trainer == "cl_predictor":
-                return train_cl_predictor(cds, cfg, rates)
+                return train_cl_predictor(cds, cfg)
             if trainer == "supervised":
-                return train_supervised(train_ds, cfg, rates)
-            return (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg, rates)
+                return train_supervised(train_ds, cfg)
+            return (train_mlcl if trainer == "mlcl" else train_clrl)(cds, T, cfg)
 
-        results = train(self.BASE, Ts, LEARNING_RATE_GRID)
+        results = train(self.BASE, Ts)
         for c, (result, lr) in enumerate(zip(results, LEARNING_RATE_GRID, strict=True)):
-            alone = train(replace(self.BASE, learning_rate=lr), Ts[c])
+            (alone,) = train(replace(self.BASE, learning_rates=(lr,)), Ts[c])
             assert same_bits(result.model.weights, alone.model.weights)
             assert same_bits(result.model.bias, alone.model.bias)
             assert result.epoch_losses == alone.epoch_losses
@@ -268,9 +270,9 @@ class Faults:
         real_loop, real_objective = optim._run_loop, optim.batch_objective
         real_estimate = experiment.estimate_transition
 
-        def loop(ds, head, cfg, kind, per_instance, rates, *args, **kw):
-            self.rates, self.step = rates.tolist(), 0
-            results = real_loop(ds, head, cfg, kind, per_instance, rates, *args, **kw)
+        def loop(ds, head, cfg, kind, *args, **kw):
+            self.rates, self.step = list(cfg.learning_rates), 0
+            results = real_loop(ds, head, cfg, kind, *args, **kw)
             if kind == "ce_softmax":  # T is estimated from each predictor, in rate order
                 self.predictor_rates = list(self.rates)
             return results
@@ -298,7 +300,7 @@ def first_failure(cds, train_ds, cfg, base):
     many finish before the first failure, and that failure."""
     for finished, lr in enumerate(LEARNING_RATE_GRID):
         try:
-            experiment._train_grid(cds, train_ds, cfg, base, (lr,))
+            experiment._train_grid(cds, train_ds, cfg, replace(base, learning_rates=(lr,)))
         except Exception as exc:
             return finished, exc
     raise AssertionError("no rate failed alone")

@@ -16,6 +16,7 @@ from comlabel.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LEARNING_RATE_GRID,
     AdamState,
     NonFiniteGradientError,
     TrainConfig,
@@ -47,125 +48,131 @@ def deterministic_cl_spec(K):
     return GenerativeSpec(K, probs, cl)
 
 
-def reference_adam_step(params, grads, state, cfg):
-    """The out-of-place update the in-place `adam_step` must reproduce bit for bit."""
+def reference_adam_step(p, g, state, cfg, lr):
+    """The out-of-place update of one parameter at the rate `lr`, which the
+    in-place `adam_step` must reproduce bit for bit."""
     t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = g + cfg.weight_decay * p
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_params.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    g = g + cfg.weight_decay * p
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m=m, v=v, t=t)
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "beta"])
+    @pytest.mark.parametrize("name", ["learning_rates", "weight_decay", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_value_rejected(self, name, value):
+        arg = (1e-2, value) if name == "learning_rates" else value  # a bad rate anywhere in the stack
         with pytest.raises(ValueError, match=f"^{name} must be .*finite, got {value!r}"):
-            TrainConfig(**{name: value})
+            TrainConfig(**{name: arg})
+
+    def test_no_rate_rejected(self):
+        with pytest.raises(ValueError, match="^learning_rates must hold at least one rate$"):
+            TrainConfig(learning_rates=())
+
+    def test_defaults_to_the_grid(self):
+        assert TrainConfig().learning_rates == LEARNING_RATE_GRID == (1e-1, 1e-2, 1e-3)
 
 
 def one_rate(cfg):
-    """The learning rates of a one-candidate stack at cfg's rate."""
-    return np.array([cfg.learning_rate])
+    """The learning rates of a one-candidate stack at cfg's one rate."""
+    (lr,) = cfg.learning_rates
+    return np.array([lr])
 
 
 class TestAdamStep:
     # every array is a one-candidate stack: a leading axis of length 1
     def test_zero_gradient_no_decay_is_identity(self):
-        cfg = TrainConfig(weight_decay=0.0)
-        params = [np.array([[[1.0, -2.0]]]), np.array([[0.5]])]
-        before = [p.copy() for p in params]
-        grads = [np.zeros((1, 1, 2)), np.zeros((1, 1))]
-        out, state = adam_step(params, grads, init_adam(params), cfg, one_rate(cfg))
-        np.testing.assert_array_equal(out[0], before[0])
-        np.testing.assert_array_equal(out[1], before[1])
+        cfg = TrainConfig(learning_rates=(1e-2,), weight_decay=0.0)
+        P = np.array([[[1.0, -2.0, 0.5]]])  # a (1, K, d+1) buffer: weights, then the bias
+        before = P.copy()
+        out, state = adam_step(P, np.zeros((1, 1, 3)), init_adam(P), cfg, one_rate(cfg))
+        np.testing.assert_array_equal(out, before)
         assert state.t == 1
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     def test_in_place_update_bit_identical_to_reference(self, weight_decay):
-        cfg = TrainConfig(learning_rate=0.05, weight_decay=weight_decay)
+        cfg = TrainConfig(learning_rates=(0.05,), weight_decay=weight_decay)
         rng = np.random.default_rng(8)
-        params = [rng.standard_normal((1, 4, 7)), rng.standard_normal((1, 4))]  # (1, K, d) and (1, K)
-        ref_params, ref_state = [p.copy() for p in params], init_adam(params)
-        state = init_adam(params)
+        P = rng.standard_normal((1, 4, 8))  # (1, K, d+1)
+        ref_P, ref_state = P.copy(), init_adam(P)
+        state = init_adam(P)
         for _ in range(50):
-            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
-            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, cfg)
-            out, out_state = adam_step(params, grads, state, cfg, one_rate(cfg))
-            assert out is params and out_state is state
+            G = rng.standard_normal(P.shape) * 10.0 ** rng.integers(-4, 3, size=P.shape[-1])  # a scale per column
+            ref_P, ref_state = reference_adam_step(ref_P, G, ref_state, cfg, 0.05)
+            out, out_state = adam_step(P, G, state, cfg, one_rate(cfg))
+            assert out is P and out_state is state
         assert state.t == ref_state.t == 50
-        for got, want in zip(params + state.m + state.v, ref_params + ref_state.m + ref_state.v):
+        for got, want in zip((P, state.m, state.v), (ref_P, ref_state.m, ref_state.v)):
             assert np.array_equal(got, want)
 
     def test_nonfinite_gradient_leaves_params_and_moments_untouched(self):
-        cfg = TrainConfig(weight_decay=1e-2)
+        cfg = TrainConfig(learning_rates=(1e-2,), weight_decay=1e-2)
         rng = np.random.default_rng(2)
-        params = [rng.standard_normal((1, 3, 4)), rng.standard_normal((1, 3))]
-        state = init_adam(params)
-        adam_step(params, [np.ones((1, 3, 4)), np.ones((1, 3))], state, cfg, one_rate(cfg))
-        snapshot = [a.copy() for a in params + state.m + state.v]
-        # the good gradient comes first: nothing may be written before the bad one is seen
-        grads = [np.ones((1, 3, 4)), np.array([[0.0, np.nan, 0.0]])]
+        P = rng.standard_normal((1, 3, 5))  # the weights (1, 3, 4), then the bias
+        state = init_adam(P)
+        adam_step(P, np.ones((1, 3, 5)), state, cfg, one_rate(cfg))
+        snapshot = [a.copy() for a in (P, state.m, state.v)]
+        # the good weights come first: nothing may be written before the bad bias entry is seen
+        G = np.ones((1, 3, 5))
+        G[0, 1, 4] = np.nan
         with pytest.raises(NonFiniteGradientError, match=r"parameter 1 at index \(1,\) \(step 2\)"):
-            adam_step(params, grads, state, cfg, one_rate(cfg))
+            adam_step(P, G, state, cfg, one_rate(cfg), named=(G[..., :4], G[..., 4]))
         assert state.t == 1
-        for got, want in zip(params + state.m + state.v, snapshot):
+        for got, want in zip((P, state.m, state.v), snapshot):
             assert np.array_equal(got, want)
 
     def test_constant_gradient_reaches_lr_magnitude(self):
         # closed-form fixed point: with constant g, bias-corrected moments give
         # update -> lr * g / (|g| + eps) ~ lr * sign(g)
-        cfg = TrainConfig(learning_rate=0.03, weight_decay=0.0)
-        params = [np.array([[0.0]])]
-        g = [np.array([[0.37]])]
-        state = init_adam(params)
+        cfg = TrainConfig(learning_rates=(0.03,), weight_decay=0.0)
+        P = np.array([[0.0]])
+        g = np.array([[0.37]])
+        state = init_adam(P)
         for _ in range(300):
-            params, state = adam_step(params, g, state, cfg, one_rate(cfg))
+            P, state = adam_step(P, g, state, cfg, one_rate(cfg))
         # after many steps each update has magnitude ~ lr
-        last = params[0].copy()
-        params, state = adam_step(params, g, state, cfg, one_rate(cfg))
-        np.testing.assert_allclose(abs(last[0, 0] - params[0][0, 0]), cfg.learning_rate, rtol=1e-6)
+        last = P.copy()
+        P, state = adam_step(P, g, state, cfg, one_rate(cfg))
+        np.testing.assert_allclose(abs(last[0, 0] - P[0, 0]), 0.03, rtol=1e-6)
 
     def test_decay_pulls_toward_zero(self):
-        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-        params = [np.array([[5.0]])]
-        state = init_adam(params)
+        cfg = TrainConfig(learning_rates=(0.01,), weight_decay=0.1)
+        P = np.array([[5.0]])
+        state = init_adam(P)
         for _ in range(50):
-            params, state = adam_step(params, [np.zeros((1, 1))], state, cfg, one_rate(cfg))
-        assert params[0][0, 0] < 5.0
+            P, state = adam_step(P, np.zeros((1, 1)), state, cfg, one_rate(cfg))
+        assert P[0, 0] < 5.0
 
     def test_nonfinite_gradient_aborts_with_diagnostics(self):
-        cfg = TrainConfig()
-        params = [np.zeros((1, 2, 2))]
-        grads = [np.array([[[0.0, np.nan], [0.0, 0.0]]])]
+        cfg = TrainConfig(learning_rates=(1e-2,))
+        P = np.zeros((1, 2, 2))
+        G = np.array([[[0.0, np.nan], [0.0, 0.0]]])
         with pytest.raises(NonFiniteGradientError, match=r"parameter 0 at index \(0, 1\)"):
-            adam_step(params, grads, init_adam(params), cfg, one_rate(cfg))
+            adam_step(P, G, init_adam(P), cfg, one_rate(cfg))
 
     def test_deterministic(self):
-        cfg = TrainConfig(seed=3)
+        cfg = TrainConfig(learning_rates=(1e-2,), seed=3)
         rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
-        params1 = [rng1.standard_normal((1, 3, 4))]
-        params2 = [rng2.standard_normal((1, 3, 4))]
-        s1, s2 = init_adam(params1), init_adam(params2)
+        P1 = rng1.standard_normal((1, 3, 4))
+        P2 = rng2.standard_normal((1, 3, 4))
+        s1, s2 = init_adam(P1), init_adam(P2)
         for step in range(20):
-            g = [np.full((1, 3, 4), 0.1 * (step + 1))]
-            params1, s1 = adam_step(params1, g, s1, cfg, one_rate(cfg))
-            params2, s2 = adam_step(params2, g, s2, cfg, one_rate(cfg))
-        np.testing.assert_array_equal(params1[0], params2[0])
+            g = np.full((1, 3, 4), 0.1 * (step + 1))
+            P1, s1 = adam_step(P1, g, s1, cfg, one_rate(cfg))
+            P2, s2 = adam_step(P2, g, s2, cfg, one_rate(cfg))
+        np.testing.assert_array_equal(P1, P2)
 
 
 def reference_training(ds, head, cfg, kind, per_instance, **fixed):
     """The minibatch loop on one 2-D model with the out-of-place Adam above,
-    on the trainers' seeds: the bits a one-rate training must reproduce."""
+    stepping the weights and the bias apart, on the trainers' seeds: the bits
+    a one-rate training must reproduce."""
+    (lr,) = cfg.learning_rates
     model = init_linear(ds.n_features, ds.n_labels, head, cfg.seed)
-    state = init_adam([model.weights, model.bias])
+    states = (init_adam(model.weights), init_adam(model.bias))
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
     curve = []
     for _ in range(cfg.epochs):
@@ -175,8 +182,10 @@ def reference_training(ds, head, cfg, kind, per_instance, **fixed):
             idx = perm[start : start + cfg.batch_size]
             rows = {name: a[idx] for name, a in per_instance.items()}
             value, gW, gb = batch_objective(model, ds.features[idx], kind, **rows, **fixed)
-            (W, b), state = reference_adam_step([model.weights, model.bias], [gW, gb], state, cfg)
-            model = LinearModel(W, b, head)
+            (W, sW), (b, sb) = (
+                reference_adam_step(p, g, s, cfg, lr) for p, g, s in zip((model.weights, model.bias), (gW, gb), states)
+            )
+            model, states = LinearModel(W, b, head), (sW, sb)
             total += value * idx.size
         curve.append(float(total / ds.n_instances))
     return model, curve
@@ -199,19 +208,19 @@ class TestOneRateTraining:
         cds = ComplementaryDataset(X, comp.cl, K, relevant=full.y)
         ds = MultiLabelDataset(X, full.y)
         T = uniform_transition(K)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=32, epochs=4, beta=0.7, seed=8)
+        cfg = TrainConfig(learning_rates=(0.05,), batch_size=32, epochs=4, beta=0.7, seed=8)
         y = full.y.astype(np.float64)
         if trainer == "cl_predictor":
-            result = train_cl_predictor(cds, cfg)
+            (result,) = train_cl_predictor(cds, cfg)
             model, curve = reference_training(cds, "softmax", cfg, "ce_softmax", {"cl": cds.cl})
         elif trainer == "mlcl":
-            result = train_mlcl(cds, T, cfg)
+            (result,) = train_mlcl(cds, T, cfg)
             model, curve = reference_training(cds, "sigmoid", cfg, "mlcl", {"cl": cds.cl}, T=T, beta=cfg.beta)
         elif trainer == "clrl":
-            result = train_clrl(cds, T, cfg)
+            (result,) = train_clrl(cds, T, cfg)
             model, curve = reference_training(cds, "sigmoid", cfg, "clrl", {"cl": cds.cl, "relevant": y}, T=T)
         else:
-            result = train_supervised(ds, cfg)
+            (result,) = train_supervised(ds, cfg)
             model, curve = reference_training(ds, "sigmoid", cfg, "bce_supervised", {"y": y})
         assert result.model.weights.shape == (K, 9) and result.model.bias.shape == (K,)
         assert result.model.weights.tobytes() == model.weights.tobytes()
@@ -230,15 +239,15 @@ class TestOneRateTraining:
 
         monkeypatch.setattr(optim, "batch_objective", poisoned)
         with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in parameter 0 at index \(1, 2\) \(step 1\)$"):
-            train_cl_predictor(comp, TrainConfig(epochs=1, seed=1))
+            train_cl_predictor(comp, TrainConfig(learning_rates=(1e-2,), epochs=1, seed=1))
 
 
 class TestTrainingLoops:
     def test_epochs_zero_returns_init(self):
         spec = make_exclusive_spec(3)
         _, comp = sample_from_generative(spec, 100, 4, seed=0)
-        cfg = TrainConfig(epochs=0, seed=5)
-        result = train_cl_predictor(comp, cfg)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=0, seed=5)
+        (result,) = train_cl_predictor(comp, cfg)
         ref = init_linear(4, 3, "softmax", seed=5)
         np.testing.assert_array_equal(result.model.weights, ref.weights)
         assert result.epoch_losses == []
@@ -246,10 +255,10 @@ class TestTrainingLoops:
     def test_bit_identical_reruns(self):
         spec = make_exclusive_spec(4)
         _, comp = sample_from_generative(spec, 300, 5, seed=1)
-        cfg = TrainConfig(epochs=5, seed=9)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=5, seed=9)
         T = uniform_transition(4)
-        a = train_mlcl(comp, T, cfg)
-        b = train_mlcl(comp, T, cfg)
+        (a,) = train_mlcl(comp, T, cfg)
+        (b,) = train_mlcl(comp, T, cfg)
         np.testing.assert_array_equal(a.model.weights, b.model.weights)
         assert a.epoch_losses == b.epoch_losses
 
@@ -263,7 +272,7 @@ class TestTrainingLoops:
             return batch_objective(model, X, kind, **kwargs)
 
         monkeypatch.setattr("comlabel.optim.batch_objective", spy)
-        cfg = TrainConfig(epochs=3, batch_size=32, seed=0)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=3, batch_size=32, seed=0)
         train_cl_predictor(comp, cfg)
         per_epoch = (103 // 32) + 1
         assert len(seen) == 3 * per_epoch
@@ -273,8 +282,8 @@ class TestTrainingLoops:
         K = 4
         spec = deterministic_cl_spec(K)
         _, comp = sample_from_generative(spec, 1500, 6, seed=3)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=200, seed=1)
-        result = train_cl_predictor(comp, cfg)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=200, seed=1)
+        (result,) = train_cl_predictor(comp, cfg)
         assert result.epoch_losses[-1] < 0.1 * np.log(K)
 
     def test_loss_mostly_nonincreasing(self):
@@ -282,9 +291,9 @@ class TestTrainingLoops:
         # every epoch; on pure-noise targets it merely plateaus
         spec = deterministic_cl_spec(4)
         _, comp = sample_from_generative(spec, 1000, 5, seed=4)
-        for lr in (1e-2, 1e-3):
-            cfg = TrainConfig(learning_rate=lr, epochs=100, seed=2)
-            curve = train_cl_predictor(comp, cfg).epoch_losses
+        cfg = TrainConfig(learning_rates=(1e-2, 1e-3), epochs=100, seed=2)
+        for result in train_cl_predictor(comp, cfg):
+            curve = result.epoch_losses
             drops = sum(1 for a, b in zip(curve, curve[1:]) if b <= a + 1e-9)
             assert drops >= 0.9 * (len(curve) - 1)
 
@@ -292,8 +301,9 @@ class TestTrainingLoops:
         K = 4
         spec = make_exclusive_spec(K)
         _, comp = sample_from_generative(spec, 1200, 5, seed=5)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=120, beta=0.0, seed=3)
-        curve = np.array(train_mlcl(comp, uniform_transition(K), cfg).epoch_losses)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=120, beta=0.0, seed=3)
+        (result,) = train_mlcl(comp, uniform_transition(K), cfg)
+        curve = np.array(result.epoch_losses)
         smooth = np.convolve(curve, np.ones(5) / 5, mode="valid")
         assert smooth[-1] < smooth[0]
         drops = np.mean(np.diff(smooth) <= 1e-9)
@@ -305,9 +315,9 @@ class TestTrainingLoops:
         spec = make_exclusive_spec(K)
         full, comp = sample_from_generative(spec, 2000, 5, seed=6)
         test_full, _ = sample_from_generative(spec, 600, 5, seed=7)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=150, seed=4)
-        model = train_mlcl(comp, uniform_transition(K), cfg).model
-        ham = evaluate_all(forward(model, test_full.features), test_full.y).hamming_loss
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=150, seed=4)
+        (result,) = train_mlcl(comp, uniform_transition(K), cfg)
+        ham = evaluate_all(forward(result.model, test_full.features), test_full.y).hamming_loss
         assert ham < 0.2
 
     def test_supervised_memorizes_single_instance(self):
@@ -316,8 +326,8 @@ class TestTrainingLoops:
         from comlabel.dataset import MultiLabelDataset
 
         ds = MultiLabelDataset(sp.csr_matrix(np.ones((1, 3))), np.array([[1, 0, 1]]))
-        cfg = TrainConfig(learning_rate=1e-1, epochs=200, batch_size=1, seed=0, weight_decay=0.0)
-        result = train_supervised(ds, cfg)
+        cfg = TrainConfig(learning_rates=(1e-1,), epochs=200, batch_size=1, seed=0, weight_decay=0.0)
+        (result,) = train_supervised(ds, cfg)
         assert result.epoch_losses[-1] < 1e-2
         scores = forward(result.model, ds.features)[0]
         np.testing.assert_array_equal(scores > 0.5, [True, False, True])
@@ -326,7 +336,7 @@ class TestTrainingLoops:
         spec = make_exclusive_spec(3)
         _, comp = sample_from_generative(spec, 50, 4, seed=8)
         with pytest.raises(ValueError, match="relevant"):
-            train_clrl(comp, uniform_transition(3), TrainConfig(epochs=1))
+            train_clrl(comp, uniform_transition(3), TrainConfig(learning_rates=(1e-2,), epochs=1))
 
     def test_clrl_with_full_truth_dominates_cl_only(self):
         from comlabel.dataset import ComplementaryDataset
@@ -336,10 +346,11 @@ class TestTrainingLoops:
         full, comp = sample_from_generative(spec, 1500, 6, seed=9)
         test_full, _ = sample_from_generative(spec, 500, 6, seed=10)
         T = uniform_transition(K)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=150, seed=5)
-        cl_model = train_mlcl(comp, T, cfg).model
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=150, seed=5)
+        (cl,) = train_mlcl(comp, T, cfg)
         enriched = ComplementaryDataset(comp.features, comp.cl, comp.n_labels, relevant=full.y)
-        clrl_model = train_clrl(enriched, T, cfg).model
+        (clrl,) = train_clrl(enriched, T, cfg)
+        cl_model, clrl_model = cl.model, clrl.model
         ap_cl = evaluate_all(forward(cl_model, test_full.features), test_full.y).average_precision
         ap_clrl = evaluate_all(forward(clrl_model, test_full.features), test_full.y).average_precision
         assert ap_clrl >= ap_cl
@@ -347,8 +358,8 @@ class TestTrainingLoops:
     def test_parameters_bounded_with_weight_decay(self):
         spec = make_exclusive_spec(3)
         _, comp = sample_from_generative(spec, 500, 4, seed=11)
-        cfg = TrainConfig(learning_rate=1e-1, epochs=200, seed=6)
-        result = train_mlcl(comp, uniform_transition(3), cfg)
+        cfg = TrainConfig(learning_rates=(1e-1,), epochs=200, seed=6)
+        (result,) = train_mlcl(comp, uniform_transition(3), cfg)
         assert np.linalg.norm(result.model.weights) < 1e3
         assert np.all(np.isfinite(result.model.weights))
 
@@ -376,8 +387,9 @@ class TestRegulariserGrid:
 
     @staticmethod
     def cell(comp, K, epochs, beta):
-        cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, beta=beta, seed=3)
-        return train_mlcl(comp, uniform_transition(K), cfg)
+        cfg = TrainConfig(learning_rates=(1e-2,), epochs=epochs, beta=beta, seed=3)
+        (result,) = train_mlcl(comp, uniform_transition(K), cfg)
+        return result
 
     @pytest.mark.parametrize("table", list(TABLES))
     def test_reported_grid(self, table):
