@@ -1,10 +1,11 @@
 """Dense round trip through the `comlabel` CLI on NumPy alone.
 
 Writes a small random dense data set as CSV, then runs `convert`, `corrupt`,
-`train`, `eval` and `cv` on it, and fails unless every command succeeds and
-SciPy was never imported.  Run it from the repository root with SciPy
-uninstalled, or with `--block-scipy`, which makes SciPy unimportable in this
-process:
+`train`, `eval`, `cv`, `estimate-t` and the three tables (`clrl` through the
+estimated transition file, `ablate`, `sweep-beta`) on it, and fails unless
+every command succeeds and SciPy was never imported.  Run it from the
+repository root with SciPy uninstalled, or with `--block-scipy`, which makes
+SciPy unimportable in this process:
 
     PYTHONPATH=src python3 scripts/dense_without_scipy.py [--block-scipy]
 """
@@ -34,12 +35,17 @@ def main() -> int:
         t = Path(tmp)
         np.savetxt(t / "X.csv", X, delimiter=",")
         np.savetxt(t / "Y.csv", Y, delimiter=",", fmt="%d")
+        short_cv = ["--folds", "3", "--epochs", "5"]
         steps = [
             ["convert", "--features-csv", t / "X.csv", "--labels-csv", t / "Y.csv", "--out", t / "full.txt"],
             ["corrupt", "--data", t / "full.txt", "--out", t / "comp.txt", "--seed", "1"],
             ["train", "--data", t / "comp.txt", "--model-out", t / "model.txt", "--epochs", "5"],
             ["eval", "--data", t / "full.txt", "--model-in", t / "model.txt", "--out", t / "eval.csv"],
-            ["cv", "--data", t / "full.txt", "--out", t / "cv.csv", "--folds", "3", "--epochs", "5"],
+            ["cv", "--data", t / "full.txt", "--out", t / "cv.csv", *short_cv],
+            ["estimate-t", "--data", t / "comp.txt", "--transition-out", t / "T.csv", "--epochs", "5"],
+            ["clrl", "--data", t / "full.txt", "--transition-in", t / "T.csv", "--out", t / "clrl.csv", *short_cv],
+            ["ablate", "--data", t / "full.txt", "--out", t / "ablate.csv", *short_cv],
+            ["sweep-beta", "--data", t / "full.txt", "--betas", "0,1", "--out", t / "sweep.csv", *short_cv],
         ]
         for argv in steps:
             if cli([str(a) for a in argv]) != 0:

@@ -577,7 +577,7 @@ def preprocess_topk_labels(ds: MultiLabelDataset, max_labels: int) -> MultiLabel
     sums = y_new.sum(axis=1)
     rows = np.flatnonzero((sums > 0) & (sums < keep.size))
     if rows.size == 0:
-        raise ValueError("no instances survive label filtering")
+        raise ValueError(f"max_labels {max_labels} leaves no instance whose kept label set is neither empty nor full")
     return MultiLabelDataset(ds.features[rows], y_new[rows])
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .theory import (
     scenario_distortion,
     theorem1_gap,
 )
-from .transition import estimate_transition, load_transition_csv, uniform_transition
+from .transition import estimate_transition, uniform_transition
 
 __all__ = [
     "RunConfig",
@@ -70,9 +69,10 @@ class RunConfig:
     default the grid {1e-1, 1e-2, 1e-3}) are trained in lockstep on a 10%
     validation split of each training fold (stratified by complementary
     label), and the fold is fitted at the one with the best average
-    precision.  transition_path=None estimates T on each training fold; a
-    path gives the matrix every fold uses, so it cannot be combined with
-    no_correlation, which changes the estimate.
+    precision.  transition=None estimates T on each training fold; a (K, K)
+    matrix, such as one read from a file or uniform_transition(K), is the T
+    every fold uses, so it cannot be combined with no_correlation, which
+    changes the estimate.  The matrix takes no part in comparing configs.
     The squared-error regulariser is dropped by train.beta = 0.
     """
 
@@ -84,7 +84,7 @@ class RunConfig:
     normalize: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
     no_correlation: bool = False
-    transition_path: str | Path | None = None
+    transition: np.ndarray | None = field(default=None, compare=False)
     relevant_count: int = 1
 
     def __post_init__(self):
@@ -98,13 +98,8 @@ class RunConfig:
             raise ValueError(f"max_labels must be at least {MIN_LABELS}, got {self.max_labels!r}")
         if self.relevant_count < 1:
             raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
-        if self.no_correlation and self.transition_path is not None:
-            raise ValueError("no_correlation changes the estimate of T, so it cannot take a transition_path")
-
-    @cached_property
-    def transition(self) -> np.ndarray:
-        """The matrix at `transition_path`, read and checked on first use."""
-        return load_transition_csv(self.transition_path)
+        if self.no_correlation and self.transition is not None:
+            raise ValueError("no_correlation changes the estimate of T, so it cannot take a transition")
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ def _train_grid(
     curve = False  # nothing here reads a loss curve, so none is computed
     if cfg.regime == "supervised":
         return [r.model for r in train_supervised(train_ds, base, curve)]
-    if cfg.transition_path is not None:
+    if cfg.transition is not None:
         T = cfg.transition
     else:
         predictors = train_cl_predictor(cds, base, curve)
@@ -254,17 +249,16 @@ def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
     if ds.n_instances < cfg.folds:
         n = ds.n_instances
         raise ValueError(f"folds must be at most the {n} instances left after label filtering, got {cfg.folds}")
+    if cfg.transition is not None and cfg.transition.shape != (ds.n_labels, ds.n_labels):
+        shape, K = cfg.transition.shape, ds.n_labels
+        raise ValueError(f"transition has shape {shape}, but {cfg.data_path} has {K} labels after label filtering")
     return kfold_split(ds, cfg.folds, cfg.train.seed)
 
 
-def run_cv(cfg: RunConfig) -> AggregateReport:
-    """Cross-validate the configured pipeline; corruption, transition
-    estimation, and training all see the training fold only.  A transition
-    file is read and checked once, before the data."""
-    if cfg.transition_path is not None:
-        cfg.transition  # read and check the file before the data
+def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
+    """Fit and score cfg on each fold; a fold's error is raised as `fold N failed: ...`."""
     reports = []
-    for fold in _load_and_fold(cfg):
+    for fold in folds:
         try:
             reports.append(_run_fold(fold, cfg))
         except Exception as exc:
@@ -272,32 +266,37 @@ def run_cv(cfg: RunConfig) -> AggregateReport:
     return AggregateReport(tuple(reports))
 
 
+def run_cv(cfg: RunConfig) -> AggregateReport:
+    """Cross-validate the configured pipeline; corruption, transition
+    estimation, and training all see the training fold only."""
+    return _cross_validate(_load_and_fold(cfg), cfg)
+
+
 def run_ablation(cfg: RunConfig) -> dict[str, AggregateReport]:
     """The full pipeline and its two single-component ablations, run in this
-    order: drop the correlation correction, or drop the squared-error
-    regularizer (beta = 0)."""
+    order on one set of folds: drop the correlation correction, or drop the
+    squared-error regularizer (beta = 0)."""
+    folds = _load_and_fold(cfg)
     return {
-        "full": run_cv(cfg),
-        "no_correlation": run_cv(replace(cfg, no_correlation=True)),
-        "no_mse": run_cv(replace(cfg, train=replace(cfg.train, beta=0.0))),
+        "full": _cross_validate(folds, cfg),
+        "no_correlation": _cross_validate(folds, replace(cfg, no_correlation=True)),
+        "no_mse": _cross_validate(folds, replace(cfg, train=replace(cfg.train, beta=0.0))),
     }
 
 
 def sweep_beta(cfg: RunConfig, betas) -> list[tuple[float, AggregateReport]]:
-    """One cross-validated run per trade-off value; every value's config is
-    built, and so checked, before the first run."""
+    """One cross-validated run per trade-off value, all on one set of folds;
+    every value's config is built, and so checked, before the data is read."""
     configs = [replace(cfg, train=replace(cfg.train, beta=float(beta))) for beta in betas]
-    return [(c.train.beta, run_cv(c)) for c in configs]
+    folds = _load_and_fold(cfg)
+    return [(c.train.beta, _cross_validate(folds, c)) for c in configs]
 
 
 def run_clrl(cfg: RunConfig) -> dict[str, AggregateReport]:
     """The three-way comparison: complementary-only, complementary plus one
     relevant label, and fully supervised, on identical folds."""
-    return {
-        "cl": run_cv(replace(cfg, regime="cl")),
-        "clrl": run_cv(replace(cfg, regime="clrl")),
-        "supervised": run_cv(replace(cfg, regime="supervised")),
-    }
+    folds = _load_and_fold(cfg)
+    return {regime: _cross_validate(folds, replace(cfg, regime=regime)) for regime in REGIMES}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,6 @@ class TheoryRow:
     scenario: str
     lhs: float
     rhs: float
-    passed: bool
 
 
 def consistency_experiment(
@@ -359,32 +357,28 @@ def run_theory(seed: int = 0, n_trials: int = 100, consistency: bool = True) -> 
         post = random_posterior(spec, rng)
         j = int(rng.integers(K))
         lhs, rhs = theorem1_gap(spec, post, j)
-        ok = lhs >= rhs - 1e-12
-        rows.append(TheoryRow(f"theorem1_trial{trial:03d}_K{K}_j{j}", lhs, rhs, ok))
-        if not ok:
+        if not lhs >= rhs - 1e-12:
             raise TheoryCheckFailure(
                 f"subset-exact probability fell below its exclusive-event bound: lhs={lhs!r} rhs={rhs!r} "
                 f"K={K} j={j} probs={spec.subset_probs.tolist()} cl={spec.cl_given_subset.tolist()} "
                 f"posterior={post.tolist()}"
             )
+        rows.append(TheoryRow(f"theorem1_trial{trial:03d}_K{K}_j{j}", lhs, rhs))
 
     xis = [f"{v / 10}" for v in range(3, 11)]
     for sc in grid_scenarios(xis, ms=(2, 3, 4)):
         lhs = scenario_distortion(sc)
         rhs = corollary3_bound(sc)
-        ok = lhs >= rhs
-        rows.append(
-            TheoryRow(f"distortion_{sc.kind}_xi{float(sc.xi):.2f}_p{float(sc.p_cl):.4f}", float(lhs), float(rhs), ok)
-        )
-        if not ok:
+        if not lhs >= rhs:
             raise TheoryCheckFailure(f"distortion bound failed: l_j={lhs!r} bound={rhs!r} scenario={sc!r}")
+        name = f"distortion_{sc.kind}_xi{float(sc.xi):.2f}_p{float(sc.p_cl):.4f}"
+        rows.append(TheoryRow(name, float(lhs), float(rhs)))
 
     if consistency:
         result = consistency_experiment()
-        ok = result["gap"] <= CONSISTENCY_GAP
-        rows.append(TheoryRow("consistency_K5_n5000", result["gap"], CONSISTENCY_GAP, ok))
-        if not ok:
+        if not result["gap"] <= CONSISTENCY_GAP:
             raise TheoryCheckFailure(f"consistency gap {result['gap']:.4f} exceeds {CONSISTENCY_GAP}: {result!r}")
+        rows.append(TheoryRow("consistency_K5_n5000", result["gap"], CONSISTENCY_GAP))
     return rows
 
 
@@ -435,5 +429,5 @@ def write_theory_csv(rows: list[TheoryRow], path: str | Path) -> None:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["scenario", "lhs", "rhs", "pass"])
     for r in rows:
-        w.writerow([r.scenario, _format(r.lhs), _format(r.rhs), int(r.passed)])
+        w.writerow([r.scenario, _format(r.lhs), _format(r.rhs), 1])  # run_theory returns passed rows only
     Path(path).write_text(buf.getvalue(), encoding="utf-8")

@@ -145,9 +145,9 @@ def _run_loop(
     cfg.learning_rates.  Each batch gets the rows of the `per_instance`
     arrays it covers; the `fixed` arguments, prepared once per training
     call, go to every batch unchanged.  T, when given, is a (K, K) matrix
-    shared by every candidate or a (C, K, K) stack, one per candidate; each
-    is checked.  With `curve` false no loss value is computed and every
-    result's `epoch_losses` is empty.
+    shared by every candidate or a (C, K, K) stack, one per candidate, where
+    K is the data's label count; each is checked.  With `curve` false no
+    loss value is computed and every result's `epoch_losses` is empty.
 
     Every candidate starts from the one initialisation, and all step in
     lockstep on the same batches: the parameters, the Adam moments and T
@@ -159,6 +159,8 @@ def _run_loop(
     rates = np.array(cfg.learning_rates, dtype=np.float64)
     if T is not None:
         T = np.asarray(T, dtype=np.float64)
+        if T.shape[-2:] != (ds.n_labels, ds.n_labels):
+            raise ValueError(f"transition has shape {T.shape}, but the data have {ds.n_labels} labels")
         fixed["T"] = np.broadcast_to(T, (rates.size, *T.shape[-2:]))
         for t in fixed["T"]:
             validate_transition(t)

@@ -16,7 +16,7 @@ from comlabel.dataset import (
 )
 from comlabel.experiment import read_report
 from comlabel.model import load_model
-from comlabel.transition import load_transition_csv, validate_transition
+from comlabel.transition import load_transition_csv, save_transition_csv, uniform_transition, validate_transition
 
 
 def run(*argv):
@@ -215,6 +215,62 @@ class TestCV:
             run(command, *argv, "--transition-in", tfile, "--epochs", "1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cv", "sweep-beta", "clrl", "train"])
+    def test_transition_of_other_label_count_named(self, command, data_file, tmp_path, monkeypatch):
+        import comlabel.optim as optim
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was initialised before the transition's size was checked")
+
+        tfile = tmp_path / "T5.csv"
+        save_transition_csv(uniform_transition(5), tfile)  # the data have 4 labels
+        out, t_out = tmp_path / "out", tmp_path / "T_out.csv"
+        if command == "train":
+            run("corrupt", "--data", data_file, "--out", tmp_path / "comp.txt", "--seed", "1")
+            argv = ("--data", tmp_path / "comp.txt", "--model-out", out, "--transition-out", t_out)
+            where = "the data have 4 labels$"
+        else:
+            argv = ("--data", data_file, "--out", out)
+            where = f"{re.escape(str(data_file))} has 4 labels after label filtering$"
+        monkeypatch.setattr(optim, "init_linear", no_model)
+        with pytest.raises(SystemExit, match=rf"^--transition-in: transition has shape \(5, 5\), but {where}"):
+            run(command, *argv, "--transition-in", tfile, "--epochs", "1", "--lr", "0.01")
+        assert not out.exists() and not t_out.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "sweep-beta", "clrl"])
+    def test_transition_file_read_once(self, command, data_file, tmp_path, monkeypatch):
+        # not again per variant, fold or rate
+        tfile = tmp_path / "T.csv"
+        save_transition_csv(uniform_transition(4), tfile)
+        reads = []
+        read_text = Path.read_text
+
+        def spy(path, *args, **kwargs):
+            if path == tfile:
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy)
+        betas = ("--betas", "0,0.5,1") if command == "sweep-beta" else ()
+        fit = ("--folds", "2", "--epochs", "2", "--lr", "0.01")
+        assert run(command, "--data", data_file, "--transition-in", tfile, *fit, *betas, "--out", tmp_path / "o.csv") == 0
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("command", ["cv", "corrupt"])
+    def test_no_row_left_by_max_labels_named(self, command, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        monkeypatch.setattr(experiment, "fit_fold", lambda *a: pytest.fail("a fold was fitted"))
+        # the three most frequent labels are all of each row's or none of them
+        y = [[1, 1, 1, 0]] * 3 + [[0, 0, 0, 1]] * 2
+        data = tmp_path / "five.txt"
+        write_multilabel_file(MultiLabelDataset(np.eye(5, 3), np.array(y, dtype=np.uint8)), data)
+        out = tmp_path / "out"
+        fit = ("--lr", "0.01") if command == "cv" else ()
+        with pytest.raises(SystemExit, match="^--max-labels: max_labels 3 leaves no instance "):
+            run(command, "--data", data, "--max-labels", "3", *fit, "--out", out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["cv", "sweep-beta"])
     def test_more_folds_than_rows_named(self, command, tmp_path, monkeypatch):
         import comlabel.experiment as experiment
@@ -271,9 +327,9 @@ class TestCV:
         import comlabel.experiment as experiment
 
         def no_training(cfg):
-            raise AssertionError("a run started before every beta was checked")
+            raise AssertionError("the data were read before every beta was checked")
 
-        monkeypatch.setattr(experiment, "run_cv", no_training)
+        monkeypatch.setattr(experiment, "_load_and_fold", no_training)
         out = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit, match="^--betas: beta must be nonnegative and finite, got nan$"):
             run("sweep-beta", "--data", data_file, "--folds", "2", "--epochs", "1", "--lr", "0.01", "--betas", "0.1,nan", "--out", out)
@@ -353,6 +409,28 @@ class TestTheoryCheck:
         assert code == 0
         assert "passed" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "scenario,lhs,rhs,pass"
+
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        import comlabel.experiment as experiment
+
+        monkeypatch.setattr(experiment, "corollary3_bound", lambda sc: 2)  # no distortion reaches 2
+        out = tmp_path / "theory.csv"
+        assert run("theory-check", "--trials", "2", "--skip-consistency", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("FAIL: distortion bound failed: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("missing, argv", [
+    ("missing.txt", "cv --data missing.txt --lr 0.01"),
+    ("nofile.csv", "cv --data DATA --transition-in nofile.csv --lr 0.01"),
+    ("nofile", "eval --data DATA --model-in nofile"),
+    ("nocfg", "cv --config nocfg --data DATA --lr 0.01"),
+])  # fmt: skip
+def test_missing_input_file_named(missing, argv, data_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=f"^{re.escape(missing)}: No such file or directory$"):
+        run(*(data_file if a == "DATA" else a for a in argv.split()), "--out", "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestConvert:

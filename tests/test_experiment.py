@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -321,6 +322,7 @@ class TestLeakageAudit:
 
 class TestTransitionFile:
     def test_read_once_per_run(self, data_file, tmp_path, monkeypatch):
+        import comlabel.cli as cli
         import comlabel.experiment as experiment
         from comlabel.transition import save_transition_csv
 
@@ -328,16 +330,32 @@ class TestTransitionFile:
         T = rng.random((5, 5))
         np.fill_diagonal(T, 0.0)
         save_transition_csv(T / T.sum(axis=1, keepdims=True), tmp_path / "t.csv")
-        cfg = quick_config(data_file, LEARNING_RATE_GRID, transition_path=tmp_path / "t.csv")
-        reads = []
-        load = experiment.load_transition_csv
-        monkeypatch.setattr(experiment, "load_transition_csv", lambda path: reads.append(path) or load(path))
-        report = run_cv(cfg)
+        reads, runs = [], []
+        load = cli.load_transition_csv
+        monkeypatch.setattr(cli, "load_transition_csv", lambda path: reads.append(path) or load(path))
+        monkeypatch.setattr(cli, "run_cv", lambda cfg: runs.append(cfg) or run_cv(cfg))
+        out = tmp_path / "cv.csv"
+        # the flags of quick_config(data_file, LEARNING_RATE_GRID)
+        cli.main(["cv", "--data", str(data_file), "--folds", "3", "--epochs", "25", "--seed", "11",
+                  "--transition-in", str(tmp_path / "t.csv"), "--out", str(out)])  # fmt: skip
         assert len(reads) == 1  # not once per fold and grid candidate
+        (cfg,) = runs
+        assert cfg == quick_config(str(data_file), LEARNING_RATE_GRID)  # the matrix takes no part in comparing
+        assert not hasattr(experiment, "load_transition_csv")  # the run reads no transition file
         # the same bytes as folds fitted one by one, each on a config of its own
         by_fold = AggregateReport(tuple(experiment._run_fold(f, replace(cfg)) for f in experiment._load_and_fold(cfg)))
-        assert len(reads) == 1 + 3
-        assert report_to_csv(report) == report_to_csv(by_fold)
+        assert len(reads) == 1
+        assert out.read_text() == report_to_csv(by_fold)
+
+    def test_transition_of_other_label_count_named_before_any_fold(self, data_file, monkeypatch):
+        import comlabel.experiment as experiment
+        from comlabel.transition import uniform_transition
+
+        monkeypatch.setattr(experiment, "fit_fold", lambda *a: pytest.fail("a fold was fitted"))
+        cfg = quick_config(data_file, transition=uniform_transition(4))
+        want = rf"^transition has shape \(4, 4\), but {re.escape(str(data_file))} has 5 labels after label filtering$"
+        with pytest.raises(ValueError, match=want):
+            run_cv(cfg)
 
 
 class TestAblation:
@@ -350,16 +368,18 @@ class TestAblation:
         np.testing.assert_allclose(T_off, correct_and_normalize(S, np.eye(5)), atol=1e-12)
 
     def test_two_variant_reports(self, data_file, monkeypatch):
-        # the full run and its two variants, in that order, each one run_cv
+        # the full run and its two variants, in that order, each cross-validated on the same folds
         import comlabel.experiment as experiment
 
         runs = []
-        real = experiment.run_cv
-        monkeypatch.setattr(experiment, "run_cv", lambda cfg: runs.append(cfg) or real(cfg))
+        real = experiment._cross_validate
+        monkeypatch.setattr(experiment, "_cross_validate", lambda folds, c: runs.append((folds, c)) or real(folds, c))
         cfg = quick_config(data_file)
         out = run_ablation(cfg)
         assert list(out) == ["full", "no_correlation", "no_mse"]
-        assert runs == [cfg, replace(cfg, no_correlation=True), replace(cfg, train=replace(cfg.train, beta=0.0))]
+        no_mse = replace(cfg, train=replace(cfg.train, beta=0.0))
+        assert [c for _, c in runs] == [cfg, replace(cfg, no_correlation=True), no_mse]
+        assert all(folds is runs[0][0] for folds, _ in runs)
         for rep in out.values():
             assert len(rep.fold_reports) == 3
 
@@ -368,6 +388,37 @@ class TestAblation:
         a = run_cv(cfg)
         b = run_cv(cfg)
         assert report_to_csv(a) == report_to_csv(b)
+
+
+class TestTablesShareOneSplit:
+    """Each table parses, filters and splits its data once, and each of its
+    variants reports the bytes of its own run_cv."""
+
+    @staticmethod
+    def _table(name, cfg):
+        """The table's call and its variants' configs, in the table's order."""
+        if name == "ablate":
+            no_correlation, no_mse = replace(cfg, no_correlation=True), replace(cfg, train=replace(cfg.train, beta=0.0))
+            return lambda: run_ablation(cfg), {"full": cfg, "no_correlation": no_correlation, "no_mse": no_mse}
+        if name == "sweep-beta":
+            swept = {b: replace(cfg, train=replace(cfg.train, beta=b)) for b in (0.0, 0.5, 2.0)}
+            return lambda: dict(sweep_beta(cfg, list(swept))), swept
+        return lambda: run_clrl(cfg), {r: replace(cfg, regime=r) for r in ("cl", "clrl", "supervised")}
+
+    @pytest.mark.parametrize("name", ["ablate", "sweep-beta", "clrl"])
+    def test_one_parse_and_each_variant_its_own_run(self, data_file, monkeypatch, name):
+        import comlabel.experiment as experiment
+
+        cfg = quick_config(data_file, folds=2, train=TrainConfig(epochs=8, seed=11))
+        table, variants = self._table(name, cfg)
+        parses = []
+        parse = experiment.parse_multilabel_file
+        monkeypatch.setattr(experiment, "parse_multilabel_file", lambda path: parses.append(path) or parse(path))
+        reports = table()
+        assert parses == [data_file]
+        assert list(reports) == list(variants)
+        for key, variant in variants.items():
+            assert report_to_csv(reports[key]) == report_to_csv(run_cv(variant)), key
 
 
 class TestSweep:
@@ -426,12 +477,20 @@ class TestReportIO:
 class TestTheoryRunner:
     def test_all_rows_pass(self, tmp_path):
         rows = run_theory(seed=1, n_trials=20, consistency=False)
-        assert rows and all(r.passed for r in rows)
+        assert rows
         path = tmp_path / "theory.csv"
         write_theory_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,lhs,rhs,pass"
         assert len(lines) == len(rows) + 1
+        assert all(line.endswith(",1") for line in lines[1:])  # every row returned has passed
+
+    def test_failed_check_raises(self, monkeypatch):
+        import comlabel.experiment as experiment
+
+        monkeypatch.setattr(experiment, "corollary3_bound", lambda sc: 2)  # no distortion reaches 2
+        with pytest.raises(experiment.TheoryCheckFailure, match="^distortion bound failed: "):
+            run_theory(seed=1, n_trials=2, consistency=False)
 
     def test_consistency_experiment_gap(self):
         result = consistency_experiment(n_train=1500, n_test=400, epochs=80)
@@ -445,8 +504,10 @@ class TestConfigValidation:
 
     def test_no_correlation_takes_no_transition_file(self, data_file):
         # a read T would make the no_correlation run the full run under another name
-        with pytest.raises(ValueError, match="^no_correlation changes the estimate of T, so it cannot take a transition_path$"):
-            RunConfig(data_path=data_file, no_correlation=True, transition_path="T.csv")
+        from comlabel.transition import uniform_transition
+
+        with pytest.raises(ValueError, match="^no_correlation changes the estimate of T, so it cannot take a transition$"):
+            RunConfig(data_path=data_file, no_correlation=True, transition=uniform_transition(5))
 
     def test_no_regulariser_switch_but_beta(self):
         assert "no_mse" not in {f.name for f in fields(RunConfig)}

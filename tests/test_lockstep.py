@@ -25,7 +25,7 @@ from comlabel.optim import (
     train_mlcl,
     train_supervised,
 )
-from comlabel.transition import save_transition_csv
+from comlabel.transition import load_transition_csv, save_transition_csv
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -183,7 +183,7 @@ VARIANTS = {
     "cl": {},
     "clrl": {"regime": "clrl"},
     "supervised": {"regime": "supervised"},
-    "transition_file": {"transition_path": "T"},
+    "transition_file": {"transition": "T"},
     "no_mse": {"beta": 0.0},
     "no_correlation": {"no_correlation": True},
 }
@@ -198,9 +198,9 @@ def variant_config(name, tmp_path, K, base):
     """The variant's run config, and `base` with its beta (0 drops the regulariser)."""
     kw = dict(VARIANTS[name])
     base = replace(base, beta=kw.pop("beta", base.beta))
-    if "transition_path" in kw:
-        kw["transition_path"] = tmp_path / "T.csv"
-        save_transition_csv(random_transitions(np.random.default_rng(9), 1, K)[0], kw["transition_path"])
+    if "transition" in kw:  # the matrix as the command line reads it from a file
+        save_transition_csv(random_transitions(np.random.default_rng(9), 1, K)[0], tmp_path / "T.csv")
+        kw["transition"] = load_transition_csv(tmp_path / "T.csv")
     return grid_config(**kw), base
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,14 @@ class TestTrainingLoops:
         ref = init_linear(4, 3, "softmax", seed=5)
         np.testing.assert_array_equal(result.model.weights, ref.weights)
         assert result.epoch_losses == []
+
+    @pytest.mark.parametrize("T", [uniform_transition(5), np.stack([uniform_transition(5)] * 3)])
+    def test_transition_of_other_label_count_rejected(self, T):
+        # a (5, 5) T on 4-label data is named, not left to fail inside a matrix product
+        _, comp = sample_from_generative(make_exclusive_spec(4), 50, 3, seed=0)
+        want = rf"^transition has shape {re.escape(str(T.shape))}, but the data have 4 labels$"
+        with pytest.raises(ValueError, match=want):
+            train_mlcl(comp, T, TrainConfig(epochs=1))
 
     def test_bit_identical_reruns(self):
         spec = make_exclusive_spec(4)
