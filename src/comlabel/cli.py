@@ -8,7 +8,6 @@ theory-check, convert.  Flags override values from an optional flat
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -32,19 +31,23 @@ from .experiment import (
     RunConfig,
     TheoryCheckFailure,
     corrupt,
+    estimate_step,
+    fit_regime,
     run_ablation,
     run_clrl,
     run_cv,
     run_theory,
     sweep_beta,
+    write_clrl_csv,
+    write_curve,
     write_report,
+    write_sweep_csv,
     write_theory_csv,
 )
-from .metrics import MetricsReport, evaluate_all
+from .metrics import evaluate_all
 from .model import forward, load_model, save_model
 from .optim import DEFAULT_LEARNING_RATE, LEARNING_RATE_GRID, TrainConfig
-from .optim import train_cl_predictor, train_clrl, train_mlcl, train_supervised
-from .transition import estimate_transition, load_transition_csv, save_transition_csv
+from .transition import load_transition_csv, save_transition_csv
 
 
 class Option(NamedTuple):
@@ -97,6 +100,7 @@ OPTIONS = (
 )
 
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
+OUTPUTS = ("out", "model_out", "transition_out", "curve_out")
 SUPERVISED_UNREAD = ("beta", "transition_in", "transition_out")  # read only by train's complementary regimes
 # The flag that sets each field TrainConfig and RunConfig check on the options'
 # values, and run_cv checks against the data (folds, max_labels, transition);
@@ -174,6 +178,20 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _check_output_dirs(args) -> None:
+    """Exit as writing would, before any input is read, on an output path
+    whose directory does not exist."""
+    for name in OUTPUTS:
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise SystemExit(f"{path}: No such file or directory")
+
+
+def _read_csv(path: str) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:  # so a missing file is named, as genfromtxt's own error does not
+        return np.genfromtxt(fh, delimiter=",", ndmin=2)
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -230,11 +248,6 @@ def _run_config(args) -> RunConfig:
     )
 
 
-def _write_curve(curve: list[float], path: str) -> None:
-    lines = ["epoch,loss"] + [f"{i},{v:.12g}" for i, v in enumerate(curve)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _print_summary(tag: str, report: AggregateReport) -> None:
     parts = [f"{name}={mean:.4f}±{std:.4f}" for name, (mean, std) in report.summary().items()]
     print(f"{tag}: " + " ".join(parts))
@@ -256,11 +269,10 @@ def cmd_estimate_t(args) -> int:
     _require(args, "data", "transition_out")
     cfg = _train_config(args)
     cds = parse_complementary_file(args.data)
-    (result,) = train_cl_predictor(cds, cfg, curve=bool(args.curve_out))
-    T = estimate_transition(cds, result.model, use_correlation=not args.no_correlation)
+    (T,), (result,) = estimate_step(cds, cfg, args.no_correlation, curve=bool(args.curve_out))
     save_transition_csv(T, args.transition_out)
     if args.curve_out:
-        _write_curve(result.epoch_losses, args.curve_out)
+        write_curve(result.epoch_losses, args.curve_out)
     print(f"wrote {T.shape[0]}x{T.shape[1]} transition matrix to {args.transition_out}")
     return 0
 
@@ -269,21 +281,13 @@ def cmd_train(args) -> int:
     _require(args, "data", "model_out")
     tcfg = _train_config(args)
     T = _transition_in(args)
-    if args.regime == "supervised":
-        ds = parse_multilabel_file(args.data)
-        (result,) = train_supervised(ds, tcfg, curve=bool(args.curve_out))
-    else:
-        cds = parse_complementary_file(args.data)
-        if T is None:
-            (predictor,) = train_cl_predictor(cds, tcfg, curve=False)
-            T = estimate_transition(cds, predictor.model)
-        train = train_clrl if args.regime == "clrl" else train_mlcl
-        (result,) = train(cds, T, tcfg, curve=bool(args.curve_out))
-        if args.transition_out:
-            save_transition_csv(T, args.transition_out)
+    parse = parse_multilabel_file if args.regime == "supervised" else parse_complementary_file
+    (result,), T = fit_regime(parse(args.data), args.regime, tcfg, T, curve=bool(args.curve_out))
+    if args.transition_out:  # an estimated T is a stack of one
+        save_transition_csv(T.reshape(T.shape[-2:]), args.transition_out)
     save_model(result.model, args.model_out)
     if args.curve_out:
-        _write_curve(result.epoch_losses, args.curve_out)
+        write_curve(result.epoch_losses, args.curve_out)
     print(f"trained {args.regime} model for {tcfg.epochs} epochs; checkpoint at {args.model_out}")
     return 0
 
@@ -339,17 +343,7 @@ def cmd_sweep_beta(args) -> int:
     if not betas:
         raise SystemExit(f"--betas: no trade-off value in {args.betas!r}")
     rows = sweep_beta(cfg, betas)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["beta"]
-        for name in MetricsReport.METRIC_NAMES:
-            header += [f"{name}_mean", f"{name}_std"]
-        w.writerow(header)
-        for beta, rep in rows:
-            row = [f"{beta:.12g}"]
-            for name in MetricsReport.METRIC_NAMES:
-                row += [f"{rep.mean(name):.12g}", f"{rep.std(name):.12g}"]
-            w.writerow(row)
+    write_sweep_csv(rows, args.out)
     for beta, rep in rows:
         _print_summary(f"beta={beta}", rep)
     return 0
@@ -358,12 +352,7 @@ def cmd_sweep_beta(args) -> int:
 def cmd_clrl(args) -> int:
     _require(args, "data", "out")
     reports = run_clrl(_run_config(args))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["variant", "metric", "mean", "std"])
-        for variant in ("supervised", "cl", "clrl"):
-            for name in MetricsReport.METRIC_NAMES:
-                w.writerow([variant, name, f"{reports[variant].mean(name):.12g}", f"{reports[variant].std(name):.12g}"])
+    write_clrl_csv(reports, args.out)
     for variant in ("supervised", "cl", "clrl"):
         _print_summary(variant, reports[variant])
     return 0
@@ -383,8 +372,7 @@ def cmd_theory_check(args) -> int:
 
 def cmd_convert(args) -> int:
     _require(args, "out", "features_csv", "labels_csv")
-    X = np.genfromtxt(args.features_csv, delimiter=",", ndmin=2)
-    Y = np.genfromtxt(args.labels_csv, delimiter=",", ndmin=2)
+    X, Y = _read_csv(args.features_csv), _read_csv(args.labels_csv)
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
     # genfromtxt reads a missing value as nan, and astype(uint8) would truncate 0.5 to 0
@@ -417,6 +405,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _resolve(build_parser().parse_args(argv))
+        _check_output_dirs(args)
         with _exit_on_bad_value():
             return COMMANDS[args.command][0](args)
     except FileNotFoundError as exc:

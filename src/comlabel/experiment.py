@@ -29,7 +29,7 @@ from .dataset import (
 )
 from .metrics import MetricsReport, evaluate_all
 from .model import LinearModel, forward
-from .optim import DEFAULT_LEARNING_RATE, TrainConfig, train_cl_predictor, train_clrl, train_mlcl, train_supervised
+from .optim import DEFAULT_LEARNING_RATE, TrainConfig, TrainResult, train_cl_predictor, train_clrl, train_mlcl, train_supervised
 from .theory import (
     corollary3_bound,
     grid_scenarios,
@@ -45,6 +45,8 @@ __all__ = [
     "AggregateReport",
     "TheoryCheckFailure",
     "corrupt",
+    "estimate_step",
+    "fit_regime",
     "run_cv",
     "run_ablation",
     "sweep_beta",
@@ -53,6 +55,9 @@ __all__ = [
     "consistency_experiment",
     "write_report",
     "read_report",
+    "write_sweep_csv",
+    "write_clrl_csv",
+    "write_curve",
     "write_theory_csv",
 ]
 
@@ -159,24 +164,40 @@ def _subset_cds(cds: ComplementaryDataset, idx: np.ndarray) -> ComplementaryData
     return ComplementaryDataset(cds.features[idx], cds.cl[idx], cds.n_labels, relevant=rel)
 
 
+def estimate_step(
+    cds: ComplementaryDataset, base: TrainConfig, no_correlation: bool = False, curve: bool = False
+) -> tuple[np.ndarray, list[TrainResult]]:
+    """Step one of the method at each of base.learning_rates: the CL
+    predictor, then T estimated from it, with the correlation correction
+    unless `no_correlation`.  Returns the (C, K, K) stack of estimates and the
+    predictors' results."""
+    predictors = train_cl_predictor(cds, base, curve)
+    T = np.stack([estimate_transition(cds, r.model, use_correlation=not no_correlation) for r in predictors])
+    return T, predictors
+
+
+def fit_regime(
+    data, regime: str, base: TrainConfig, transition: np.ndarray | None = None, no_correlation: bool = False, curve: bool = False
+) -> tuple[list[TrainResult], np.ndarray | None]:
+    """Train `regime` on `data` at each of base.learning_rates, stepping the
+    rates in lockstep, and return the results with the T they trained
+    through.  supervised trains on a MultiLabelDataset and has no T; cl and
+    clrl train on a ComplementaryDataset through `transition` when given,
+    else through estimate_step's estimates from `data`.  A failure at any
+    rate fails the whole call."""
+    if regime == "supervised":
+        return train_supervised(data, base, curve), None
+    T = transition if transition is not None else estimate_step(data, base, no_correlation)[0]
+    return (train_mlcl if regime == "cl" else train_clrl)(data, T, base, curve), T
+
+
 def _train_grid(
     cds: ComplementaryDataset, train_ds: MultiLabelDataset, cfg: RunConfig, base: TrainConfig
 ) -> list[LinearModel]:
-    """The configured regime trained at each of base.learning_rates, every
-    training stepping the rates in lockstep, with each model bit for bit that
-    of its rate alone: the CL predictor, T estimated from it (or read from
-    the transition file), then the classifier.  A failure at any rate fails
-    the whole call."""
-    curve = False  # nothing here reads a loss curve, so none is computed
-    if cfg.regime == "supervised":
-        return [r.model for r in train_supervised(train_ds, base, curve)]
-    if cfg.transition is not None:
-        T = cfg.transition
-    else:
-        predictors = train_cl_predictor(cds, base, curve)
-        T = np.stack([estimate_transition(cds, r.model, use_correlation=not cfg.no_correlation) for r in predictors])
-    train = train_mlcl if cfg.regime == "cl" else train_clrl
-    return [r.model for r in train(cds, T, base, curve)]
+    """The fold's models from fit_regime in the configured regime; nothing
+    here reads a loss curve, so none is computed."""
+    data = train_ds if cfg.regime == "supervised" else cds
+    return [r.model for r in fit_regime(data, cfg.regime, base, cfg.transition, cfg.no_correlation)[0]]
 
 
 def select_learning_rate(
@@ -330,9 +351,8 @@ def consistency_experiment(
     train_full, train_comp = sample_from_generative(spec, n_train, n_features, seed)
     test_full, _ = sample_from_generative(spec, n_test, n_features, seed + 1)
     tcfg = TrainConfig(learning_rates=(1e-2,), epochs=epochs, seed=seed)
-    T = uniform_transition(n_labels)
-    (mlcl,) = train_mlcl(train_comp, T, tcfg, curve=False)
-    (sup,) = train_supervised(train_full, tcfg, curve=False)
+    (mlcl,), _ = fit_regime(train_comp, "cl", tcfg, uniform_transition(n_labels))
+    (sup,), _ = fit_regime(train_full, "supervised", tcfg)
     ham_mlcl = evaluate_all(forward(mlcl.model, test_full.features), test_full.y).hamming_loss
     ham_sup = evaluate_all(forward(sup.model, test_full.features), test_full.y).hamming_loss
     return {
@@ -391,6 +411,12 @@ def _format(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _write_rows(rows, path: str | Path) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
 def report_to_csv(report: AggregateReport) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -406,6 +432,31 @@ def report_to_csv(report: AggregateReport) -> str:
 def write_report(report: AggregateReport, path: str | Path) -> None:
     """Deterministic CSV: the five metrics' mean/std, then one row per fold."""
     Path(path).write_text(report_to_csv(report), encoding="utf-8")
+
+
+def _mean_std(report: AggregateReport, name: str) -> list[str]:
+    return [_format(report.mean(name)), _format(report.std(name))]
+
+
+def write_sweep_csv(rows: list[tuple[float, AggregateReport]], path: str | Path) -> None:
+    """sweep_beta's table: one row per trade-off value, with each metric's mean and std."""
+    names = MetricsReport.METRIC_NAMES
+    table = [["beta", *(f"{name}_{stat}" for name in names for stat in ("mean", "std"))]]
+    for beta, rep in rows:
+        table.append([_format(beta), *(v for name in names for v in _mean_std(rep, name))])
+    _write_rows(table, path)
+
+
+def write_clrl_csv(reports: dict[str, AggregateReport], path: str | Path) -> None:
+    """run_clrl's table: each metric's mean and std per regime, supervised first."""
+    variants = ("supervised", "cl", "clrl")
+    rows = ([v, name, *_mean_std(reports[v], name)] for v in variants for name in MetricsReport.METRIC_NAMES)
+    _write_rows([["variant", "metric", "mean", "std"], *rows], path)
+
+
+def write_curve(curve: list[float], path: str | Path) -> None:
+    """A training's loss per epoch."""
+    _write_rows([["epoch", "loss"], *([i, _format(v)] for i, v in enumerate(curve))], path)
 
 
 def read_report(path: str | Path) -> AggregateReport:
@@ -425,9 +476,5 @@ def read_report(path: str | Path) -> AggregateReport:
 
 
 def write_theory_csv(rows: list[TheoryRow], path: str | Path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["scenario", "lhs", "rhs", "pass"])
-    for r in rows:
-        w.writerow([r.scenario, _format(r.lhs), _format(r.rhs), 1])  # run_theory returns passed rows only
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    body = ([r.scenario, _format(r.lhs), _format(r.rhs), 1] for r in rows)  # run_theory returns passed rows only
+    _write_rows([["scenario", "lhs", "rhs", "pass"], *body], path)

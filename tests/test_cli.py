@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from comlabel.cli import COMMANDS, _resolve, build_parser, load_config_file, main
+from comlabel.cli import COMMANDS, OPTIONS, _resolve, build_parser, load_config_file, main
 from comlabel.dataset import (
     DatasetFormatError,
     MultiLabelDataset,
@@ -16,7 +16,14 @@ from comlabel.dataset import (
 )
 from comlabel.experiment import read_report
 from comlabel.model import load_model
-from comlabel.transition import load_transition_csv, save_transition_csv, uniform_transition, validate_transition
+from comlabel.optim import TrainConfig, train_cl_predictor
+from comlabel.transition import (
+    estimate_transition,
+    load_transition_csv,
+    save_transition_csv,
+    uniform_transition,
+    validate_transition,
+)
 
 
 def run(*argv):
@@ -65,6 +72,18 @@ class TestEstimateT:
         run("train", "--data", comp, "--model-out", tmp_path / "own.txt", *fit)
         run("train", "--data", comp, "--transition-in", tfile, "--model-out", tmp_path / "read.txt", *fit)
         assert (tmp_path / "read.txt").read_bytes() == (tmp_path / "own.txt").read_bytes()
+
+    @pytest.mark.parametrize("no_correlation", [False, True])
+    def test_writes_the_estimate_of_its_predictor(self, data_file, tmp_path, no_correlation):
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp, "--seed", "3")
+        flag = ["--no-correlation"] if no_correlation else []
+        run("estimate-t", "--data", comp, "--transition-out", tmp_path / "T.csv", "--epochs", "20", "--seed", "3", *flag)
+        cds = parse_complementary_file(comp)
+        (predictor,) = train_cl_predictor(cds, TrainConfig(learning_rates=(1e-2,), epochs=20, seed=3), curve=False)
+        T = estimate_transition(cds, predictor.model, use_correlation=not no_correlation)
+        save_transition_csv(T, tmp_path / "want.csv")
+        assert (tmp_path / "T.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestCurveOut:
@@ -171,6 +190,20 @@ class TestTrainEval:
         run("estimate-t", "--data", comp, "--transition-out", tfile, "--epochs", "10")
         model_path = tmp_path / "m.txt"
         assert run("train", "--data", comp, "--transition-in", tfile, "--model-out", model_path, "--epochs", "10") == 0
+
+    @pytest.mark.parametrize("regime", ["cl", "clrl"])
+    def test_transition_out_is_the_matrix_trained_through(self, data_file, tmp_path, regime):
+        # read from --transition-in or estimated, T is written as the one K x K matrix
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp, "--seed", "5", "--relevant", "1")
+        fit = ("--epochs", "5", "--seed", "2")
+        a, b, c = tmp_path / "A.csv", tmp_path / "B.csv", tmp_path / "C.csv"
+        run("estimate-t", "--data", comp, "--transition-out", a, *fit)
+        train = ("train", "--data", comp, "--regime", regime, "--model-out", tmp_path / "m.txt", *fit)
+        assert run(*train, "--transition-in", a, "--transition-out", b) == 0
+        assert b.read_bytes() == a.read_bytes()
+        assert run(*train, "--transition-out", c) == 0
+        assert c.read_bytes() == a.read_bytes()
 
 
 class TestCV:
@@ -425,12 +458,34 @@ class TestTheoryCheck:
     ("nofile.csv", "cv --data DATA --transition-in nofile.csv --lr 0.01"),
     ("nofile", "eval --data DATA --model-in nofile"),
     ("nocfg", "cv --config nocfg --data DATA --lr 0.01"),
+    ("nox.csv", "convert --features-csv nox.csv --labels-csv noy.csv"),
+    ("noy.csv", "convert --features-csv X.csv --labels-csv noy.csv"),
 ])  # fmt: skip
 def test_missing_input_file_named(missing, argv, data_file, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "X.csv").write_text("0.5,1\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(missing)}: No such file or directory$"):
         run(*(data_file if a == "DATA" else a for a in argv.split()), "--out", "out.csv")
     assert not (tmp_path / "out.csv").exists()
+
+
+OUTPUT_OPTIONS = ("out", "model_out", "transition_out", "curve_out")
+
+
+@pytest.mark.parametrize(
+    "command, option", [(c, o.dest) for o in OPTIONS if o.dest in OUTPUT_OPTIONS for c in o.commands]
+)
+def test_missing_output_directory_named_before_any_input(command, option, tmp_path, monkeypatch):
+    # every input is missing too, so a command that read one first would name it instead
+    monkeypatch.setattr("comlabel.cli.run_theory", lambda **kw: pytest.fail("theory-check ran"))
+    takes = {o.dest for o in OPTIONS if command in o.commands}
+    argv = [command]
+    for dest in sorted(takes & {"data", "model_in", "features_csv", "labels_csv", *OUTPUT_OPTIONS[:3]}):
+        argv += ["--" + dest.replace("_", "-"), tmp_path / f"{dest}.txt"]
+    missing = tmp_path / "nodir" / "o.csv"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(missing))}: No such file or directory$"):
+        run(*argv, "--" + option.replace("_", "-"), missing)
+    assert not list(tmp_path.iterdir())
 
 
 class TestConvert:

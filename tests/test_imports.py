@@ -168,3 +168,28 @@ def test_no_unused_top_level_import(path):
         if name not in used
     ]
     assert not unused, f"{path.name} has unused imports: {unused}"
+
+
+FIT_STEPS = ("train_cl_predictor", "train_mlcl", "train_clrl", "train_supervised", "estimate_transition")
+
+
+def test_cli_names_no_trainer():
+    # every command trains through experiment's one fit path
+    tree = ast.parse((Path(comlabel.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = {alias.asname or alias.name for node in imports for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not [n for n in sorted(names) if n in FIT_STEPS or n.startswith("train_")]
+
+
+@pytest.mark.parametrize("step", FIT_STEPS)
+def test_each_fit_step_used_by_one_function(step):
+    users = {
+        f"{path.name}:{func.name}"
+        for path in MODULES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == step
+    }
+    assert len(users) == 1 and users.pop().startswith("experiment.py:"), users
