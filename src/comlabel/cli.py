@@ -30,6 +30,7 @@ from .experiment import (
     AggregateReport,
     RunConfig,
     TheoryCheckFailure,
+    check_relevant_count,
     corrupt,
     estimate_step,
     fit_regime,
@@ -54,8 +55,11 @@ class Option(NamedTuple):
     """One command-line option, declared once: its dest (the flag is
     `--dest` with dashes), the subcommands that take it, its value type
     (None for an on/off flag), the default that applies when neither a flag
-    nor the config file sets it, help, its choices, and whether a config
-    file may set it.  Every subcommand also takes --config."""
+    nor the config file sets it, help, its choices, whether a config file
+    may set it, the subcommands that require it, the config field whose
+    check (a message that begins with the field's name) names this flag,
+    whether it is a path the command writes, and the regimes of `train`
+    that read it.  Every subcommand also takes --config."""
 
     dest: str
     commands: tuple[str, ...]
@@ -64,58 +68,56 @@ class Option(NamedTuple):
     help: str | None = None
     choices: tuple[str, ...] | None = None
     config: bool = True
+    required_by: tuple[str, ...] = ()
+    checked: str | None = None
+    output: bool = False
+    regimes: tuple[str, ...] = REGIMES
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
 
 
 CV = ("cv", "ablate", "sweep-beta", "clrl")  # the subcommands built on run_cv
 TRAINING = ("estimate-t", "train", *CV)
+COMPLEMENTARY = ("cl", "clrl")  # train's regimes that train through a transition matrix
 
 OPTIONS = (
-    Option("data", ("corrupt", "eval", *TRAINING), help="input data file"),
+    Option("data", ("corrupt", "eval", *TRAINING), help="input data file", required_by=("corrupt", "eval", *TRAINING)),
     Option("mode", ("corrupt", *CV), default=RunConfig.corruption, help="corruption mode", choices=CORRUPTION_MODES),
     Option("seed", ("corrupt", "theory-check", *TRAINING), int, TrainConfig.seed),
     Option("lr", TRAINING, float, help=f"learning rate; without it, estimate-t and train use {DEFAULT_LEARNING_RATE} "
-           f"and the cross-validated commands select one per fold from {{{', '.join(map(str, LEARNING_RATE_GRID))}}}"),
-    Option("epochs", TRAINING, int, TrainConfig.epochs),
-    Option("batch", TRAINING, int, TrainConfig.batch_size),
-    Option("beta", ("train", "cv", "ablate", "clrl"), float, TrainConfig.beta, "trade-off weight of the squared-error regularizer"),
-    Option("folds", CV, int, RunConfig.folds),
-    Option("max_labels", ("corrupt", *CV), int, RunConfig.max_labels),
-    Option("weight_decay", TRAINING, float, TrainConfig.weight_decay),
-    Option("out", ("corrupt", "eval", *CV, "theory-check", "convert"), help="output path"),
+           f"and the cross-validated commands select one per fold from {{{', '.join(map(str, LEARNING_RATE_GRID))}}}",
+           checked="learning_rates"),
+    Option("epochs", TRAINING, int, TrainConfig.epochs, checked="epochs"),
+    Option("batch", TRAINING, int, TrainConfig.batch_size, checked="batch_size"),
+    # of train's regimes, only cl fits the squared-error term
+    Option("beta", ("train", "cv", "ablate", "clrl"), float, TrainConfig.beta, "trade-off weight of the squared-error regularizer",
+           checked="beta", regimes=("cl",)),
+    Option("folds", CV, int, RunConfig.folds, checked="folds"),
+    Option("max_labels", ("corrupt", *CV), int, RunConfig.max_labels, checked="max_labels"),
+    Option("weight_decay", TRAINING, float, TrainConfig.weight_decay, checked="weight_decay"),
+    Option("out", ("corrupt", "eval", *CV, "theory-check", "convert"), help="output path",
+           required_by=("corrupt", "eval", *CV, "convert"), output=True),
     # ablate's no_correlation row estimates T, so it takes no transition file
-    Option("transition_in", ("train", "cv", "sweep-beta", "clrl")),
-    Option("transition_out", ("estimate-t", "train")),
-    Option("curve_out", ("estimate-t", "train"), help="per-epoch training-loss CSV"),
+    Option("transition_in", ("train", "cv", "sweep-beta", "clrl"), checked="transition", regimes=COMPLEMENTARY),
+    Option("transition_out", ("estimate-t", "train"), required_by=("estimate-t",), output=True, regimes=COMPLEMENTARY),
+    Option("curve_out", ("estimate-t", "train"), help="per-epoch training-loss CSV", output=True),
     Option("normalize_features", CV, default="off", choices=("on", "off")),
-    Option("relevant", ("corrupt", "clrl"), int, help="also attach this many true relevant labels per instance"),
+    Option("relevant", ("corrupt", "clrl"), int, help="also attach this many true relevant labels per instance",
+           checked="relevant_count"),
     Option("no_correlation", ("estimate-t",), None, help="skip the correlation correction", config=False),
     Option("regime", ("train",), default=RunConfig.regime, choices=REGIMES),
-    Option("model_out", ("train",)),
-    Option("model_in", ("eval",)),
+    Option("model_out", ("train",), required_by=("train",), output=True),
+    Option("model_in", ("eval",), required_by=("eval",)),
     Option("betas", ("sweep-beta",), default="0.1,0.3,0.5,0.8,1", help="comma-separated trade-off values"),
     Option("trials", ("theory-check",), int, 100),
     Option("skip_consistency", ("theory-check",), None, help="skip the synthetic twin-training check", config=False),
-    Option("features_csv", ("convert",), config=False),
-    Option("labels_csv", ("convert",), config=False),
+    Option("features_csv", ("convert",), config=False, required_by=("convert",)),
+    Option("labels_csv", ("convert",), config=False, required_by=("convert",)),
 )
 
 CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
-OUTPUTS = ("out", "model_out", "transition_out", "curve_out")
-SUPERVISED_UNREAD = ("beta", "transition_in", "transition_out")  # read only by train's complementary regimes
-# The flag that sets each field TrainConfig and RunConfig check on the options'
-# values, and run_cv checks against the data (folds, max_labels, transition);
-# each check's message begins with the field's name.
-CHECKED_FLAGS = {
-    "learning_rates": "--lr",
-    "weight_decay": "--weight-decay",
-    "beta": "--beta",
-    "batch_size": "--batch",
-    "epochs": "--epochs",
-    "folds": "--folds",
-    "max_labels": "--max-labels",
-    "relevant_count": "--relevant",
-    "transition": "--transition-in",
-}
 
 
 def load_config_file(path: str) -> dict:
@@ -149,11 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         for o in OPTIONS:
             if command not in o.commands:
                 continue
-            flag = "--" + o.dest.replace("_", "-")
             if o.type is None:
-                p.add_argument(flag, dest=o.dest, action="store_true", help=o.help)
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
             else:
-                p.add_argument(flag, dest=o.dest, type=o.type, choices=o.choices, help=o.help)
+                p.add_argument(o.flag, dest=o.dest, type=o.type, choices=o.choices, help=o.help)
     return parser
 
 
@@ -166,14 +167,16 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         commands = CONFIG_OPTIONS[key].commands
         if args.command not in commands:
             raise SystemExit(f"config {args.config}: {key} is taken only by {', '.join(commands)}, not by {args.command}")
-    if args.command == "train" and (args.regime or config.get("regime")) == "supervised":
-        for name in SUPERVISED_UNREAD:
-            if getattr(args, name) is not None:
-                raise SystemExit(f"--{name.replace('_', '-')} is not read by train --regime supervised")
-            if name in config:
-                raise SystemExit(f"config {args.config}: {name} is not read by train --regime supervised")
+    regime = (args.regime or config.get("regime", RunConfig.regime)) if args.command == "train" else None
     for o in OPTIONS:
-        if args.command in o.commands and getattr(args, o.dest) is None:
+        if args.command not in o.commands:
+            continue
+        if regime and regime not in o.regimes:
+            if getattr(args, o.dest) is not None:
+                raise SystemExit(f"{o.flag} is not read by train --regime {regime}")
+            if o.dest in config:
+                raise SystemExit(f"config {args.config}: {o.dest} is not read by train --regime {regime}")
+        if getattr(args, o.dest) is None:
             setattr(args, o.dest, config.get(o.dest, o.default))
     return args
 
@@ -181,8 +184,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def _check_output_dirs(args) -> None:
     """Exit as writing would, before any input is read, on an output path
     whose directory does not exist."""
-    for name in OUTPUTS:
-        path = getattr(args, name, None)
+    for o in OPTIONS:
+        path = getattr(args, o.dest, None) if o.output else None
         if path is not None and not Path(path).parent.is_dir():
             raise SystemExit(f"{path}: No such file or directory")
 
@@ -190,12 +193,6 @@ def _check_output_dirs(args) -> None:
 def _read_csv(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:  # so a missing file is named, as genfromtxt's own error does not
         return np.genfromtxt(fh, delimiter=",", ndmin=2)
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise SystemExit(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
 @contextmanager
@@ -206,7 +203,8 @@ def _exit_on_bad_value(flag: str | None = None):
     try:
         yield
     except ValueError as exc:
-        name = flag or CHECKED_FLAGS.get(str(exc).partition(" ")[0])
+        field = str(exc).partition(" ")[0]
+        name = flag or next((o.flag for o in OPTIONS if o.checked == field), None)
         if name is None:
             raise
         raise SystemExit(f"{name}: {exc}") from None
@@ -254,11 +252,11 @@ def _print_summary(tag: str, report: AggregateReport) -> None:
 
 
 def cmd_corrupt(args) -> int:
-    _require(args, "data", "out")
     relevant = RunConfig.relevant_count if args.relevant is None else args.relevant
     # RunConfig checks the values corrupt shares with run_cv
     RunConfig(args.data, args.mode, max_labels=args.max_labels, relevant_count=relevant)
     ds = preprocess_topk_labels(parse_multilabel_file(args.data), args.max_labels)
+    check_relevant_count(ds, relevant)
     cds = corrupt(ds, args.mode, args.seed, args.relevant)
     write_complementary_file(cds, args.out)
     print(f"wrote {cds.n_instances} complementary-labeled instances to {args.out}")
@@ -266,7 +264,6 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_estimate_t(args) -> int:
-    _require(args, "data", "transition_out")
     cfg = _train_config(args)
     cds = parse_complementary_file(args.data)
     (T,), (result,) = estimate_step(cds, cfg, args.no_correlation, curve=bool(args.curve_out))
@@ -278,11 +275,13 @@ def cmd_estimate_t(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require(args, "data", "model_out")
     tcfg = _train_config(args)
     T = _transition_in(args)
     parse = parse_multilabel_file if args.regime == "supervised" else parse_complementary_file
-    (result,), T = fit_regime(parse(args.data), args.regime, tcfg, T, curve=bool(args.curve_out))
+    data = parse(args.data)
+    if args.regime == "clrl" and data.relevant is None:
+        raise SystemExit(f"{args.data}: train --regime clrl needs relevant labels, which corrupt --relevant N writes")
+    (result,), T = fit_regime(data, args.regime, tcfg, T, curve=bool(args.curve_out))
     if args.transition_out:  # an estimated T is a stack of one
         save_transition_csv(T.reshape(T.shape[-2:]), args.transition_out)
     save_model(result.model, args.model_out)
@@ -293,7 +292,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(args, "data", "out", "model_in")
     ds = parse_multilabel_file(args.data)
     with _exit_on_bad_value(args.model_in):
         model = load_model(args.model_in)
@@ -309,7 +307,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    _require(args, "data", "out")
     report = run_cv(_run_config(args))
     write_report(report, args.out)
     _print_summary("cv", report)
@@ -317,7 +314,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _require(args, "data", "out")
     reports = run_ablation(_run_config(args))
     base = Path(args.out)
     for name, rep in reports.items():
@@ -329,7 +325,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_beta(args) -> int:
-    _require(args, "data", "out")
     cfg = _run_config(args)
     betas = []
     for token in filter(None, (t.strip() for t in args.betas.split(","))):
@@ -350,7 +345,6 @@ def cmd_sweep_beta(args) -> int:
 
 
 def cmd_clrl(args) -> int:
-    _require(args, "data", "out")
     reports = run_clrl(_run_config(args))
     write_clrl_csv(reports, args.out)
     for variant in ("supervised", "cl", "clrl"):
@@ -371,7 +365,6 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    _require(args, "out", "features_csv", "labels_csv")
     X, Y = _read_csv(args.features_csv), _read_csv(args.labels_csv)
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
@@ -406,6 +399,9 @@ def main(argv=None) -> int:
     try:
         args = _resolve(build_parser().parse_args(argv))
         _check_output_dirs(args)
+        for o in OPTIONS:
+            if args.command in o.required_by and getattr(args, o.dest) is None:
+                raise SystemExit(f"{o.flag} is required for {args.command}")
         with _exit_on_bad_value():
             return COMMANDS[args.command][0](args)
     except FileNotFoundError as exc:

@@ -264,6 +264,16 @@ def _run_fold(fold: FoldSplit, cfg: RunConfig) -> MetricsReport:
     return evaluate_all(forward(model, test_ds.features), test_ds.y)
 
 
+def check_relevant_count(ds: MultiLabelDataset, relevant_count: int) -> None:
+    """Refuse a relevant_count above the label count of some instance of
+    `ds`, a data set after label filtering."""
+    sizes = ds.y.sum(axis=1)
+    short = np.flatnonzero(sizes < relevant_count)
+    if short.size:
+        i = short[0]
+        raise ValueError(f"relevant_count must be at most the {sizes[i]} labels of instance {i} after label filtering, got {relevant_count}")
+
+
 def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
     ds = parse_multilabel_file(cfg.data_path)
     ds = preprocess_topk_labels(ds, cfg.max_labels)
@@ -273,6 +283,7 @@ def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
     if cfg.transition is not None and cfg.transition.shape != (ds.n_labels, ds.n_labels):
         shape, K = cfg.transition.shape, ds.n_labels
         raise ValueError(f"transition has shape {shape}, but {cfg.data_path} has {K} labels after label filtering")
+    check_relevant_count(ds, cfg.relevant_count)
     return kfold_split(ds, cfg.folds, cfg.train.seed)
 
 

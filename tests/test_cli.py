@@ -183,6 +183,32 @@ class TestTrainEval:
                 run("train", "--data", data_file, "--model-out", model_path, "--epochs", "1", *extra)
         assert not model_path.exists()
 
+    def test_clrl_refuses_beta(self, data_file, tmp_path):
+        # the clrl loss has no squared-error term: its checkpoints were byte-identical at --beta 0 and 5
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp, "--relevant", "1")
+        model_path = tmp_path / "clrl.txt"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("regime = clrl\nbeta = 5\n")
+        for extra, named in (
+            (["--regime", "clrl", "--beta", "5"], "--beta"),
+            (["--config", cfgfile], f"config {cfgfile}: beta"),
+        ):
+            with pytest.raises(SystemExit, match=f"^{re.escape(named)} is not read by train --regime clrl$"):
+                run("train", "--data", comp, "--model-out", model_path, "--epochs", "3", *extra)
+        assert not model_path.exists()
+
+    def test_clrl_without_relevant_labels_names_file(self, data_file, tmp_path, monkeypatch):
+        import comlabel.optim as optim
+
+        monkeypatch.setattr(optim, "_run_loop", lambda *a, **kw: pytest.fail("a model was trained"))
+        comp = tmp_path / "comp.txt"
+        run("corrupt", "--data", data_file, "--out", comp)
+        model_path = tmp_path / "clrl.txt"
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(comp))}: .* corrupt --relevant N"):
+            run("train", "--data", comp, "--regime", "clrl", "--model-out", model_path)
+        assert not model_path.exists()
+
     def test_train_with_transition_in(self, data_file, tmp_path):
         comp = tmp_path / "comp.txt"
         run("corrupt", "--data", data_file, "--out", comp, "--seed", "5")
@@ -402,6 +428,23 @@ class TestRelevantCount:
         cfg.write_text("relevant = 0\n")
         with pytest.raises(SystemExit, match="^--relevant: relevant_count must be at least 1, got 0$"):
             run("clrl", "--config", cfg, "--data", data_file, "--out", tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("command", ["clrl", "corrupt"])
+    def test_more_than_a_row_keeps_named_before_any_fit(self, command, data_file, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        fits = []
+        fit_fold = experiment.fit_fold
+        monkeypatch.setattr(experiment, "fit_fold", lambda *a: fits.append(a) or fit_fold(*a))
+        sizes = parse_multilabel_file(data_file).y.sum(axis=1)  # 1 or 2 labels per row; max_labels keeps all 4
+        first = int(np.flatnonzero(sizes < 3)[0])
+        out = tmp_path / "out"
+        cv_flags = ("--folds", "3", "--epochs", "1", "--lr", "0.01") if command == "clrl" else ()
+        msg = f"must be at most the {sizes[first]} labels of instance {first} after label filtering, got 3"
+        with pytest.raises(SystemExit, match=f"^--relevant: relevant_count {msg}$"):
+            run(command, "--data", data_file, "--relevant", "3", *cv_flags, "--out", out)
+        assert fits == []
+        assert not out.exists()
 
 
 class TestBadTrainingValue:
