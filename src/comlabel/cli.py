@@ -8,6 +8,7 @@ theory-check, convert.  Flags override values from an optional flat
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -232,6 +233,16 @@ def _transition_in(args) -> np.ndarray | None:
         return load_transition_csv(path)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, so `taskset -c 0` makes a run
+    serial; 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_config(args) -> RunConfig:
     relevant = getattr(args, "relevant", None)  # of the commands built on run_cv, only clrl takes --relevant
     return RunConfig(
@@ -243,6 +254,7 @@ def _run_config(args) -> RunConfig:
         train=_train_config(args),
         transition=_transition_in(args),
         relevant_count=RunConfig.relevant_count if relevant is None else relevant,
+        workers=_usable_cpus(),  # one process per usable CPU fits folds
     )
 
 

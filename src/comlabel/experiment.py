@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import signal
+import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -78,7 +84,10 @@ class RunConfig:
     matrix, such as one read from a file or uniform_transition(K), is the T
     every fold uses, so it cannot be combined with no_correlation, which
     changes the estimate.  The matrix takes no part in comparing configs.
-    The squared-error regulariser is dropped by train.beta = 0.
+    The squared-error regulariser is dropped by train.beta = 0.  `workers`
+    processes share the folds (see _cross_validate); above 1 it needs
+    os.fork, and since the reports do not depend on it, it takes no part in
+    comparing configs either.
     """
 
     data_path: str | Path
@@ -91,6 +100,7 @@ class RunConfig:
     no_correlation: bool = False
     transition: np.ndarray | None = field(default=None, compare=False)
     relevant_count: int = 1
+    workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.corruption not in CORRUPTION_MODES:
@@ -105,6 +115,10 @@ class RunConfig:
             raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
         if self.no_correlation and self.transition is not None:
             raise ValueError("no_correlation changes the estimate of T, so it cannot take a transition")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError(f"workers must be 1 where os.fork is missing, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -287,14 +301,78 @@ def _load_and_fold(cfg: RunConfig) -> list[FoldSplit]:
     return kfold_split(ds, cfg.folds, cfg.train.seed)
 
 
-def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
-    """Fit and score cfg on each fold; a fold's error is raised as `fold N failed: ...`."""
-    reports = []
+def _fit_share(folds: list[FoldSplit], cfg: RunConfig) -> dict[int, MetricsReport | Exception]:
+    """Each fold's report by fold index, in order, up to and including the
+    first fold that fails, which maps to its exception."""
+    results: dict[int, MetricsReport | Exception] = {}
     for fold in folds:
         try:
-            reports.append(_run_fold(fold, cfg))
+            results[fold.fold_index] = _run_fold(fold, cfg)
         except Exception as exc:
-            raise RuntimeError(f"fold {fold.fold_index} failed: {exc}") from exc
+            results[fold.fold_index] = exc
+            break
+    return results
+
+
+def _start_share(folds: list[FoldSplit], cfg: RunConfig) -> tuple[int, BinaryIO, int]:
+    """Fork a child that writes _fit_share(folds, cfg), pickled, into a pipe
+    and exits; returns its pid, the pipe's read end and the share's first
+    fold index.  The child inherits the folds, so none is pickled."""
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns in the parent, after the child exists, when BLAS
+        # has started threads; OpenBLAS quiesces them across fork itself
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(_fit_share(folds, cfg), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb"), folds[0].fold_index
+
+
+def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
+    """Fit and score cfg on each fold; a fold's error is raised as `fold N failed: ...`.
+
+    W = min(cfg.workers, len(folds)) processes share the folds by stride:
+    this one fits folds 0, W, 2W, ... and a forked child fits each other
+    share.  Each share stops at its first failure, and the lowest-numbered
+    failing fold is raised, with its exception as the cause, as a serial
+    loop would; a child that exits without a result fails its share's first
+    fold.  If this process is interrupted, its children are killed; every
+    child is reaped before this returns or raises.
+    """
+    W = min(cfg.workers, len(folds))
+    children = []  # (pid, pipe, first fold) of each child not yet reaped
+    try:
+        for start in range(1, W):
+            children.append(_start_share(folds[start::W], cfg))
+        results = _fit_share(folds[::W], cfg)
+        while children:
+            pid, pipe, first = children[0]
+            with pipe:
+                blob = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            results.update(pickle.loads(blob) if status == 0 else {first: RuntimeError(f"worker exited with status {status}")})
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped already, when interrupted just after
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    reports = []
+    for fold in folds:  # a share's folds after its failure have no result, but come after that failure
+        outcome = results[fold.fold_index]
+        if isinstance(outcome, Exception):
+            raise RuntimeError(f"fold {fold.fold_index} failed: {outcome}") from outcome
+        reports.append(outcome)
     return AggregateReport(tuple(reports))
 
 
