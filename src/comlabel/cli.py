@@ -8,7 +8,7 @@ theory-check, convert.  Flags override values from an optional flat
 from __future__ import annotations
 
 import argparse
-import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import (
+    DatasetFormatError,
     MultiLabelDataset,
     parse_complementary_file,
     parse_multilabel_file,
@@ -193,7 +194,11 @@ def _check_output_dirs(args) -> None:
 
 def _read_csv(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:  # so a missing file is named, as genfromtxt's own error does not
-        return np.genfromtxt(fh, delimiter=",", ndmin=2)
+        try:
+            return np.genfromtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # genfromtxt lists each ragged row as "Line #N (got C columns instead of D)"
+            ragged = re.search(r"Line #(\d+) \((got \d+ columns instead of \d+)\)", str(exc))
+            raise SystemExit(f"{path}: row {ragged[1]}: {ragged[2]}" if ragged else f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -233,16 +238,6 @@ def _transition_in(args) -> np.ndarray | None:
         return load_transition_csv(path)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, so `taskset -c 0` makes a run
-    serial; 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_config(args) -> RunConfig:
     relevant = getattr(args, "relevant", None)  # of the commands built on run_cv, only clrl takes --relevant
     return RunConfig(
@@ -254,8 +249,14 @@ def _run_config(args) -> RunConfig:
         train=_train_config(args),
         transition=_transition_in(args),
         relevant_count=RunConfig.relevant_count if relevant is None else relevant,
-        workers=_usable_cpus(),  # one process per usable CPU fits folds
     )
+
+
+def _data_kind(args) -> str:
+    """The command, and the kind of data file it reads at --data."""
+    command = f"train --regime {args.regime}" if args.command == "train" else args.command
+    complementary = args.command == "estimate-t" or (args.command == "train" and args.regime in COMPLEMENTARY)
+    return f"{command} reads a {'complementary-label' if complementary else 'multi-label'} file"
 
 
 def _print_summary(tag: str, report: AggregateReport) -> None:
@@ -387,7 +388,11 @@ def cmd_convert(args) -> int:
     bad = np.flatnonzero(~np.isin(Y, (0, 1)).all(axis=1))
     if bad.size:
         raise SystemExit(f"{args.labels_csv}: row {bad[0] + 1}: labels must be 0 or 1")
-    ds = MultiLabelDataset(X, Y.astype(np.uint8))
+    bad = np.flatnonzero(np.isin(Y.sum(axis=1), (0, Y.shape[1])))
+    if bad.size:
+        raise SystemExit(f"{args.labels_csv}: row {bad[0] + 1}: no label or every label is 1")
+    with _exit_on_bad_value(args.labels_csv):  # too few label columns
+        ds = MultiLabelDataset(X, Y.astype(np.uint8))
     write_multilabel_file(ds, args.out)
     print(f"wrote {ds.n_instances} instances ({ds.n_features} features, {ds.n_labels} labels) to {args.out}")
     return 0
@@ -415,7 +420,10 @@ def main(argv=None) -> int:
             if args.command in o.required_by and getattr(args, o.dest) is None:
                 raise SystemExit(f"{o.flag} is required for {args.command}")
         with _exit_on_bad_value():
-            return COMMANDS[args.command][0](args)
+            try:
+                return COMMANDS[args.command][0](args)
+            except DatasetFormatError as exc:  # of the files a command reads, only --data is a data file
+                raise SystemExit(f"{args.data}: {exc} ({_data_kind(args)})") from None
     except FileNotFoundError as exc:
         if exc.filename is None:
             raise

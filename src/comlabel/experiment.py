@@ -12,6 +12,7 @@ import io
 import os
 import pickle
 import signal
+import threading
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -70,6 +71,9 @@ __all__ = [
 CORRUPTION_MODES = ("uniform", "biased")
 REGIMES = ("cl", "clrl", "supervised")
 CONSISTENCY_GAP = 0.05  # largest test hamming-loss gap the consistency check accepts
+# the consistency check's exclusive-label sample and its training
+CONSISTENCY_LABELS, CONSISTENCY_FEATURES, CONSISTENCY_TRAIN, CONSISTENCY_TEST = 5, 10, 5000, 1000
+CONSISTENCY_SEED, CONSISTENCY_EPOCHS = 7, 200
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,7 @@ class RunConfig:
     matrix, such as one read from a file or uniform_transition(K), is the T
     every fold uses, so it cannot be combined with no_correlation, which
     changes the estimate.  The matrix takes no part in comparing configs.
-    The squared-error regulariser is dropped by train.beta = 0.  `workers`
-    processes share the folds (see _cross_validate); above 1 it needs
-    os.fork, and since the reports do not depend on it, it takes no part in
-    comparing configs either.
+    The squared-error regulariser is dropped by train.beta = 0.
     """
 
     data_path: str | Path
@@ -100,7 +101,6 @@ class RunConfig:
     no_correlation: bool = False
     transition: np.ndarray | None = field(default=None, compare=False)
     relevant_count: int = 1
-    workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.corruption not in CORRUPTION_MODES:
@@ -115,10 +115,6 @@ class RunConfig:
             raise ValueError(f"relevant_count must be at least 1, got {self.relevant_count!r}")
         if self.no_correlation and self.transition is not None:
             raise ValueError("no_correlation changes the estimate of T, so it cannot take a transition")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
-        if self.workers > 1 and not hasattr(os, "fork"):
-            raise ValueError(f"workers must be 1 where os.fork is missing, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -337,10 +333,22 @@ def _start_share(folds: list[FoldSplit], cfg: RunConfig) -> tuple[int, BinaryIO,
     return pid, open(read, "rb"), folds[0].fold_index
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, so `taskset -c 0` makes a run
+    serial; 1 where os.fork is missing, and while another Python thread
+    runs, since a forked child holds a copy of that thread's locks but not
+    the thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
     """Fit and score cfg on each fold; a fold's error is raised as `fold N failed: ...`.
 
-    W = min(cfg.workers, len(folds)) processes share the folds by stride:
+    W = min(_usable_cpus(), len(folds)) processes share the folds by stride:
     this one fits folds 0, W, 2W, ... and a forked child fits each other
     share.  Each share stops at its first failure, and the lowest-numbered
     failing fold is raised, with its exception as the cause, as a serial
@@ -348,7 +356,7 @@ def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
     fold.  If this process is interrupted, its children are killed; every
     child is reaped before this returns or raises.
     """
-    W = min(cfg.workers, len(folds))
+    W = min(_usable_cpus(), len(folds))
     children = []  # (pid, pipe, first fold) of each child not yet reaped
     try:
         for start in range(1, W):
@@ -425,22 +433,15 @@ class TheoryRow:
     rhs: float
 
 
-def consistency_experiment(
-    n_labels: int = 5,
-    n_train: int = 5000,
-    n_test: int = 1000,
-    n_features: int = 10,
-    seed: int = 7,
-    epochs: int = 200,
-) -> dict[str, float]:
+def consistency_experiment() -> dict[str, float]:
     """Train twin models on one synthetic exclusive-label sample: the
     transition-composed loss with the sample's true transition, the uniform
     one, versus full supervision, and report the test hamming-loss gap."""
-    spec = make_exclusive_spec(n_labels)
-    train_full, train_comp = sample_from_generative(spec, n_train, n_features, seed)
-    test_full, _ = sample_from_generative(spec, n_test, n_features, seed + 1)
-    tcfg = TrainConfig(learning_rates=(1e-2,), epochs=epochs, seed=seed)
-    (mlcl,), _ = fit_regime(train_comp, "cl", tcfg, uniform_transition(n_labels))
+    spec = make_exclusive_spec(CONSISTENCY_LABELS)
+    train_full, train_comp = sample_from_generative(spec, CONSISTENCY_TRAIN, CONSISTENCY_FEATURES, CONSISTENCY_SEED)
+    test_full, _ = sample_from_generative(spec, CONSISTENCY_TEST, CONSISTENCY_FEATURES, CONSISTENCY_SEED + 1)
+    tcfg = TrainConfig(learning_rates=(1e-2,), epochs=CONSISTENCY_EPOCHS, seed=CONSISTENCY_SEED)
+    (mlcl,), _ = fit_regime(train_comp, "cl", tcfg, uniform_transition(CONSISTENCY_LABELS))
     (sup,), _ = fit_regime(train_full, "supervised", tcfg)
     ham_mlcl = evaluate_all(forward(mlcl.model, test_full.features), test_full.y).hamming_loss
     ham_sup = evaluate_all(forward(sup.model, test_full.features), test_full.y).hamming_loss
@@ -487,7 +488,7 @@ def run_theory(seed: int = 0, n_trials: int = 100, consistency: bool = True) -> 
         result = consistency_experiment()
         if not result["gap"] <= CONSISTENCY_GAP:
             raise TheoryCheckFailure(f"consistency gap {result['gap']:.4f} exceeds {CONSISTENCY_GAP}: {result!r}")
-        rows.append(TheoryRow("consistency_K5_n5000", result["gap"], CONSISTENCY_GAP))
+        rows.append(TheoryRow(f"consistency_K{CONSISTENCY_LABELS}_n{CONSISTENCY_TRAIN}", result["gap"], CONSISTENCY_GAP))
     return rows
 
 

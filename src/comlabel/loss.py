@@ -169,6 +169,9 @@ def batch_objective(
 # Finite-difference audit
 # ---------------------------------------------------------------------------
 
+GRADIENT_TOLERANCE = 1e-4  # largest relative error gradient_check passes
+FD_EPS = 1e-5  # gradient_check's central-difference step
+
 
 @dataclass(frozen=True)
 class GradientCheckReport:
@@ -181,14 +184,7 @@ class GradientCheckReport:
         return self.max_rel_error <= self.tolerance
 
 
-def gradient_check(
-    model: LinearModel,
-    X,
-    kind: str,
-    tolerance: float = 1e-4,
-    fd_eps: float = 1e-5,
-    **loss_kwargs,
-) -> GradientCheckReport:
+def gradient_check(model: LinearModel, X, kind: str, **loss_kwargs) -> GradientCheckReport:
     """Compare analytic parameter gradients against central finite differences.
 
     Checks every weight and bias coordinate; the worst coordinate is named in
@@ -212,9 +208,9 @@ def gradient_check(
     worst = ("", 0.0)
     for arr, grad, name in ((model.weights, gW, "W"), (model.bias, gb, "b")):
         for idx in np.ndindex(arr.shape):
-            rel = rel_error(arr, idx, grad[idx], fd_eps)
-            if rel > tolerance:
-                rel = rel_error(arr, idx, grad[idx], fd_eps / 100)
+            rel = rel_error(arr, idx, grad[idx], FD_EPS)
+            if rel > GRADIENT_TOLERANCE:
+                rel = rel_error(arr, idx, grad[idx], FD_EPS / 100)
             if rel > worst[1]:
                 worst = (f"{name}[{', '.join(map(str, idx))}]", rel)
-    return GradientCheckReport(max_rel_error=worst[1], worst_param=worst[0], tolerance=tolerance)
+    return GradientCheckReport(max_rel_error=worst[1], worst_param=worst[0], tolerance=GRADIENT_TOLERANCE)

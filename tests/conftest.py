@@ -1,10 +1,26 @@
 """The CLI fixture data, shared by tests/test_cli.py and tests/test_layertrace.py;
-tests/test_experiment.py defines a `data_file` of its own."""
+tests/test_experiment.py defines a `data_file` of its own.  Every test sees
+two usable CPUs."""
+
+import os
 
 import numpy as np
 import pytest
 
 from comlabel.dataset import make_uniform_cl_spec, sample_from_generative, write_multilabel_file
+
+
+@pytest.fixture(autouse=True)
+def cpu_set(monkeypatch):
+    """Make the usable CPU set {0, 1}, so that every cross-validation fits
+    its folds in two processes whatever the runner's CPU count; the returned
+    function sets a set of n CPUs instead."""
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    use(2)
+    return use
 
 
 @pytest.fixture(scope="module")

@@ -113,7 +113,7 @@ class TestCriterion2Gradients:
             rng = np.random.default_rng(zlib.crc32(label.encode()))
             for _ in range(50):
                 model, X, kwargs = self._config(kind, rng, beta)
-                report = gradient_check(model, X, kind, tolerance=1e-4, fd_eps=1e-5, **kwargs)
+                report = gradient_check(model, X, kind, **kwargs)
                 assert report.passed, f"{kind}: {report.worst_param} rel err {report.max_rel_error:.2e}"
                 worst = max(worst, report.max_rel_error)
         elapsed = time.perf_counter() - start
@@ -204,7 +204,7 @@ class TestCriterion5DistortionBounds:
 class TestCriterion6Consistency:
     def test_oracle_transition_matches_supervised_twin(self):
         start = time.perf_counter()
-        result = consistency_experiment(n_labels=5, n_train=5000, n_test=1000, n_features=10, seed=7)
+        result = consistency_experiment()
         elapsed = time.perf_counter() - start
         assert result["gap"] < 0.05, result
         assert elapsed < 120.0

@@ -470,12 +470,48 @@ class TestBadTrainingValue:
             run(command, "--data", data_file, flag, value, out, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_data_file_error_unchanged(self, tmp_path):
-        # a DatasetFormatError is a ValueError too, and is not turned into an exit
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2 3 3\n0 0:1.0\n")
-        with pytest.raises(DatasetFormatError, match="^header declares 2 instances but file has 1 data lines$"):
-            run("cv", "--data", bad, "--lr", "0.01", "--out", tmp_path / "cv.csv")
+
+class TestDataFileError:
+    """A data file that the command cannot read exits with its path, the
+    parser's own message and the kind of file the command reads, and no
+    output is written."""
+
+    @pytest.fixture(scope="class")
+    def files(self, data_file, tmp_path_factory):
+        d = tmp_path_factory.mktemp("kinds")
+        run("corrupt", "--data", data_file, "--out", d / "comp.txt", "--seed", "0")
+        run("train", "--regime", "supervised", "--data", data_file, "--model-out", d / "model.txt", "--epochs", "1")
+        (d / "header.txt").write_text("x 2 4\n0 0:1.0\n")
+        (d / "short.txt").write_text("2 3 3\n0 0:1.0\n")
+        return {"multi-label": data_file, "complementary": d / "comp.txt", "model": d / "model.txt",
+                "header": d / "header.txt", "short": d / "short.txt"}
+
+    @pytest.mark.parametrize(
+        "argv, data, output, reads",
+        [
+            (("estimate-t",), "multi-label", "--transition-out", "estimate-t reads a complementary-label"),
+            (("train", "--regime", "cl"), "multi-label", "--model-out", "train --regime cl reads a complementary-label"),
+            (("train", "--regime", "clrl"), "multi-label", "--model-out", "train --regime clrl reads a complementary-label"),
+            (("train", "--regime", "supervised"), "complementary", "--model-out", "train --regime supervised reads a multi-label"),
+            (("corrupt",), "complementary", "--out", "corrupt reads a multi-label"),
+            (("eval", "--model-in", "model"), "complementary", "--out", "eval reads a multi-label"),
+            *((("cv", "--lr", "0.01"), data, "--out", "cv reads a multi-label") for data in ("header", "short")),
+            *(((command, "--epochs", "1"), "header", "--out", f"{command} reads a multi-label")
+              for command in ("ablate", "sweep-beta", "clrl")),
+        ],
+        ids=["estimate-t", "train-cl", "train-clrl", "train-supervised", "corrupt", "eval", "cv-header", "cv-short",
+             "ablate", "sweep-beta", "clrl"],
+    )
+    def test_exit_names_file_and_kind(self, files, tmp_path, argv, data, output, reads):
+        reader = parse_complementary_file if "complementary" in reads else parse_multilabel_file
+        with pytest.raises(DatasetFormatError) as parsed:
+            reader(files[data])
+        argv = [files.get(a, a) for a in argv]  # "model" stands for a checkpoint of the data's shape
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--data", files[data], output, out)
+        assert str(info.value) == f"{files[data]}: {parsed.value} ({reads} file)"
+        assert not out.exists()
 
 
 class TestTheoryCheck:
@@ -560,8 +596,12 @@ class TestConvert:
         [
             ("1,2\n3,\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: row 2: missing or non-finite feature value"),
             ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n0,0.5,1\n", r"Y\.csv: row 3: labels must be 0 or 1"),
+            ("1,2\n3\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: row 2: got 1 columns instead of 2$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,0,0\n0,0,1\n", r"Y\.csv: row 2: no label or every label is 1$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n1,1,1\n", r"Y\.csv: row 3: no label or every label is 1$"),
+            ("1,2\n3,4\n5,6\n", "1,0\n0,1\n1,0\n", r"Y\.csv: label space needs at least 3 labels, got 2$"),
         ],
-        ids=["missing-feature", "fractional-label"],
+        ids=["missing-feature", "fractional-label", "ragged-features", "no-label", "every-label", "two-labels"],
     )
     def test_bad_value_rejected_with_row(self, tmp_path, features, labels, error):
         with pytest.raises(SystemExit, match=error):

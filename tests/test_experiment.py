@@ -14,7 +14,6 @@ from comlabel.dataset import (
 from comlabel.experiment import (
     AggregateReport,
     RunConfig,
-    consistency_experiment,
     fit_fold,
     read_report,
     report_to_csv,
@@ -491,10 +490,6 @@ class TestTheoryRunner:
         monkeypatch.setattr(experiment, "corollary3_bound", lambda sc: 2)  # no distortion reaches 2
         with pytest.raises(experiment.TheoryCheckFailure, match="^distortion bound failed: "):
             run_theory(seed=1, n_trials=2, consistency=False)
-
-    def test_consistency_experiment_gap(self):
-        result = consistency_experiment(n_train=1500, n_test=400, epochs=80)
-        assert result["gap"] < 0.05
 
 
 class TestConfigValidation:

@@ -386,7 +386,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(zlib.crc32(case.encode()))
         for _ in range(50):
             model, X, kwargs = _random_config(kind, rng, beta)
-            report = gradient_check(model, X, kind, tolerance=1e-4, **kwargs)
+            report = gradient_check(model, X, kind, **kwargs)
             assert report.passed, f"{kind}: {report.worst_param} rel err {report.max_rel_error:.2e}"
 
     def test_corrupted_gradient_detected(self, monkeypatch):
@@ -403,7 +403,7 @@ class TestGradientCheck:
             return value, gW, gb
 
         monkeypatch.setattr(loss_mod, "batch_objective", corrupted)
-        report = loss_mod.gradient_check(model, X, "bce_supervised", tolerance=1e-4, **kwargs)
+        report = loss_mod.gradient_check(model, X, "bce_supervised", **kwargs)
         assert not report.passed
         assert report.worst_param == "W[0, 0]"
 

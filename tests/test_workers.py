@@ -1,10 +1,12 @@
 """Folds fitted in forked workers: the same reports and the same errors as
-one process, and no child left behind."""
+one process, and no child left behind.  The pool holds one process per
+usable CPU, at most one per fold, so the tests set the CPU set through
+conftest's `cpu_set`: two CPUs, unless a test sets another count."""
 
 import os
 import signal
+import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(cpu_set):
+    """Two CPUs whatever conftest's default, so that this file's counts hold."""
+    cpu_set(2)
 
 
 @pytest.fixture(autouse=True)
@@ -89,22 +97,26 @@ COMMANDS = {
 class TestIdentity:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("config", [dense_grid, sparse_fixed])
-    def test_two_workers_equal_one(self, command, config, data_file, sparse_file, forks):
+    def test_two_workers_equal_one(self, command, config, data_file, sparse_file, forks, cpu_set):
         run, cross_validations = COMMANDS[command]
         cfg = config(data_file, sparse_file)
+        cpu_set(1)
         serial = run(cfg)
         assert_no_child()
         assert forks == []
-        shared = run(replace(cfg, workers=2))
+        cpu_set(2)
+        shared = run(cfg)
         assert_no_child()
         assert len(forks) == cross_validations
         assert shared == serial  # every metric of every fold, bit for bit
 
-    def test_more_workers_than_folds(self, data_file, forks):
+    def test_more_workers_than_folds(self, data_file, forks, cpu_set):
         cfg = RunConfig(data_path=data_file, folds=2, train=TrainConfig(learning_rates=(1e-2,), epochs=2))
-        shared = run_cv(replace(cfg, workers=5))
+        cpu_set(5)
+        shared = run_cv(cfg)
         assert_no_child()
         assert len(forks) == 1  # one child per fold beyond this process's own
+        cpu_set(1)
         assert shared == run_cv(cfg)
 
 
@@ -125,7 +137,7 @@ def failing_folds(monkeypatch, cfg, folds):
 
 class TestFailure:
     def test_lowest_failing_fold_raised_across_processes(self, data_file, monkeypatch):
-        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2, seed=11), workers=2)
+        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2, seed=11))
         raised = failing_folds(monkeypatch, cfg, {1, 2})  # fold 1 in the child, fold 2 in this process
         with pytest.raises(RuntimeError) as info:
             run_cv(cfg)
@@ -136,20 +148,21 @@ class TestFailure:
         assert str(info.value.__cause__) == message
         assert [str(e) for e in raised] == ["non-finite gradient in parameter 0 at index (0, 0) (step 13)"]
 
-    def test_same_error_as_one_worker(self, data_file, monkeypatch):
+    def test_same_error_as_one_worker(self, data_file, monkeypatch, cpu_set):
         cfg = RunConfig(data_path=data_file, folds=5, train=TrainConfig(learning_rates=LEARNING_RATE_GRID, epochs=2, seed=11))
         failing_folds(monkeypatch, cfg, {3, 4})  # both in the child's share 1, 3 and this process's 0, 2, 4
         errors = []
-        for workers in (1, 2):
+        for cpus in (1, 2):
+            cpu_set(cpus)
             with pytest.raises(RuntimeError) as info:
-                run_cv(replace(cfg, workers=workers))
+                run_cv(cfg)
             assert_no_child()
             errors.append((str(info.value), type(info.value.__cause__), str(info.value.__cause__)))
         assert errors[0] == errors[1]
         assert errors[0][0].startswith("fold 3 failed: non-finite gradient")
 
     def test_worker_exit_named(self, data_file, monkeypatch):
-        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2), workers=2)
+        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2))
         run_fold = experiment._run_fold
         monkeypatch.setattr(experiment, "_run_fold", lambda fold, c: os._exit(3) if fold.fold_index == 1 else run_fold(fold, c))
         with pytest.raises(RuntimeError, match=r"^fold 1 failed: worker exited with status 3$"):
@@ -157,7 +170,7 @@ class TestFailure:
         assert_no_child()
 
     def test_interrupted_caller_kills_workers(self, data_file, monkeypatch):
-        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2), workers=2)
+        cfg = RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2))
 
         def run_fold(fold, c):
             if fold.fold_index == 0:
@@ -172,19 +185,35 @@ class TestFailure:
         assert_no_child()
 
 
-class TestChecks:
-    def test_zero_workers_refused(self):
-        with pytest.raises(ValueError, match=r"^workers must be at least 1, got 0$"):
-            RunConfig(data_path="unused", workers=0)
+class TestSerial:
+    """Where a fork is missing or unsafe, a cross-validation runs in this
+    process alone, with the reports of two processes."""
 
-    def test_workers_without_fork_refused_before_reading(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def cfg(self, data_file):
+        return RunConfig(data_path=data_file, folds=3, train=TrainConfig(learning_rates=(1e-2,), epochs=2))
+
+    def test_while_another_thread_runs(self, cfg, forks):
+        release = threading.Event()
+        host = threading.Thread(target=release.wait, args=(60,))
+        host.start()
+        try:
+            threaded = run_cv(cfg)
+        finally:
+            release.set()
+            host.join(60)
+        assert not host.is_alive()
+        assert forks == []
+        assert run_cv(cfg) == threaded
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_without_fork(self, cfg, monkeypatch, forks):
+        shared = run_cv(cfg)
+        assert len(forks) == 1
         monkeypatch.delattr(os, "fork")
-        RunConfig(data_path="unused", workers=1)
-        with pytest.raises(ValueError, match=r"^workers must be 1 where os.fork is missing, got 2$"):
-            run_cv(RunConfig(data_path=tmp_path / "missing.txt", workers=2))
-
-    def test_workers_take_no_part_in_comparing(self):
-        assert RunConfig(data_path="d", workers=2) == RunConfig(data_path="d")
+        assert run_cv(cfg) == shared
+        assert_no_child()
 
 
 class TestCommandLine:
@@ -193,16 +222,15 @@ class TestCommandLine:
         assert_no_child()
         return out.read_bytes()
 
-    def test_workers_follow_cpu_set(self, data_file, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def test_workers_follow_cpu_set(self, data_file, tmp_path, forks, cpu_set):
+        cpu_set(1)
         serial = self.cv(data_file, tmp_path / "one.csv")
         assert forks == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpu_set(2)
         assert self.cv(data_file, tmp_path / "two.csv") == serial
         assert len(forks) == 1
 
     def test_without_fork_runs_serially(self, data_file, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         shared = self.cv(data_file, tmp_path / "two.csv")
         monkeypatch.delattr(os, "fork")
         assert self.cv(data_file, tmp_path / "one.csv") == shared
