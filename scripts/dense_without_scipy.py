@@ -5,8 +5,10 @@ Writes a small random dense data set as CSV, then runs `convert`, `corrupt`
 T (estimated, or read from a file and written back), `eval`, `cv`,
 `estimate-t` (with and without the correlation correction) and the three
 tables (`clrl` through the estimated transition file, `ablate`,
-`sweep-beta`) on it, and fails unless every command succeeds and SciPy was
-never imported.  Run it from the repository root with SciPy uninstalled, or
+`sweep-beta`) on it.  It also converts a dense set larger than
+`PARSE_CHUNK_BYTES` and runs `cv` on it, so that with two usable CPUs or
+more its parse runs in forked workers.  It fails unless every command
+succeeds and SciPy was never imported, in this process or in a worker.  Run it from the repository root with SciPy uninstalled, or
 with `--block-scipy`, which makes SciPy unimportable in this process:
 
     PYTHONPATH=src python3 scripts/dense_without_scipy.py [--block-scipy]
@@ -26,17 +28,23 @@ def main() -> int:
     import numpy as np
 
     from comlabel.cli import main as cli
+    from comlabel.dataset import PARSE_CHUNK_BYTES
+    from comlabel.workers import usable_cpus
 
     rng = np.random.default_rng(0)
-    n, d, K = 120, 8, 5
-    X = rng.standard_normal((n, d))
-    Y = (X[:, :K] + 0.5 * rng.standard_normal((n, K)) > 0.3).astype(int)
-    Y[Y.sum(axis=1) == 0, 0] = 1  # every row needs a relevant label...
-    Y[Y.sum(axis=1) == K, 0] = 0  # ...and an irrelevant one
+
+    def write_csv(directory: Path, prefix: str, n: int, d: int, K: int = 5) -> None:
+        X = rng.standard_normal((n, d))
+        Y = (X[:, :K] + 0.5 * rng.standard_normal((n, K)) > 0.3).astype(int)
+        Y[Y.sum(axis=1) == 0, 0] = 1  # every row needs a relevant label...
+        Y[Y.sum(axis=1) == K, 0] = 0  # ...and an irrelevant one
+        np.savetxt(directory / f"{prefix}X.csv", X, delimiter=",")
+        np.savetxt(directory / f"{prefix}Y.csv", Y, delimiter=",", fmt="%d")
+
     with tempfile.TemporaryDirectory() as tmp:
         t = Path(tmp)
-        np.savetxt(t / "X.csv", X, delimiter=",")
-        np.savetxt(t / "Y.csv", Y, delimiter=",", fmt="%d")
+        write_csv(t, "", 120, 8)
+        write_csv(t, "big", 1200, 24)
         short_cv = ["--folds", "3", "--epochs", "5"]
         steps = [
             ["convert", "--features-csv", t / "X.csv", "--labels-csv", t / "Y.csv", "--out", t / "full.txt"],
@@ -56,16 +64,23 @@ def main() -> int:
             ["clrl", "--data", t / "full.txt", "--transition-in", t / "T.csv", "--out", t / "clrl.csv", *short_cv],
             ["ablate", "--data", t / "full.txt", "--out", t / "ablate.csv", *short_cv],
             ["sweep-beta", "--data", t / "full.txt", "--betas", "0,1", "--out", t / "sweep.csv", *short_cv],
+            ["convert", "--features-csv", t / "bigX.csv", "--labels-csv", t / "bigY.csv", "--out", t / "big.txt"],
+            ["cv", "--data", t / "big.txt", "--out", t / "big.csv", *short_cv],
         ]
         for argv in steps:
             if cli([str(a) for a in argv]) != 0:
                 print(f"FAIL: comlabel {argv[0]} exited non-zero", file=sys.stderr)
                 return 1
+        blocks = -(-(t / "big.txt").stat().st_size // PARSE_CHUNK_BYTES)
+        if blocks < 2:
+            print(f"FAIL: the large dense file spans {blocks} parse block", file=sys.stderr)
+            return 1
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
     if loaded:
         print(f"FAIL: the dense round trip imported {', '.join(loaded)}", file=sys.stderr)
         return 1
     print("dense round trip ran without SciPy: " + ", ".join(argv[0] for argv in steps))
+    print(f"the large file's parse ran in {min(usable_cpus(), blocks)} processes ({blocks} blocks)")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -193,12 +194,17 @@ def _check_output_dirs(args) -> None:
 
 
 def _read_csv(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:  # so a missing file is named, as genfromtxt's own error does not
+    # opened here so that a missing file is named, as genfromtxt's own error does not
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "genfromtxt: Empty input file")  # the exit below names the file
         try:
-            return np.genfromtxt(fh, delimiter=",", ndmin=2)
+            table = np.genfromtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:  # genfromtxt lists each ragged row as "Line #N (got C columns instead of D)"
             ragged = re.search(r"Line #(\d+) \((got \d+ columns instead of \d+)\)", str(exc))
             raise SystemExit(f"{path}: row {ragged[1]}: {ragged[2]}" if ragged else f"{path}: {exc}") from None
+    if table.shape[0] == 0:
+        raise SystemExit(f"{path}: no rows")
+    return table
 
 
 @contextmanager

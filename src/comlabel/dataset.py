@@ -12,15 +12,17 @@ expression has checked the token grammar, and a chunk failing the checks is
 redone line by line with `int()` and `float()`, which give the same values
 and name the first offending line.
 When the file's feature-token count meets the dense rule, chunks are
-scattered straight into the dense matrix; otherwise they are assembled into
-CSR.  SciPy is imported only where a CSR matrix is built, so dense data
-needs NumPy alone.
+scattered straight into the dense matrix, by several forked workers when the
+file spans several chunks (`workers.run_shares`); otherwise they are
+assembled into CSR in the calling process.  SciPy is imported only where a
+CSR matrix is built, so dense data needs NumPy alone.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import mmap
 import re
 import sys
 import warnings
@@ -28,9 +30,11 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
+
+from .workers import WorkerExit, run_shares, usable_cpus
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -352,26 +356,15 @@ def _convert_chunk(texts: list[str], counts: np.ndarray, d: int) -> tuple[np.nda
 
 
 @contextmanager
-def _read_lines(path: str | Path) -> Iterator[tuple[int, int, int, int | None, Iterator[str]]]:
-    """Open a data file for one pass: the header's (n, d, K), the file's
-    count of colons (one per feature token in a valid file; None when the
-    file cannot be rewound to count them first) and an iterator over its data
-    lines, split as `str.splitlines()` splits the whole text, with trailing
-    blank lines dropped."""
-    with open(path, "rb") as raw:
-        stored = None
-        if raw.seekable():
-            stored = sum(block.count(b":") for block in iter(lambda: raw.read(PARSE_CHUNK_BYTES), b""))
-            raw.seek(0)
-        # newline="" ends physical lines at "\n", "\r" or "\r\n" untranslated;
-        # splitlines() then breaks each one at the other separators it knows
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as f:
-            lines = (line for physical in f for line in physical.splitlines())
-            header = next(lines, None)
-            if header is None:
-                raise DatasetFormatError("line 1: empty file")
-            n, d, K = _parse_header(header)
-            yield n, d, K, stored, _drop_trailing_blanks(lines)
+def _text_lines(raw: BinaryIO) -> Iterator[tuple[str | None, Iterator[str]]]:
+    """The first line of the binary file `raw` (None when it is empty) and
+    an iterator over the lines after it, split as `str.splitlines()` splits
+    the whole text, with trailing blank lines dropped."""
+    # newline="" ends physical lines at "\n", "\r" or "\r\n" untranslated;
+    # splitlines() then breaks each one at the other separators it knows
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as f:
+        lines = (line for physical in f for line in physical.splitlines())
+        yield next(lines, None), _drop_trailing_blanks(lines)
 
 
 def _drop_trailing_blanks(lines: Iterator[str]) -> Iterator[str]:
@@ -430,39 +423,102 @@ def _convert(chunk: list[str], start: int, d: int, label_field) -> tuple[np.ndar
     return np.array(idx, dtype=np.int32), np.array(val, dtype=np.float64), counts
 
 
-def _parse_lines(body: Iterator[str], n: int, d: int, stored: int | None, label_field) -> np.ndarray | sp.csr_matrix:
-    """Features of the n data lines, converted `PARSE_CHUNK_BYTES` of text
-    at a time.  `label_field(row, lineno, line)` records a line's label field
-    and returns the rest of the line, its feature tokens; it is never called
-    for a row past n.  When `stored`, the file's feature-token count, meets the
-    2/3 rule of `store_features`, each chunk goes straight into the frozen
-    dense matrix returned; otherwise the chunks make a CSR matrix with every
-    stored token.  A line count other than n wins over any line error, so
-    after a line error the rest of the file is counted before either is raised."""
-    X = np.zeros((n, d)) if stored is not None and _dense_enough(stored, n, d) else None
-    indices, data, counts = [], [], []
+def _convert_share(
+    lines: Iterator[str], n: int, d: int, label_field, put, r: int, W: int
+) -> tuple[int, tuple[int, DatasetFormatError] | None]:
+    """Convert the chunks c with c % W == r of the data `lines` that end within
+    the first n lines, handing each to put(start row, indices, values, token
+    counts), up to the first that fails.  Returns the number of lines and,
+    when a chunk failed, its number and its error.  Every share reads every
+    line, so each counts them all."""
     read = 0  # data lines in the chunks taken
-    chunks = _chunks(body)
-    try:
-        for chunk in chunks:
-            start, read = read, read + len(chunk)
-            if read > n:  # the count check below raises once the rest is counted
-                break
-            idx, val, row_counts = _convert(chunk, start, d, label_field)
-            if X is not None:
-                X[np.repeat(np.arange(start, read), row_counts), idx] = val
-            else:
-                indices.append(idx)
-                data.append(val)
-                counts.append(row_counts)
-    except DatasetFormatError:
-        _check_count(n, read + sum(map(len, chunks)))
-        raise
-    _check_count(n, read + sum(map(len, chunks)))
-    if X is not None:
-        return _freeze(X)
+    failed = None
+    for c, chunk in enumerate(_chunks(lines)):
+        start, read = read, read + len(chunk)
+        # label_field is never called for a row past n: the count check raises
+        if failed is None and read <= n and c % W == r:
+            try:
+                put(start, *_convert(chunk, start, d, label_field))
+            except DatasetFormatError as err:
+                failed = (c, err)
+    return read, failed
+
+
+def _zeros(n: int, layout: list[tuple[tuple[int, ...], type]], shared: bool) -> list[np.ndarray]:
+    """A zeroed (n, *shape) array of each (shape, dtype) of `layout`; when
+    `shared`, all are views of one anonymous shared mapping, so that what
+    forked children write into them shows in this process too."""
+    if not shared:
+        return [np.zeros((n, *shape), dtype) for shape, dtype in layout]
+    spans = [-(-n * math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in layout]  # 8-byte aligned
+    buf = mmap.mmap(-1, sum(spans))
+    arrays, offset = [], 0
+    for (shape, dtype), span in zip(layout, spans):
+        arrays.append(np.frombuffer(buf, dtype, n * math.prod(shape), offset).reshape(n, *shape))
+        offset += span
+    return arrays
+
+
+def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray | sp.csr_matrix, list[np.ndarray]]:
+    """The features and label arrays of the data file at `path`.
+
+    `label_layout(K)` gives each label array's per-row (shape, dtype), and
+    `label_field_for(K, *arrays)` a function label_field(row, lineno, line)
+    that records a line's label field in those arrays and returns the rest
+    of the line, its feature tokens.  A first pass counts the file's colons,
+    one per feature token in a valid file, and its `PARSE_CHUNK_BYTES`
+    blocks.  When the colons meet the 2/3 rule of `store_features`, each
+    chunk goes straight into the frozen dense matrix returned, and W =
+    min(usable CPUs, blocks) processes convert the chunks by stride through
+    run_shares, writing into arrays of one shared mapping: each child
+    reopens the file, so only its line count and its first error come back.
+    Otherwise, and when the file cannot be rewound for the first pass, such
+    as a pipe, this process alone converts the chunks into a CSR matrix with
+    every stored token.  A line count other than n wins over any line error,
+    and the lowest-numbered failing chunk raises its first offending line."""
+    with open(path, "rb") as raw:
+        stored = blocks = None
+        if raw.seekable():
+            colons = [block.count(b":") for block in iter(lambda: raw.read(PARSE_CHUNK_BYTES), b"")]
+            stored, blocks = sum(colons), len(colons)
+            raw.seek(0)
+        with _text_lines(raw) as (header, body):
+            if header is None:
+                raise DatasetFormatError("line 1: empty file")
+            n, d, K = _parse_header(header)
+            dense = stored is not None and _dense_enough(stored, n, d)
+            W = min(usable_cpus(), blocks) if dense else 1
+            arrays = _zeros(n, ([((d,), np.float64)] if dense else []) + label_layout(K), W > 1)
+            X = arrays.pop(0) if dense else None
+            label_field = label_field_for(K, *arrays)
+            indices, data, counts = [], [], []
+
+            def put(start: int, idx: np.ndarray, val: np.ndarray, row_counts: np.ndarray) -> None:
+                if dense:
+                    X[np.repeat(np.arange(start, start + len(row_counts)), row_counts), idx] = val
+                else:
+                    indices.append(idx)
+                    data.append(val)
+                    counts.append(row_counts)
+
+            def share(r: int) -> tuple[int, tuple[int, DatasetFormatError] | None]:
+                if r == 0:
+                    return _convert_share(body, n, d, label_field, put, r, W)
+                with open(path, "rb") as again, _text_lines(again) as (_, lines):
+                    return _convert_share(lines, n, d, label_field, put, r, W)
+
+            outcomes = run_shares(W, share)
+    exits = [o for o in outcomes if isinstance(o, WorkerExit)]
+    if exits:
+        raise RuntimeError(f"parsing {path} failed: {exits[0]}") from exits[0]
+    _check_count(n, outcomes[0][0])
+    failed = [f for _, f in outcomes if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    if dense:
+        return _freeze(X), arrays
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int64)])
-    return _csr((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d))
+    return _csr((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d)), arrays
 
 
 def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> None:
@@ -484,31 +540,32 @@ def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> Non
             fh.write(" ".join([text, *map("{}:{:.17g}".format, cols.tolist(), vals.tolist())]) + "\n")
 
 
+def _multilabel_field(K: int, y: np.ndarray):
+    def label_field(row: int, lineno: int, line: str) -> str:
+        parts = line.split(None, 1)
+        # a leading space means the label field is empty
+        if line[:1].isspace() or not parts or ":" in parts[0]:
+            text, features = "", line
+        else:
+            text, features = parts[0], parts[1] if len(parts) == 2 else ""
+        labels = _parse_label_field(text, K, lineno)
+        if not labels:
+            raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
+        if len(labels) == K:
+            raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
+        y[row, labels] = 1
+        return features
+
+    return label_field
+
+
 def parse_multilabel_file(path: str | Path) -> MultiLabelDataset:
     """Parse the canonical sparse multi-label text format.
 
     Raises DatasetFormatError with the offending line number on any
     malformed line, out-of-range index, or empty/full label set.
     """
-    with _read_lines(path) as (n, d, K, stored, body):
-        y = np.zeros((n, K), dtype=np.uint8)
-
-        def label_field(row: int, lineno: int, line: str) -> str:
-            parts = line.split(None, 1)
-            # a leading space means the label field is empty
-            if line[:1].isspace() or not parts or ":" in parts[0]:
-                text, features = "", line
-            else:
-                text, features = parts[0], parts[1] if len(parts) == 2 else ""
-            labels = _parse_label_field(text, K, lineno)
-            if not labels:
-                raise DatasetFormatError(f"line {lineno}: instance {row} has an empty label set")
-            if len(labels) == K:
-                raise DatasetFormatError(f"line {lineno}: instance {row} has the full label set")
-            y[row, labels] = 1
-            return features
-
-        feats = _parse_lines(body, n, d, stored, label_field)
+    feats, (y,) = _parse(path, lambda K: [((K,), np.uint8)], _multilabel_field)
     return MultiLabelDataset(feats, y)
 
 
@@ -517,35 +574,35 @@ def write_multilabel_file(ds: MultiLabelDataset, path: str | Path) -> None:
     _write_lines(path, ds.features, ds.n_labels, (",".join(map(str, np.flatnonzero(r).tolist())) for r in ds.y))
 
 
+def _complementary_field(K: int, cl: np.ndarray, rel: np.ndarray):
+    def label_field(row: int, lineno: int, line: str) -> str:
+        parts = line.split(None, 1)
+        if not parts or ";" not in parts[0]:
+            raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
+        cl_part, _, rel_part = parts[0].partition(";")
+        try:
+            cl_idx = int(cl_part)
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
+        if not 0 <= cl_idx < K:
+            raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
+        cl[row] = cl_idx
+        rel_labels = _parse_label_field(rel_part, K, lineno)
+        if cl_idx in rel_labels:
+            raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
+        rel[row, rel_labels] = 1
+        return parts[1] if len(parts) == 2 else ""
+
+    return label_field
+
+
 def parse_complementary_file(path: str | Path) -> ComplementaryDataset:
-    with _read_lines(path) as (n, d, K, stored, body):
-        cl = np.zeros(n, dtype=np.int64)
-        rel = np.zeros((n, K), dtype=np.uint8)
-
-        def label_field(row: int, lineno: int, line: str) -> str:
-            parts = line.split(None, 1)
-            if not parts or ";" not in parts[0]:
-                raise DatasetFormatError(f"line {lineno}: expected '<cl>;<rel>' label field")
-            cl_part, _, rel_part = parts[0].partition(";")
-            try:
-                cl_idx = int(cl_part)
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: bad complementary label {cl_part!r}") from None
-            if not 0 <= cl_idx < K:
-                raise DatasetFormatError(f"line {lineno}: complementary label {cl_idx} out of range [0, {K})")
-            cl[row] = cl_idx
-            rel_labels = _parse_label_field(rel_part, K, lineno)
-            if cl_idx in rel_labels:
-                raise DatasetFormatError(f"line {lineno}: complementary label listed as relevant")
-            rel[row, rel_labels] = 1
-            return parts[1] if len(parts) == 2 else ""
-
-        feats = _parse_lines(body, n, d, stored, label_field)
+    feats, (cl, rel) = _parse(path, lambda K: [((), np.int64), ((K,), np.uint8)], _complementary_field)
     has_rel = rel.any(axis=1)
     if has_rel.any() and not has_rel.all():
         missing = int(np.flatnonzero(~has_rel)[0])
         raise DatasetFormatError(f"instance {missing} lacks a relevant label while others carry one")
-    return ComplementaryDataset(feats, cl, K, relevant=rel if has_rel.any() else None)
+    return ComplementaryDataset(feats, cl, rel.shape[1], relevant=rel if has_rel.any() else None)
 
 
 def write_complementary_file(cds: ComplementaryDataset, path: str | Path) -> None:

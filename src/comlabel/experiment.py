@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import pickle
-import signal
-import threading
-import warnings
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -46,6 +39,7 @@ from .theory import (
     theorem1_gap,
 )
 from .transition import estimate_transition, uniform_transition
+from .workers import WorkerExit, run_shares, usable_cpus
 
 __all__ = [
     "RunConfig",
@@ -310,71 +304,20 @@ def _fit_share(folds: list[FoldSplit], cfg: RunConfig) -> dict[int, MetricsRepor
     return results
 
 
-def _start_share(folds: list[FoldSplit], cfg: RunConfig) -> tuple[int, BinaryIO, int]:
-    """Fork a child that writes _fit_share(folds, cfg), pickled, into a pipe
-    and exits; returns its pid, the pipe's read end and the share's first
-    fold index.  The child inherits the folds, so none is pickled."""
-    read, write = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns in the parent, after the child exists, when BLAS
-        # has started threads; OpenBLAS quiesces them across fork itself
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pickle.dump(_fit_share(folds, cfg), pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb"), folds[0].fold_index
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, so `taskset -c 0` makes a run
-    serial; 1 where os.fork is missing, and while another Python thread
-    runs, since a forked child holds a copy of that thread's locks but not
-    the thread."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _cross_validate(folds: list[FoldSplit], cfg: RunConfig) -> AggregateReport:
     """Fit and score cfg on each fold; a fold's error is raised as `fold N failed: ...`.
 
-    W = min(_usable_cpus(), len(folds)) processes share the folds by stride:
-    this one fits folds 0, W, 2W, ... and a forked child fits each other
-    share.  Each share stops at its first failure, and the lowest-numbered
-    failing fold is raised, with its exception as the cause, as a serial
-    loop would; a child that exits without a result fails its share's first
-    fold.  If this process is interrupted, its children are killed; every
-    child is reaped before this returns or raises.
+    W = min(usable_cpus(), len(folds)) processes share the folds by stride
+    through run_shares: this one fits folds 0, W, 2W, ... and a forked child
+    fits each other share.  Each share stops at its first failure, and the
+    lowest-numbered failing fold is raised, with its exception as the cause,
+    as a serial loop would; a child that exits without a result fails its
+    share's first fold.
     """
-    W = min(_usable_cpus(), len(folds))
-    children = []  # (pid, pipe, first fold) of each child not yet reaped
-    try:
-        for start in range(1, W):
-            children.append(_start_share(folds[start::W], cfg))
-        results = _fit_share(folds[::W], cfg)
-        while children:
-            pid, pipe, first = children[0]
-            with pipe:
-                blob = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            results.update(pickle.loads(blob) if status == 0 else {first: RuntimeError(f"worker exited with status {status}")})
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            with suppress(ProcessLookupError, ChildProcessError):  # reaped already, when interrupted just after
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    W = min(usable_cpus(), len(folds))
+    results: dict[int, MetricsReport | Exception] = {}
+    for share, outcome in enumerate(run_shares(W, lambda r: _fit_share(folds[r::W], cfg))):
+        results.update({folds[share].fold_index: outcome} if isinstance(outcome, WorkerExit) else outcome)
     reports = []
     for fold in folds:  # a share's folds after its failure have no result, but come after that failure
         outcome = results[fold.fold_index]

@@ -1,11 +1,15 @@
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import comlabel
 from comlabel.cli import COMMANDS, OPTIONS, _resolve, build_parser, load_config_file, main
 from comlabel.dataset import (
     DatasetFormatError,
@@ -606,6 +610,19 @@ class TestConvert:
     def test_bad_value_rejected_with_row(self, tmp_path, features, labels, error):
         with pytest.raises(SystemExit, match=error):
             self._convert(tmp_path, features, labels)
+        assert not (tmp_path / "data.txt").exists()
+
+    @pytest.mark.parametrize("empty", ["X.csv", "Y.csv"])
+    def test_empty_csv_named_without_warning(self, tmp_path, empty):
+        # in a fresh interpreter, so that a warning would reach stderr as it does for a user
+        (tmp_path / "X.csv").write_text("1,2\n3,4\n5,6\n")
+        (tmp_path / "Y.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        (tmp_path / empty).write_text("")
+        argv = ["convert", "--features-csv", tmp_path / "X.csv", "--labels-csv", tmp_path / "Y.csv", "--out", tmp_path / "data.txt"]
+        entry = "import sys; from comlabel.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(comlabel.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", entry, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"{tmp_path / empty}: no rows\n")
         assert not (tmp_path / "data.txt").exists()
 
 

@@ -1,19 +1,35 @@
-"""Folds fitted in forked workers: the same reports and the same errors as
-one process, and no child left behind.  The pool holds one process per
-usable CPU, at most one per fold, so the tests set the CPU set through
-conftest's `cpu_set`: two CPUs, unless a test sets another count."""
+"""Folds fitted and dense files parsed in forked workers: the same reports,
+the same data and the same errors as one process, and no child left
+behind.  The fold pool holds one process per usable CPU, at most one per
+fold, and the parse pool at most one per `PARSE_CHUNK_BYTES` block of the
+file, so the tests set the CPU set through conftest's `cpu_set`: two CPUs,
+unless a test sets another count."""
 
+import io
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import comlabel.dataset as dataset
 import comlabel.experiment as experiment
 from comlabel.cli import main
-from comlabel.dataset import MultiLabelDataset, make_uniform_cl_spec, sample_from_generative, write_multilabel_file
+from comlabel.dataset import (
+    ComplementaryDataset,
+    DatasetFormatError,
+    MultiLabelDataset,
+    make_uniform_cl_spec,
+    parse_complementary_file,
+    parse_multilabel_file,
+    sample_from_generative,
+    write_complementary_file,
+    write_multilabel_file,
+)
 from comlabel.experiment import RunConfig, run_ablation, run_clrl, run_cv, sweep_beta
 from comlabel.optim import LEARNING_RATE_GRID, NonFiniteGradientError, TrainConfig
 
@@ -234,3 +250,194 @@ class TestCommandLine:
         shared = self.cv(data_file, tmp_path / "two.csv")
         monkeypatch.delattr(os, "fork")
         assert self.cv(data_file, tmp_path / "one.csv") == shared
+
+
+# The parse tests shrink the chunk, so that files of a few lines span
+# several chunks and each share converts some of them.
+PARSE_CHUNK = 64
+
+# per format: parser, writer, three dense data lines (d = 3), and malformed data lines
+PARSE_FORMATS = {
+    "multilabel": (
+        parse_multilabel_file,
+        write_multilabel_file,
+        ("0 0:1.0 1:2.0 2:3.0", "1,2 0:4.0 1:5.0 2:6.0", "2 0:7.0 1:8.5 2:9.0"),
+        (
+            "0 0:1.0 0:2.0 2:3.0", "0 2:1.0 1:2.0 0:3.0", "0 0:1.0 1:2.0 5:1.0", "7 0:1.0 1:2.0 2:3.0",
+            "0 0:abc 1:2.0 2:3.0", "0,x 0:1.0 1:2.0 2:3.0", "0 0: 1:2.0 2:3.0", "0 :1.0 1:2.0 2:3.0",
+            "0 0:1:2 1:2.0 2:3.0", "0 0:nan 1:2.0 2:3.0", "0 0:1.0 1:inf 2:3.0", "0,0 0:1.0 1:2.0 2:3.0",
+            " 0:1.0 1:2.0 2:3.0", "0,1,2 0:1.0 1:2.0 2:3.0", "", "   ",
+        ),
+    ),
+    "complementary": (
+        parse_complementary_file,
+        write_complementary_file,
+        ("1; 0:1.0 1:2.0 2:3.0", "0; 0:4.0 1:5.0 2:6.0", "2; 0:7.0 1:8.5 2:9.0"),
+        (
+            "x; 0:1.0 1:2.0 2:3.0", "3; 0:1.0 1:2.0 2:3.0", "1;1 0:1.0 1:2.0 2:3.0", "1;0,x 0:1.0 1:2.0 2:3.0",
+            "1; 0:1:2 1:2.0 2:3.0", "1; 0:nan 1:2.0 2:3.0", "1; 0:1.0 0:2.0 2:3.0", "0 0:1.0 1:2.0 2:3.0",
+            "1;0 0:1.0 1:2.0 2:3.0", "", "   ",
+        ),
+    ),
+}
+
+
+def _text(good, header, lines, sep="\n"):
+    """A data file's text: the header, then `lines`, where an int i stands for good line i % 3."""
+    return sep.join([header, *(good[x % 3] if isinstance(x, int) else x for x in lines)]) + sep
+
+
+def _parse_cases():
+    """(format, id, text) of each parse outcome checked at one and two CPUs:
+    the whole-file cases of test_dataset.py's TestReaderLines and each
+    malformed line of its parse-error tests, on dense rows."""
+    for name, (_, _, good, bad) in PARSE_FORMATS.items():
+        rows = list(range(40))
+        cases = {
+            "valid": _text(good, "40 3 3", rows),
+            "crlf": _text(good, "40 3 3", rows, "\r\n"),
+            "cr": _text(good, "40 3 3", rows, "\r"),
+            "mixed-separators": "40 3 3\x0b" + "".join(good[i % 3] + "\x85\u2028\x0c\r\n\x1e"[i % 6] for i in rows),
+            "cr-then-crlf": "40 3 3\r\r\n" + _text(good, good[0], rows[1:])[:-1],  # a blank first data line
+            "crlf-straddling-the-read-buffer": _text(good, "40 3 3".ljust(io.DEFAULT_BUFFER_SIZE - 1), rows, "\r\n"),
+            "trailing-blanks": _text(good, "40 3 3", [*rows, "", "   ", "\t", ""]),
+            "trailing-blanks-crlf": _text(good, "40 3 3", [*rows, "", "  "], "\r\n"),
+            "too-few-after-trailing-blanks": _text(good, "41 3 3", [*rows, "", "  "]),
+            "blank-mid-file": _text(good, "40 3 3", [*rows[:20], "", *rows[21:]]),
+        }
+        for declared, found in [(3, 2), (1, 2), (2, 3), (1, 40), (45, 40)]:
+            cases[f"declared-{declared}-found-{found}"] = _text(good, f"{declared} 3 3", rows[:found])
+        # each line count error wins over a line error
+        for declared, at in [(45, 0), (1, 1), (1, 0), (45, 39)]:
+            cases[f"declared-{declared}-bad-at-{at}"] = _text(good, f"{declared} 3 3", [*rows[:at], bad[4], *rows[at + 1 :]])
+        for i, line in enumerate(bad):
+            for at in (0, 13, 17, 39):  # chunks of this share and of the other one
+                cases[f"bad-{i}-at-{at}"] = _text(good, "40 3 3", [*rows[:at], line, *rows[at + 1 :]])
+        for first, second in [(4, 8), (8, 12), (12, 16), (30, 35)]:  # the lower line raises, whichever share holds it
+            cases[f"bad-at-{first}-and-{second}"] = _text(good, "40 3 3", [*rows[:first], bad[1], *rows[first + 1 : second], bad[0], *rows[second + 1 :]])
+        for case, text in cases.items():
+            yield pytest.param(name, text, id=f"{name}-{case}")
+
+
+def _outcome(parse, write, path):
+    """The error message, or the parsed data as the writer formats it."""
+    try:
+        parsed = parse(path)
+    except DatasetFormatError as err:
+        return str(err)
+    out = path.with_suffix(".out")
+    write(parsed, out)
+    return out.read_bytes()
+
+
+def _blocks(path):
+    return -(-path.stat().st_size // dataset.PARSE_CHUNK_BYTES)
+
+
+def _dense_file(tmp_path):
+    """A dense multi-label file of 60 rows that spans several chunks."""
+    path = tmp_path / "dense.txt"
+    path.write_text(_text(PARSE_FORMATS["multilabel"][2], "60 3 3", range(60)))
+    return path
+
+
+class TestParse:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "PARSE_CHUNK_BYTES", PARSE_CHUNK)
+
+    @pytest.mark.parametrize("form", ["multilabel", "complementary"])
+    def test_dense_file_same_bytes_at_one_two_and_four_cpus(self, tmp_path, form, cpu_set, forks):
+        rng = np.random.default_rng(8)
+        n, K = 200, 4
+        y = np.eye(K, dtype=np.uint8)[rng.integers(K, size=n)]
+        y[rng.random(n) < 0.3, 1] = 1
+        y[y.sum(axis=1) == K, 0] = 0
+        X = rng.standard_normal((n, 5))
+        path = tmp_path / "d.txt"
+        if form == "multilabel":
+            write_multilabel_file(MultiLabelDataset(X, y), path)
+            names = ("features", "y")
+        else:
+            cl = np.argmin(y + rng.random((n, K)), axis=1)  # an irrelevant label
+            write_complementary_file(ComplementaryDataset(X, cl, K, relevant=y), path)
+            names = ("features", "cl", "relevant")
+        parse = PARSE_FORMATS[form][0]
+        assert _blocks(path) > 4
+        parsed = {}
+        for cpus in (1, 2, 4):
+            cpu_set(cpus)
+            forks.clear()
+            ds = parse(path)
+            assert_no_child()
+            assert len(forks) == cpus - 1
+            assert isinstance(ds.features, np.ndarray) and not ds.features.flags.writeable
+            parsed[cpus] = [(a.dtype, a.shape, a.tobytes()) for a in (getattr(ds, name) for name in names)]
+        assert parsed[1] == parsed[2] == parsed[4]
+        assert parsed[1][0][2] == X.tobytes()
+
+    @pytest.mark.parametrize("form,text", list(_parse_cases()))
+    def test_same_outcome_at_one_and_two_cpus(self, tmp_path, form, text, cpu_set, forks):
+        parse, write, _, _ = PARSE_FORMATS[form]
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for cpus in (1, 2):
+            cpu_set(cpus)
+            outcomes.append(_outcome(parse, write, path))
+            assert_no_child()
+        assert outcomes[0] == outcomes[1]
+        assert len(forks) == min(2, _blocks(path)) - 1  # every case is dense
+
+    def test_sparse_file_parsed_in_this_process(self, tmp_path, sparse_file, cpu_set, forks):
+        assert _blocks(sparse_file) > 2
+        shared = parse_multilabel_file(sparse_file)
+        cpu_set(1)
+        serial = parse_multilabel_file(sparse_file)
+        assert forks == []
+        assert_no_child()
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(shared.features, attr).tobytes() == getattr(serial.features, attr).tobytes()
+        assert shared.y.tobytes() == serial.y.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_parsed_in_this_process(self, tmp_path, forks):
+        # written by another process, since another thread would make the parse serial by itself
+        path, pipe = _dense_file(tmp_path), tmp_path / "pipe"
+        os.mkfifo(pipe)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, path, pipe])
+        try:
+            piped = parse_multilabel_file(pipe)
+        finally:
+            assert writer.wait(60) == 0
+        assert forks == []
+        assert_no_child()
+        want = parse_multilabel_file(path)
+        assert len(forks) == 1
+        assert (piped.features.tobytes(), piped.y.tobytes()) == (want.features.tobytes(), want.y.tobytes())
+
+    def test_worker_exit_named(self, tmp_path, monkeypatch):
+        path = _dense_file(tmp_path)
+        caller, convert = os.getpid(), dataset._convert
+        monkeypatch.setattr(dataset, "_convert", lambda *args: convert(*args) if os.getpid() == caller else os._exit(3))
+        with pytest.raises(RuntimeError) as info:
+            parse_multilabel_file(path)
+        assert str(info.value) == f"parsing {path} failed: worker exited with status 3"
+        assert_no_child()
+
+    def test_interrupted_caller_kills_workers(self, tmp_path, monkeypatch, forks):
+        path, caller = _dense_file(tmp_path), os.getpid()
+
+        def convert(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(120)  # the child's share: it is killed, not waited for
+
+        monkeypatch.setattr(dataset, "_convert", convert)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            parse_multilabel_file(path)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        assert_no_child()
