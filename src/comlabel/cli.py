@@ -8,9 +8,7 @@ theory-check, convert.  Flags override values from an optional flat
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +22,8 @@ from .dataset import (
     parse_complementary_file,
     parse_multilabel_file,
     preprocess_topk_labels,
+    read_table,
+    table_lines,
     write_complementary_file,
     write_multilabel_file,
 )
@@ -114,7 +114,7 @@ OPTIONS = (
     Option("model_out", ("train",), required_by=("train",), output=True),
     Option("model_in", ("eval",), required_by=("eval",)),
     Option("betas", ("sweep-beta",), default="0.1,0.3,0.5,0.8,1", help="comma-separated trade-off values"),
-    Option("trials", ("theory-check",), int, 100),
+    Option("trials", ("theory-check",), int, 100, checked="n_trials"),
     Option("skip_consistency", ("theory-check",), None, help="skip the synthetic twin-training check", config=False),
     Option("features_csv", ("convert",), config=False, required_by=("convert",)),
     Option("labels_csv", ("convert",), config=False, required_by=("convert",)),
@@ -193,20 +193,6 @@ def _check_output_dirs(args) -> None:
             raise SystemExit(f"{path}: No such file or directory")
 
 
-def _read_csv(path: str) -> np.ndarray:
-    # opened here so that a missing file is named, as genfromtxt's own error does not
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "genfromtxt: Empty input file")  # the exit below names the file
-        try:
-            table = np.genfromtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # genfromtxt lists each ragged row as "Line #N (got C columns instead of D)"
-            ragged = re.search(r"Line #(\d+) \((got \d+ columns instead of \d+)\)", str(exc))
-            raise SystemExit(f"{path}: row {ragged[1]}: {ragged[2]}" if ragged else f"{path}: {exc}") from None
-    if table.shape[0] == 0:
-        raise SystemExit(f"{path}: no rows")
-    return table
-
-
 @contextmanager
 def _exit_on_bad_value(flag: str | None = None):
     """Exit with the message of a check that fails inside, naming `flag` (or
@@ -220,6 +206,15 @@ def _exit_on_bad_value(flag: str | None = None):
         if name is None:
             raise
         raise SystemExit(f"{name}: {exc}") from None
+
+
+def _read_csv(path: str) -> tuple[np.ndarray, list[int]]:
+    """The CSV's table and each row's file line; a CSV that does not read as one exits naming it."""
+    with _exit_on_bad_value(path):
+        table, lines = read_table(table_lines(path), ",")
+    if not lines:
+        raise SystemExit(f"{path}: no rows")
+    return table, lines
 
 
 def _train_config(args) -> TrainConfig:
@@ -384,19 +379,17 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    X, Y = _read_csv(args.features_csv), _read_csv(args.labels_csv)
+    (X, x_lines), (Y, y_lines) = _read_csv(args.features_csv), _read_csv(args.labels_csv)
     if X.shape[0] != Y.shape[0]:
         raise SystemExit(f"feature rows ({X.shape[0]}) and label rows ({Y.shape[0]}) disagree")
-    # genfromtxt reads a missing value as nan, and astype(uint8) would truncate 0.5 to 0
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise SystemExit(f"{args.features_csv}: row {bad[0] + 1}: missing or non-finite feature value")
-    bad = np.flatnonzero(~np.isin(Y, (0, 1)).all(axis=1))
-    if bad.size:
-        raise SystemExit(f"{args.labels_csv}: row {bad[0] + 1}: labels must be 0 or 1")
-    bad = np.flatnonzero(np.isin(Y.sum(axis=1), (0, Y.shape[1])))
-    if bad.size:
-        raise SystemExit(f"{args.labels_csv}: row {bad[0] + 1}: no label or every label is 1")
+    # each check names its first bad row by its file line; astype(uint8) would truncate 0.5 to 0
+    for path, lines, bad, what in (
+        (args.features_csv, x_lines, ~np.isfinite(X).all(axis=1), "non-finite feature value"),
+        (args.labels_csv, y_lines, ~np.isin(Y, (0, 1)).all(axis=1), "labels must be 0 or 1"),
+        (args.labels_csv, y_lines, np.isin(Y.sum(axis=1), (0, Y.shape[1])), "no label or every label is 1"),
+    ):
+        if bad.any():
+            raise SystemExit(f"{path}: line {lines[np.flatnonzero(bad)[0]]}: {what}")
     with _exit_on_bad_value(args.labels_csv):  # too few label columns
         ds = MultiLabelDataset(X, Y.astype(np.uint8))
     write_multilabel_file(ds, args.out)

@@ -1,4 +1,4 @@
-"""The two dataset types and their text formats; preprocessing, splitting, synthesis.
+"""The two dataset types, their text formats and numeric tables; preprocessing, splitting, synthesis.
 
 A multi-label dataset couples a feature matrix, dense or CSR by
 `store_features`, with a binary relevance matrix.  Every relevance row must
@@ -26,7 +26,7 @@ import mmap
 import re
 import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +58,9 @@ __all__ = [
     "write_multilabel_file",
     "parse_complementary_file",
     "write_complementary_file",
+    "table_lines",
+    "read_table",
+    "write_table",
     "preprocess_topk_labels",
     "kfold_split",
     "normalize_features",
@@ -266,6 +269,7 @@ PARSE_CHUNK_BYTES = 1 << 18  # text converted per bulk step; bounds the parser's
 # about 340 (CPython 3.11), 3.4 MB on a chunk of 10,000 tokens.
 _BULK_TOKENS = re.compile(rb"[ \t]*(?:(?=([0-9]+:[0-9.eE+-]+(?:[ \t]+|\Z)))\1)*")
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
+_EXACT = "{:.17g}"  # 17 significant digits: every float64 reads back to the bit
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
@@ -444,12 +448,10 @@ def _convert_share(
     return read, failed
 
 
-def _zeros(n: int, layout: list[tuple[tuple[int, ...], type]], shared: bool) -> list[np.ndarray]:
-    """A zeroed (n, *shape) array of each (shape, dtype) of `layout`; when
-    `shared`, all are views of one anonymous shared mapping, so that what
-    forked children write into them shows in this process too."""
-    if not shared:
-        return [np.zeros((n, *shape), dtype) for shape, dtype in layout]
+def _zeros(n: int, layout: list[tuple[tuple[int, ...], type]]) -> list[np.ndarray]:
+    """A zeroed (n, *shape) array of each (shape, dtype) of `layout`, all
+    views of one anonymous shared mapping, so that what forked children
+    write into them shows in this process too."""
     spans = [-(-n * math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in layout]  # 8-byte aligned
     buf = mmap.mmap(-1, sum(spans))
     arrays, offset = [], 0
@@ -488,7 +490,7 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
             n, d, K = _parse_header(header)
             dense = stored is not None and _dense_enough(stored, n, d)
             W = min(usable_cpus(), blocks) if dense else 1
-            arrays = _zeros(n, ([((d,), np.float64)] if dense else []) + label_layout(K), W > 1)
+            arrays = _zeros(n, ([((d,), np.float64)] if dense else []) + label_layout(K))
             X = arrays.pop(0) if dense else None
             label_field = label_field_for(K, *arrays)
             indices, data, counts = [], [], []
@@ -521,6 +523,40 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
     return _csr((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d)), arrays
 
 
+def table_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The line number, counted from 1, and the text of each line of the
+    UTF-8 file at `path`, but for blank lines and whole-line # comments."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [(lineno, line) for lineno, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
+
+
+def read_table(numbered: Iterable[tuple[int, str]], sep: str | None) -> tuple[np.ndarray, list[int]]:
+    """The float64 table of (file line, text) pairs from `table_lines`, with
+    entries apart by `sep` (None: whitespace), and each row's file line; no
+    rows give shape (0,).  An entry that `float()` refuses, or an entry
+    count other than the first row's, raises naming its line."""
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    for lineno, line in numbered:
+        try:
+            row = [float(t) for t in line.split(sep)]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: {len(row)} entries, but line {lines[0]} has {len(rows[0])}")
+        rows.append(row)
+        lines.append(lineno)
+    return np.array(rows, dtype=np.float64), lines
+
+
+def write_table(path: str | Path, header: str | None, rows: np.ndarray, sep: str) -> None:
+    """Write `header` unless None, then each row of the 2-d `rows` with
+    entries apart by `sep` at 17 significant digits, so that `read_table`
+    restores them bit for bit."""
+    lines = [sep.join(map(_EXACT.format, row)) for row in np.asarray(rows, dtype=np.float64).tolist()]
+    Path(path).write_text("\n".join(lines if header is None else [header, *lines]) + "\n", encoding="utf-8")
+
+
 def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> None:
     """Write the header and one "<label field> <idx>:<val> ..." line per row: a
     dense row's nonzero cells or a CSR row's stored entries, at 17 significant
@@ -537,7 +573,7 @@ def _write_lines(path: str | Path, features, n_labels: int, label_fields) -> Non
             else:
                 cols = np.flatnonzero(features[i])
                 vals = features[i, cols]
-            fh.write(" ".join([text, *map("{}:{:.17g}".format, cols.tolist(), vals.tolist())]) + "\n")
+            fh.write(" ".join([text, *map(("{}:" + _EXACT).format, cols.tolist(), vals.tolist())]) + "\n")
 
 
 def _multilabel_field(K: int, y: np.ndarray):

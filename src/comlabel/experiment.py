@@ -399,8 +399,10 @@ def run_theory(seed: int = 0, n_trials: int = 100, consistency: bool = True) -> 
     """Run every theory invariant and return one row per check.
 
     Any failed inequality raises TheoryCheckFailure with the offending
-    scenario's full table.
+    scenario's full table.  A negative n_trials is refused before any check.
     """
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be at least 0, got {n_trials}")
     rows: list[TheoryRow] = []
     rng = np.random.default_rng(seed)
 
@@ -450,25 +452,16 @@ def _write_rows(rows, path: str | Path) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def report_to_csv(report: AggregateReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["metric", "mean", "std"])
-    for name in MetricsReport.METRIC_NAMES:
-        w.writerow([name, _format(report.mean(name)), _format(report.std(name))])
-    w.writerow(["fold", *MetricsReport.METRIC_NAMES])
-    for i, r in enumerate(report.fold_reports):
-        w.writerow([i, *(_format(getattr(r, name)) for name in MetricsReport.METRIC_NAMES)])
-    return buf.getvalue()
+def _mean_std(report: AggregateReport, name: str) -> list[str]:
+    return [_format(report.mean(name)), _format(report.std(name))]
 
 
 def write_report(report: AggregateReport, path: str | Path) -> None:
     """Deterministic CSV: the five metrics' mean/std, then one row per fold."""
-    Path(path).write_text(report_to_csv(report), encoding="utf-8")
-
-
-def _mean_std(report: AggregateReport, name: str) -> list[str]:
-    return [_format(report.mean(name)), _format(report.std(name))]
+    names = MetricsReport.METRIC_NAMES
+    summary = ([name, *_mean_std(report, name)] for name in names)
+    folds = ([i, *(_format(getattr(r, name)) for name in names)] for i, r in enumerate(report.fold_reports))
+    _write_rows([["metric", "mean", "std"], *summary, ["fold", *names], *folds], path)
 
 
 def write_sweep_csv(rows: list[tuple[float, AggregateReport]], path: str | Path) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import issparse
+from .dataset import issparse, read_table, table_lines, write_table
 
 HEADS = ("sigmoid", "softmax")
 
@@ -127,40 +127,32 @@ def rank_matrix(scores: np.ndarray) -> np.ndarray:
 
 
 # Checkpoint format: header "d K head", then K lines of d+1 decimals
-# (weight row then bias entry) at 17 significant digits for exact round-trip.
+# (weight row then bias entry) at 17 significant digits for exact round-trip;
+# blank lines and whole-line # comments are skipped.
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    lines = [f"{model.n_features} {model.n_labels} {model.head}"]
-    for k in range(model.n_labels):
-        vals = list(model.weights[k]) + [model.bias[k]]
-        lines.append(" ".join(f"{v:.17g}" for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = f"{model.n_features} {model.n_labels} {model.head}"
+    write_table(path, header, np.column_stack([model.weights, model.bias]), " ")
 
 
 def load_model(path: str | Path) -> LinearModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    numbered = table_lines(path)
+    if not numbered:
         raise ValueError("empty checkpoint")
-    parts = lines[0].split()
+    (_, header), rows = numbered[0], numbered[1:]
+    parts = header.split()
     if len(parts) != 3 or not all(p.isdecimal() and int(p) > 0 for p in parts[:2]):
-        raise ValueError(f"checkpoint header must be 'd K head' with positive integers d and K, got {lines[0]!r}")
+        raise ValueError(f"checkpoint header must be 'd K head' with positive integers d and K, got {header!r}")
     d, K, head = int(parts[0]), int(parts[1]), parts[2]
-    if len(lines) < K + 1:
-        raise ValueError(f"checkpoint declares {K} rows but has {len(lines) - 1}")
-    if len(lines) > K + 1:
-        raise ValueError(f"checkpoint declares {K} rows, but line {K + 2} follows them")
-    W = np.empty((K, d))
-    b = np.empty(K)
-    for k in range(K):
-        try:
-            vals = np.array([float(t) for t in lines[k + 1].split()])
-        except ValueError:
-            raise ValueError(f"line {k + 2}: non-numeric entry in {lines[k + 1]!r}") from None
-        if not np.isfinite(vals).all():
-            raise ValueError(f"line {k + 2}: non-finite entry in {lines[k + 1]!r}")
-        if vals.shape[0] != d + 1:
-            raise ValueError(f"checkpoint row {k} has {vals.shape[0]} values, expected {d + 1}")
-        W[k] = vals[:d]
-        b[k] = vals[d]
-    return LinearModel(W, b, head)
+    if len(rows) < K:
+        raise ValueError(f"checkpoint declares {K} rows but has {len(rows)}")
+    if len(rows) > K:
+        raise ValueError(f"checkpoint declares {K} rows, but line {rows[K][0]} follows them")
+    table, lines = read_table(rows, None)
+    if table.shape[1] != d + 1:
+        raise ValueError(f"line {lines[0]}: {table.shape[1]} entries, but the header's d + 1 is {d + 1}")
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"line {lines[bad[0]]}: non-finite entry in {rows[bad[0]][1]!r}")
+    return LinearModel(np.ascontiguousarray(table[:, :d]), table[:, d].copy(), head)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ComplementaryDataset
+from .dataset import ComplementaryDataset, read_table, table_lines, write_table
 from .model import LinearModel, forward
 
 __all__ = [
@@ -184,28 +184,13 @@ def estimate_transition(
 def save_transition_csv(T: np.ndarray, path: str | Path) -> None:
     """K rows of K comma-separated decimals at 17 significant digits, so the
     matrix reads back bit for bit."""
-    T = np.asarray(T, dtype=np.float64)
-    lines = [",".join(f"{v:.17g}" for v in row) for row in T]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, None, T, ",")
 
 
 def load_transition_csv(path: str | Path) -> np.ndarray:
-    """Read a transition CSV and check it as `validate_transition` does; each
-    error names the offending line of the file."""
-    rows: list[list[float]] = []
-    lines: list[int] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(t) for t in line.split(",")]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
-        if rows and len(row) != len(rows[0]):
-            raise ValueError(f"line {lineno}: {len(row)} entries, but line {lines[0]} has {len(rows[0])}")
-        rows.append(row)
-        lines.append(lineno)
-    T = np.asarray(rows, dtype=np.float64)
+    """Read a transition CSV, skipping blank lines and # comments, and check it as
+    `validate_transition` does; each error names the offending line of the file."""
+    T, lines = read_table(table_lines(path), ",")
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"transition CSV must be square, got {T.shape}")
     validate_transition(T, lines=lines)

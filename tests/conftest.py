@@ -1,6 +1,6 @@
 """The CLI fixture data, shared by tests/test_cli.py and tests/test_layertrace.py;
 tests/test_experiment.py defines a `data_file` of its own.  Every test sees
-two usable CPUs."""
+the usable CPUs that `--cpus` gives, two by default."""
 
 import os
 
@@ -10,16 +10,20 @@ import pytest
 from comlabel.dataset import make_uniform_cl_spec, sample_from_generative, write_multilabel_file
 
 
+def pytest_addoption(parser):
+    parser.addoption("--cpus", type=int, default=2, help="size of the usable CPU set that every test sees (default 2)")
+
+
 @pytest.fixture(autouse=True)
-def cpu_set(monkeypatch):
-    """Make the usable CPU set {0, 1}, so that every cross-validation fits
-    its folds in two processes whatever the runner's CPU count; the returned
-    function sets a set of n CPUs instead."""
+def cpu_set(monkeypatch, request):
+    """Make the usable CPU set {0, ..., n - 1} for n = --cpus, so that every
+    cross-validation fits its folds in min(n, folds) processes whatever the
+    runner's CPU count; the returned function sets a set of n CPUs instead."""
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
-    use(2)
+    use(request.config.getoption("--cpus"))
     return use
 
 

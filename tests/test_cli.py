@@ -535,6 +535,23 @@ class TestTheoryCheck:
         assert capsys.readouterr().err.startswith("FAIL: distortion bound failed: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_trials_refused_before_any_check(self, source, tmp_path, monkeypatch):
+        import comlabel.experiment as experiment
+
+        def no_check(*args):
+            raise AssertionError("a theory check ran before --trials was checked")
+
+        for check in ("theorem1_gap", "scenario_distortion", "consistency_experiment"):
+            monkeypatch.setattr(experiment, check, no_check)
+        cfgfile = tmp_path / "theory.cfg"
+        cfgfile.write_text("trials = -5\n")
+        trials = ("--trials", "-5") if source == "flag" else ("--config", cfgfile)
+        out = tmp_path / "theory.csv"
+        with pytest.raises(SystemExit, match="^--trials: n_trials must be at least 0, got -5$"):
+            run("theory-check", *trials, "--out", out)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("missing, argv", [
     ("missing.txt", "cv --data missing.txt --lr 0.01"),
@@ -598,14 +615,23 @@ class TestConvert:
     @pytest.mark.parametrize(
         "features, labels, error",
         [
-            ("1,2\n3,\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: row 2: missing or non-finite feature value"),
-            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n0,0.5,1\n", r"Y\.csv: row 3: labels must be 0 or 1"),
-            ("1,2\n3\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: row 2: got 1 columns instead of 2$"),
-            ("1,2\n3,4\n5,6\n", "1,0,0\n0,0,0\n0,0,1\n", r"Y\.csv: row 2: no label or every label is 1$"),
-            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n1,1,1\n", r"Y\.csv: row 3: no label or every label is 1$"),
+            ("1,2\n3,\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 2: non-numeric entry in '3,'$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n0,0.5,1\n", r"Y\.csv: line 3: labels must be 0 or 1"),
+            ("1,2\n3\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 2: 1 entries, but line 1 has 2$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,0,0\n0,0,1\n", r"Y\.csv: line 2: no label or every label is 1$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n1,1,1\n", r"Y\.csv: line 3: no label or every label is 1$"),
             ("1,2\n3,4\n5,6\n", "1,0\n0,1\n1,0\n", r"Y\.csv: label space needs at least 3 labels, got 2$"),
+            # blank lines and whole-line # comments are skipped, but count as file lines
+            ("1,2\n\n3,\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 3: non-numeric entry in '3,'$"),
+            ("# x, y\n1,2\n\n3,4\n5\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 5: 1 entries, but line 2 has 2$"),
+            ("1,2\n3,4\n5,6\n", "1,0,0\n\n0,x,0\n0,0,1\n", r"Y\.csv: line 3: non-numeric entry in '0,x,0'$"),
+            ("1,2\n\n3,nan\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 3: non-finite feature value$"),
+            ("1,2\n3,4\n5,6\n", "\n1,0,0\n# two\n0,1,0\n1,1,1\n", r"Y\.csv: line 5: no label or every label is 1$"),
+            ("1,2\n3,4 # note\n5,6\n", "1,0,0\n0,1,0\n0,0,1\n", r"X\.csv: line 2: non-numeric entry in '3,4 # note'$"),
         ],
-        ids=["missing-feature", "fractional-label", "ragged-features", "no-label", "every-label", "two-labels"],
+        ids=["missing-feature", "fractional-label", "ragged-features", "no-label", "every-label", "two-labels",
+             "blank-then-missing", "comment-then-ragged", "bad-label", "non-finite-feature", "comment-then-every-label",
+             "trailing-comment"],  # fmt: skip
     )
     def test_bad_value_rejected_with_row(self, tmp_path, features, labels, error):
         with pytest.raises(SystemExit, match=error):

@@ -22,14 +22,19 @@ from comlabel.dataset import (
     parse_complementary_file,
     parse_multilabel_file,
     preprocess_topk_labels,
+    read_table,
     sample_from_generative,
     store_features,
     subset_membership,
+    table_lines,
     take_instances,
     uniform_cl_rows,
     write_complementary_file,
     write_multilabel_file,
+    write_table,
 )
+from comlabel.model import init_linear, load_model, save_model
+from comlabel.transition import load_transition_csv, uniform_transition
 
 
 # lines of 8 bytes with the newline, such as "0 0:1.0", that fill one parse
@@ -561,6 +566,76 @@ class TestReaderLines:
         path = tmp_path / "d.txt"
         _write_lines_raw(path, [header, *good], "\r\n")
         assert parse(path).n_instances == 3
+
+
+class TestNumericTables:
+    """The one reader and writer of transition CSVs, checkpoints and `convert`'s CSVs."""
+
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_roundtrip_bit_exact(self, tmp_path, sep):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-300, 300, (5, 4))
+        rows[0, :3] = [-0.0, 5e-324, np.nextafter(1.0, 2.0)]
+        path = tmp_path / "t.txt"
+        write_table(path, "a header", rows, sep)
+        (_, header), *numbered = table_lines(path)
+        table, numbers = read_table(numbered, None if sep == " " else sep)
+        assert header == "a header"
+        assert table.tobytes() == rows.tobytes()  # -0.0 and the subnormal included
+        assert numbers == [2, 3, 4, 5, 6]
+
+    def test_blank_and_comment_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# a comment\n\n1,2\n   \n  # indented comment\n3,4\n\t\n")
+        assert table_lines(path) == [(3, "1,2"), (6, "3,4")]
+        table, numbers = read_table(table_lines(path), ",")
+        np.testing.assert_array_equal(table, [[1, 2], [3, 4]])
+        assert numbers == [3, 6]
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n# only a comment\n")
+        table, numbers = read_table(table_lines(path), ",")
+        assert table.shape == (0,) and numbers == []
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["1,2", "", "3,x"], "line 3: non-numeric entry in '3,x'"),
+            (["1,2", "3,4 # trailing"], "line 2: non-numeric entry in '3,4 # trailing'"),
+            (["1,2", "3,"], "line 2: non-numeric entry in '3,'"),
+            (["# c", "1,2", "", "3"], "line 4: 1 entries, but line 2 has 2"),
+        ],
+    )
+    def test_bad_line_named(self, tmp_path, lines, error):
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_table(table_lines(path), ",")
+        assert str(err.value) == error
+
+    def test_transition_csv_skips_comments(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# T for K = 3\n0,0.5,0.5\n\n# row 2\n0.25,0,-0.25\n0.5,0.5,0\n")
+        with pytest.raises(ValueError, match="^line 5: transition matrix has negative entries$"):
+            load_transition_csv(path)
+        path.write_text("# T for K = 3\n" + "\n".join(",".join(map(repr, r)) for r in uniform_transition(3).tolist()))
+        np.testing.assert_array_equal(load_transition_csv(path), uniform_transition(3))
+
+    def test_checkpoint_skips_comments(self, tmp_path):
+        model = init_linear(3, 2, "sigmoid", seed=0)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join(["# a checkpoint", header, "", *rows, "# end"]) + "\n")
+        back = load_model(path)
+        assert back.weights.tobytes() == model.weights.tobytes() and back.bias.tobytes() == model.bias.tobytes()
+        path.write_text("\n".join(["# a checkpoint", header, "", rows[0], "0 0 0"]) + "\n")
+        with pytest.raises(ValueError, match="^line 5: 3 entries, but line 4 has 4$"):
+            load_model(path)
+        path.write_text("\n".join([header, "0 0 0", "", "0 0 0"]) + "\n")
+        with pytest.raises(ValueError, match="^line 2: 3 entries, but the header's d \\+ 1 is 4$"):
+            load_model(path)
 
 
 class TestPreprocess:

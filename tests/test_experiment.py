@@ -16,7 +16,6 @@ from comlabel.experiment import (
     RunConfig,
     fit_fold,
     read_report,
-    report_to_csv,
     run_ablation,
     run_clrl,
     run_cv,
@@ -48,6 +47,13 @@ def data_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "synth.txt"
     write_multilabel_file(full, path)
     return path
+
+
+def report_bytes(report, tmp_path):
+    """The bytes that write_report writes for `report`."""
+    path = tmp_path / "report.csv"
+    write_report(report, path)
+    return path.read_bytes()
 
 
 def quick_config(data_file, rates=(1e-2,), **kw):
@@ -353,7 +359,7 @@ class TestTransitionFile:
         # the same bytes as folds fitted one by one, each on a config of its own
         by_fold = AggregateReport(tuple(experiment._run_fold(f, replace(cfg)) for f in experiment._load_and_fold(cfg)))
         assert len(reads) == 1
-        assert out.read_text() == report_to_csv(by_fold)
+        assert out.read_bytes() == report_bytes(by_fold, tmp_path)
 
     def test_transition_of_other_label_count_named_before_any_fold(self, data_file, monkeypatch):
         import comlabel.experiment as experiment
@@ -391,11 +397,11 @@ class TestAblation:
         for rep in out.values():
             assert len(rep.fold_reports) == 3
 
-    def test_flags_off_identical_to_run_cv(self, data_file):
+    def test_flags_off_identical_to_run_cv(self, data_file, tmp_path):
         cfg = quick_config(data_file)
         a = run_cv(cfg)
         b = run_cv(cfg)
-        assert report_to_csv(a) == report_to_csv(b)
+        assert report_bytes(a, tmp_path) == report_bytes(b, tmp_path)
 
 
 class TestTablesShareOneSplit:
@@ -414,7 +420,7 @@ class TestTablesShareOneSplit:
         return lambda: run_clrl(cfg), {r: replace(cfg, regime=r) for r in ("cl", "clrl", "supervised")}
 
     @pytest.mark.parametrize("name", ["ablate", "sweep-beta", "clrl"])
-    def test_one_parse_and_each_variant_its_own_run(self, data_file, monkeypatch, name):
+    def test_one_parse_and_each_variant_its_own_run(self, data_file, monkeypatch, tmp_path, name):
         import comlabel.experiment as experiment
 
         cfg = quick_config(data_file, folds=2, train=TrainConfig(epochs=8, seed=11))
@@ -426,17 +432,17 @@ class TestTablesShareOneSplit:
         assert parses == [data_file]
         assert list(reports) == list(variants)
         for key, variant in variants.items():
-            assert report_to_csv(reports[key]) == report_to_csv(run_cv(variant)), key
+            assert report_bytes(reports[key], tmp_path) == report_bytes(run_cv(variant), tmp_path), key
 
 
 class TestSweep:
-    def test_single_beta_equals_run_cv(self, data_file):
+    def test_single_beta_equals_run_cv(self, data_file, tmp_path):
         cfg = quick_config(data_file)
         table = sweep_beta(cfg, [1.0])
         assert len(table) == 1
         beta, rep = table[0]
         assert beta == 1.0
-        assert report_to_csv(rep) == report_to_csv(run_cv(cfg))
+        assert report_bytes(rep, tmp_path) == report_bytes(run_cv(cfg), tmp_path)
 
 
 class TestClrlComparison:
@@ -499,6 +505,10 @@ class TestTheoryRunner:
         monkeypatch.setattr(experiment, "corollary3_bound", lambda sc: 2)  # no distortion reaches 2
         with pytest.raises(experiment.TheoryCheckFailure, match="^distortion bound failed: "):
             run_theory(seed=1, n_trials=2, consistency=False)
+
+    def test_negative_trial_count_refused(self):
+        with pytest.raises(ValueError, match="^n_trials must be at least 0, got -1$"):
+            run_theory(n_trials=-1)
 
 
 class TestConfigValidation:

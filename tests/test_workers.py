@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +24,19 @@ from comlabel.dataset import (
     ComplementaryDataset,
     DatasetFormatError,
     MultiLabelDataset,
+    kfold_split,
     make_uniform_cl_spec,
+    normalize_features,
     parse_complementary_file,
     parse_multilabel_file,
+    preprocess_topk_labels,
     sample_from_generative,
     write_complementary_file,
     write_multilabel_file,
 )
-from comlabel.experiment import RunConfig, run_ablation, run_clrl, run_cv, sweep_beta
+from comlabel.experiment import RunConfig, fit_fold, run_ablation, run_clrl, run_cv, sweep_beta, write_report
+from comlabel.metrics import evaluate_all
+from comlabel.model import forward
 from comlabel.optim import LEARNING_RATE_GRID, NonFiniteGradientError, TrainConfig
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers above 1 need os.fork")
@@ -250,6 +256,38 @@ class TestCommandLine:
         shared = self.cv(data_file, tmp_path / "two.csv")
         monkeypatch.delattr(os, "fork")
         assert self.cv(data_file, tmp_path / "one.csv") == shared
+
+
+class TestNormalizedFeatures:
+    """`cv --normalize-features on` z-scores each fold by its training
+    split's statistics, on a dense and on a sparse file."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_folds_scored_by_training_scaler(self, kind, data_file, sparse_file, tmp_path, forks, cpu_set):
+        path = data_file if kind == "dense" else sparse_file
+        argv = ["cv", "--data", str(path), "--folds", "3", "--epochs", "2", "--lr", "0.01", "--normalize-features"]
+        cpu_set(1)
+        assert main([*argv, "on", "--out", str(tmp_path / "one.csv")]) == 0
+        assert forks == []
+        cpu_set(2)
+        assert main([*argv, "on", "--out", str(tmp_path / "two.csv")]) == 0
+        assert len(forks) == 1
+        assert_no_child()
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert main([*argv, "off", "--out", str(tmp_path / "off.csv")]) == 0
+        assert (tmp_path / "off.csv").read_bytes() != (tmp_path / "one.csv").read_bytes()
+
+        # the CLI's run, fold by fold: a model fitted on the z-scored training split scores the test split z-scored by its scaler
+        cfg = RunConfig(data_path=path, folds=3, normalize=True, train=TrainConfig(learning_rates=(0.01,), epochs=2))
+        report = run_cv(cfg)
+        write_report(report, tmp_path / "library.csv")
+        assert (tmp_path / "library.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        ds = preprocess_topk_labels(parse_multilabel_file(path), cfg.max_labels)
+        for fold, got in zip(kfold_split(ds, cfg.folds, cfg.train.seed), report.fold_reports, strict=True):
+            train, scaler = normalize_features(fold.train)
+            model, _ = fit_fold(train, replace(cfg, normalize=False), fold.fold_index)
+            test = scaler.apply(fold.test)
+            assert got == evaluate_all(forward(model, test.features), test.y)
 
 
 # The parse tests shrink the chunk, so that files of a few lines span
