@@ -126,13 +126,10 @@ CONFIG_OPTIONS = {o.dest: o for o in OPTIONS if o.config}
 def load_config_file(path: str) -> dict:
     """Flat `key = value` lines; blank lines and #-comments allowed."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for lineno, raw in table_lines(path):
+        if "=" not in raw:
             raise SystemExit(f"config {path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = (t.strip() for t in line.partition("="))
+        key, _, value = (t.strip() for t in raw.partition("="))
         option = CONFIG_OPTIONS.get(key)
         if option is None:
             raise SystemExit(f"config {path}:{lineno}: unknown key {key!r}")

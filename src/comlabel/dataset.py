@@ -45,6 +45,8 @@ __all__ = [
     "DatasetFormatError",
     "issparse",
     "store_features",
+    "stack_scores",
+    "stack_gradient",
     "MultiLabelDataset",
     "ComplementaryDataset",
     "FoldSplit",
@@ -126,6 +128,34 @@ def _dense_enough(stored: int, n: int, d: int) -> bool:
 
 def _dense(X) -> np.ndarray:
     return X.toarray() if issparse(X) else X
+
+
+def stack_scores(X, W: np.ndarray) -> np.ndarray:
+    """X W^T, (n, K) or (C, n, K), for a batch X, (n, d) dense or CSR, and
+    weights W, (K, d) or a stack (C, K, d), each model's bit for bit as
+    alone: a dense batch goes through one batched `np.matmul`, one GEMM call
+    per model, and a CSR product computes each output column on its own, so
+    it takes the stack as one (C*K, d) matrix.  The dense product takes the
+    weights as a contiguous (..., d, K) copy: a GEMM on untransposed operands
+    is faster, and on batches of up to about 200 rows it may round the last
+    bit differently from one on the transposed view."""
+    X = X if issparse(X) else np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != W.shape[-1]:
+        raise ValueError(f"expected an (n, {W.shape[-1]}) batch of features, got shape {X.shape}")
+    if issparse(X):
+        Z = np.asarray(X @ W.reshape(-1, W.shape[-1]).T).reshape(X.shape[0], *W.shape[:-1])
+        return np.ascontiguousarray(Z.swapaxes(0, -2))
+    return np.matmul(X, np.ascontiguousarray(W.swapaxes(-1, -2)))
+
+
+def stack_gradient(G: np.ndarray, X, out: np.ndarray) -> None:
+    """Write G^T X into `out`, (K, d) or (C, K, d), for the (n, K) or
+    (C, n, K) G and the batch X of `stack_scores`, each model's bit for bit
+    its own, as there: a CSR batch takes the stack as one (n, C*K) matrix."""
+    if issparse(X):
+        out[...] = np.asarray(G.swapaxes(0, -2).reshape(G.shape[-2], -1).T @ X).reshape(out.shape)
+    else:
+        np.matmul(G.swapaxes(-1, -2), X, out=out)
 
 
 @dataclass(frozen=True)
@@ -331,9 +361,9 @@ def _convert_line(tokens: list[str], d: int, lineno: int) -> tuple[list[int], li
 def _convert_chunk(texts: list[str], counts: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Column indices and values of a chunk of lines' feature texts, holding
     `counts` tokens each, by one C-level conversion; None when the bulk checks
-    cannot vouch for the text.  They pass exactly the texts of ASCII-digit
-    indices and decimal values, apart by spaces or tabs, that `_convert_line`
-    passes, and the values are those it gives."""
+    cannot vouch for the text.  They accept a subset of what `_convert_line`
+    accepts, which converts with `int()` and `float()` (so `1_5` reads as 15
+    there), and give the values it gives."""
     try:
         raw = " ".join(texts).encode("ascii")
     except UnicodeEncodeError:
@@ -449,16 +479,13 @@ def _convert_share(
 
 
 def _zeros(n: int, layout: list[tuple[tuple[int, ...], type]]) -> list[np.ndarray]:
-    """A zeroed (n, *shape) array of each (shape, dtype) of `layout`, all
-    views of one anonymous shared mapping, so that what forked children
-    write into them shows in this process too."""
-    spans = [-(-n * math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in layout]  # 8-byte aligned
-    buf = mmap.mmap(-1, sum(spans))
-    arrays, offset = [], 0
-    for (shape, dtype), span in zip(layout, spans):
-        arrays.append(np.frombuffer(buf, dtype, n * math.prod(shape), offset).reshape(n, *shape))
-        offset += span
-    return arrays
+    """A zeroed (n, *shape) array of each (shape, dtype) of `layout`, each on
+    its own anonymous shared mapping, so that what forked children write into
+    them shows in this process too."""
+    return [
+        np.frombuffer(mmap.mmap(-1, n * math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(n, *shape)
+        for shape, dtype in layout
+    ]
 
 
 def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray | sp.csr_matrix, list[np.ndarray]]:
@@ -472,7 +499,7 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
     blocks.  When the colons meet the 2/3 rule of `store_features`, each
     chunk goes straight into the frozen dense matrix returned, and W =
     min(usable CPUs, blocks) processes convert the chunks by stride through
-    run_shares, writing into arrays of one shared mapping: each child
+    run_shares, writing into arrays on shared mappings: each child
     reopens the file, so only its line count and its first error come back.
     Otherwise, and when the file cannot be rewound for the first pass, such
     as a pipe, this process alone converts the chunks into a CSR matrix with

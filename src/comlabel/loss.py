@@ -1,8 +1,9 @@
 """Loss functions and their analytic gradients.
 
-One score-level core, `score_objective`, returns every row's loss value
-together with its gradient with respect to the scores F; `batch_objective`
-chains that gradient through the model head to parameter space.  Log
+The losses see scores alone.  One score-level core, `score_objective`,
+returns every row's loss value together with its gradient with respect to
+the scores F; `batch_objective` takes that gradient to parameter space
+through `model.head_gradient` and `dataset.stack_gradient`.  Log
 arguments are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] and the clamp is part of
 the differentiated graph (its derivative is zero outside the interior), so
 analytic and finite-difference gradients agree away from clamp boundaries.
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import issparse
-from .model import LinearModel, forward
+from .dataset import stack_gradient
+from .model import LinearModel, forward, head_gradient
 
 __all__ = [
     "CLAMP_EPS",
@@ -129,14 +130,6 @@ def score_objective(
 # ---------------------------------------------------------------------------
 
 
-def _chain_head(model: LinearModel, F: np.ndarray, G_f: np.ndarray) -> np.ndarray:
-    """Gradient with respect to the logits, given dL/dF."""
-    if model.head == "sigmoid":
-        return G_f * F * (1.0 - F)
-    inner = (G_f * F).sum(axis=-1, keepdims=True)
-    return F * (G_f - inner)
-
-
 def batch_objective(
     model: LinearModel, X, kind: str, *, with_values: bool = True, out: np.ndarray | None = None, **targets
 ) -> tuple[float | np.ndarray | None, np.ndarray, np.ndarray]:
@@ -151,16 +144,12 @@ def batch_objective(
     """
     F = forward(model, X)
     values, G_f = score_objective(F, kind, with_values=with_values, **targets)
-    G_z = _chain_head(model, F, G_f) / F.shape[-2]
+    G_z = head_gradient(model, F, G_f) / F.shape[-2]
     d = model.n_features
     if out is None:
         out = np.empty(model.bias.shape + (d + 1,))
     gW, gb = out[..., :d], out[..., d]
-    if issparse(X):  # one (n, C*K) product, as in `forward`
-        G_flat = G_z.swapaxes(0, -2).reshape(G_z.shape[-2], -1)
-        gW[...] = np.asarray(G_flat.T @ X).reshape(gW.shape)
-    else:
-        np.matmul(G_z.swapaxes(-1, -2), X, out=gW)
+    stack_gradient(G_z, X, gW)
     G_z.sum(axis=-2, out=gb)
     return (values.mean(axis=-1) if with_values else None), gW, gb
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import issparse, read_table, table_lines, write_table
+from .dataset import read_table, stack_scores, table_lines, write_table
 
 HEADS = ("sigmoid", "softmax")
 
@@ -15,6 +15,7 @@ __all__ = [
     "LinearModel",
     "init_linear",
     "forward",
+    "head_gradient",
     "predict_labels",
     "rank_matrix",
     "save_model",
@@ -81,33 +82,21 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def head_gradient(model: LinearModel, F: np.ndarray, G_f: np.ndarray) -> np.ndarray:
+    """dL/dz for the logits z of the model's scores F = head(z), given dL/dF."""
+    if model.head == "sigmoid":
+        return G_f * F * (1.0 - F)
+    return F * (G_f - (G_f * F).sum(axis=-1, keepdims=True))
+
+
 def forward(model: LinearModel, X) -> np.ndarray:
-    """Score a batch, (n, d) dense or sparse; scores lie in [0, 1] and are
-    (n, K), or (C, n, K) for a stack of C models.
-
-    Each model of a stack is scored bit for bit as it would be alone: dense
-    batches go through one batched `np.matmul`, which makes each model's own
-    GEMM call, and a CSR product computes every output column on its own, so
-    the stack's weights are multiplied as one (C*K, d) matrix.  The dense
-    product takes the weights as a contiguous (..., d, K) copy: a GEMM on two
-    untransposed operands is the faster one, and on batches of at most about
-    200 rows it may round the last bit differently from a product against the
-    transposed view.
-
-    The sigmoid head is `sigmoid`, computed with NumPy alone.  Where NumPy's
-    `exp` is not the C library's (builds with AVX-512 kernels), its scores
-    can differ from `scipy.special.expit` by a few ulp; reruns on one machine
-    stay bit-identical."""
-    X = X if issparse(X) else np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(f"expected an (n, {model.n_features}) batch of features, got shape {X.shape}")
-    W = model.weights
-    if issparse(X):
-        Z = np.asarray(X @ W.reshape(-1, W.shape[-1]).T).reshape(X.shape[0], *W.shape[:-1])
-        Z = np.ascontiguousarray(Z.swapaxes(0, -2))
-    else:
-        Z = np.matmul(X, np.ascontiguousarray(W.swapaxes(-1, -2)))
-    Z = Z + model.bias[..., None, :]
+    """Score a batch, (n, d) dense or sparse, through `stack_scores`: scores in
+    [0, 1], (n, K), or (C, n, K) for a stack of C models, each model's bit for
+    bit its own.  The sigmoid head is `sigmoid`, in NumPy alone: where NumPy's
+    `exp` is not the C library's (builds with AVX-512 kernels), its scores can
+    differ from `scipy.special.expit` by a few ulp; reruns on one machine stay
+    bit-identical."""
+    Z = stack_scores(X, model.weights) + model.bias[..., None, :]
     return sigmoid(Z) if model.head == "sigmoid" else softmax(Z)
 
 

@@ -191,10 +191,7 @@ def corollary3_bound(sc: TheoremScenario):
 
     Exact when the scenario holds Fractions; a float otherwise.
     """
-    xi = sc.xi
-    if not 0 < xi <= 1:
-        raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    return sc.m * (1 / xi**sc.m - 1) * sc.p_cl
+    return sc.m * (1 / sc.xi**sc.m - 1) * sc.p_cl
 
 
 SLACK = Fraction(9, 10)

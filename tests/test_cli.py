@@ -777,3 +777,28 @@ def _readme_command_lines():
 @pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
 def test_readme_command_line_parses(argv):
     build_parser().parse_args(argv)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+# Refusals that no other test reaches in this process: each call with tmp_path
+# and its exact SystemExit message, in which TMP stands for tmp_path.
+REFUSALS = [
+    pytest.param(lambda tmp: load_config_file(_write(tmp, "run.cfg", "# epochs\n\nepochs 7\n")),
+                 "config TMP/run.cfg:3: expected 'key = value', got 'epochs 7'", id="config-line-without-equals"),
+    pytest.param(lambda tmp: TestConvert._convert(tmp, "1,2\n3,4\n5,6\n", "1,0,0\n0,1,0\n"),
+                 "feature rows (3) and label rows (2) disagree", id="convert-row-counts"),
+    pytest.param(lambda tmp: TestConvert._convert(tmp, "1,2\n3,4\n", "# no rows\n\n"), "TMP/Y.csv: no rows", id="convert-comments-only"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(tmp_path, call, message):
+    with pytest.raises(SystemExit) as info:
+        call(tmp_path)
+    assert str(info.value) == message.replace("TMP", str(tmp_path))
+    assert not (tmp_path / "data.txt").exists()

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from comlabel.complementary import (
+    CorruptionRecord,
     attach_relevant_subset,
     biased_selection_probs,
     cooccurrence_rates,
@@ -237,3 +238,26 @@ class TestComplementaryIO:
         X = sp.csr_matrix(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="marks the complementary"):
             ComplementaryDataset(X, np.array([0, 1]), 3, relevant=np.array([[1, 0, 0], [0, 1, 0]]))
+
+
+def _corrupted(y, seed=0):
+    return corrupt_uniform(_ds(y, seed=seed), seed=seed)
+
+
+# Refusals that no other test reaches: each call and its exact ValueError message.
+REFUSALS = [
+    pytest.param(lambda: biased_selection_probs(np.array([[1, 0, 0], [0, 0, 0]]), np.eye(3)),
+                 "every instance needs a relevant label", id="biased-no-relevant"),
+    pytest.param(lambda: attach_relevant_subset(*_corrupted([[1, 0, 0], [0, 1, 0]]), r=0, seed=1),
+                 "r must be at least 1", id="relevant-count-zero"),
+    pytest.param(lambda: attach_relevant_subset(_corrupted([[1, 0, 0], [0, 1, 0]])[0],
+                                                CorruptionRecord(np.array([[1, 0, 0]])), r=1, seed=1),
+                 "corruption record does not match the dataset", id="record-mismatch"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

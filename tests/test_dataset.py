@@ -24,6 +24,8 @@ from comlabel.dataset import (
     preprocess_topk_labels,
     read_table,
     sample_from_generative,
+    stack_gradient,
+    stack_scores,
     store_features,
     subset_membership,
     table_lines,
@@ -860,3 +862,80 @@ class TestGenerative:
             ca = np.asarray(a_full.features[a_full.y[:, k] == 1].mean(axis=0)).ravel()
             cb = np.asarray(b_full.features[b_full.y[:, k] == 1].mean(axis=0)).ravel()
             np.testing.assert_allclose(ca, cb, atol=0.25)
+
+
+class TestStackProducts:
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_each_model_of_a_stack_as_alone(self, csr):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((30, 7)) * (rng.random((30, 7)) < 0.4)
+        X = sp.csr_matrix(dense) if csr else dense
+        W = rng.standard_normal((3, 4, 7))
+        G = rng.standard_normal((3, 30, 4))
+        Z = stack_scores(X, W)
+        gW = np.empty_like(W)
+        stack_gradient(G, X, gW)
+        for c in range(3):
+            alone = np.empty((4, 7))
+            stack_gradient(G[c], X, alone)
+            assert Z[c].tobytes() == stack_scores(X, W[c]).tobytes()
+            assert gW[c].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(Z, dense @ W.swapaxes(-1, -2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gW, G.swapaxes(-1, -2) @ dense, rtol=0, atol=1e-12)
+
+
+def _data_file(tmp_path, text):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    return path
+
+
+# Refusals that no other test reaches: each call with tmp_path, the error
+# type it raises and its exact message.
+REFUSALS = [
+    pytest.param(lambda tmp: parse_multilabel_file(_data_file(tmp, "3 2\n")), DatasetFormatError,
+                 "line 1: header must be 'n d K', got '3 2'", id="header-two-fields"),
+    pytest.param(lambda tmp: parse_multilabel_file(_data_file(tmp, "0 2 3\n")), DatasetFormatError,
+                 "line 1: n and d must be positive, got n=0, d=2", id="header-n-zero"),
+    pytest.param(lambda tmp: parse_complementary_file(_data_file(tmp, "1 -1 3\n0; 0:1\n")), DatasetFormatError,
+                 "line 1: n and d must be positive, got n=1, d=-1", id="header-d-negative"),
+    pytest.param(lambda tmp: parse_multilabel_file(_data_file(tmp, "1 2 2\n0 0:1\n")), DatasetFormatError,
+                 "line 1: K must be at least 3, got 2", id="header-two-labels"),
+    pytest.param(lambda tmp: store_features(np.ones(3)), ValueError,
+                 "features must be a 2-d matrix, got shape (3,)", id="features-1d"),
+    pytest.param(lambda tmp: MultiLabelDataset(np.ones((3, 2)), [1, 0, 1]), ValueError,
+                 "y must be (n, K), got (3,)", id="y-1d"),
+    pytest.param(lambda tmp: MultiLabelDataset(np.ones((2, 2)), [[1, 0, 0]]), ValueError,
+                 "features and y disagree on instance count", id="row-count-mismatch"),
+    pytest.param(lambda tmp: MultiLabelDataset(np.ones((1, 2)), [[2, 0, 1]]), ValueError,
+                 "y entries must be 0 or 1", id="y-not-binary"),
+    pytest.param(lambda tmp: ComplementaryDataset(np.ones((2, 2)), [0], 3), ValueError,
+                 "cl must be one label index per instance", id="cl-count"),
+    pytest.param(lambda tmp: ComplementaryDataset(np.ones((2, 2)), [0, 3], 3), ValueError,
+                 "complementary label index out of range [0, 3)", id="cl-out-of-range"),
+    pytest.param(lambda tmp: ComplementaryDataset(np.ones((2, 2)), [0, 0], 3, relevant=np.ones((2, 2))), ValueError,
+                 "relevant must be (n, 3)", id="relevant-shape"),
+    pytest.param(lambda tmp: ComplementaryDataset(np.ones((2, 2)), [0, 0], 3, relevant=[[0, 2, 0], [0, 1, 0]]),
+                 ValueError, "relevant entries must be 0 or 1", id="relevant-not-binary"),
+    pytest.param(lambda tmp: ComplementaryDataset(np.ones((2, 2)), [0, 0], 3, relevant=[[0, 1, 0], [0, 0, 0]]),
+                 ValueError, "each relevant vector needs at least one label", id="relevant-empty"),
+    pytest.param(lambda tmp: preprocess_topk_labels(_ds([[1, 0, 0, 1]]), 2), ValueError,
+                 "max_labels must be at least 3", id="topk-two"),
+    pytest.param(lambda tmp: kfold_split(_ds([[1, 0, 0]] * 4), 1, seed=0), ValueError,
+                 "k must be at least 2", id="one-fold"),
+    pytest.param(lambda tmp: sample_from_generative(make_exclusive_spec(3), 0, 2, seed=0), ValueError,
+                 "n must be at least 1", id="sample-none"),
+    pytest.param(lambda tmp: GenerativeSpec(3, np.full(5, 0.2), uniform_cl_rows(3)), ValueError,
+                 "subset_probs must have shape (6,)", id="spec-probs-shape"),
+    pytest.param(lambda tmp: GenerativeSpec(3, np.full(6, 1 / 6), np.full((6, 4), 0.25)), ValueError,
+                 "cl_given_subset must have shape (6, 3)", id="spec-cl-shape"),
+    pytest.param(lambda tmp: GenerativeSpec(3, np.full(6, 1 / 6), 2 * uniform_cl_rows(3)), ValueError,
+                 "each cl_given_subset row must be nonnegative and sum to 1 within 1e-9", id="spec-cl-rows"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal_message(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert (type(info.value), str(info.value)) == (error, message)

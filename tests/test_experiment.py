@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import comlabel.experiment as experiment_module
 from comlabel.dataset import (
     MultiLabelDataset,
     make_uniform_cl_spec,
@@ -26,6 +27,7 @@ from comlabel.experiment import (
 )
 from comlabel.metrics import MetricsReport
 from comlabel.optim import LEARNING_RATE_GRID, NonFiniteGradientError, TrainConfig
+from comlabel.theory import random_generative_spec, random_posterior
 from comlabel.transition import correct_and_normalize, estimate_initial_S, estimate_transition
 from comlabel.model import init_linear
 
@@ -530,3 +532,57 @@ class TestConfigValidation:
         # one place sets what a run trains at: train.learning_rates, by default the grid
         assert not {"learning_rate", "learning_rates"} & {f.name for f in fields(RunConfig)}
         assert RunConfig(data_path="unused", train=TrainConfig(epochs=5)).train.learning_rates == LEARNING_RATE_GRID
+
+
+def _theory_with(monkeypatch, name, result):
+    """run_theory over one trial with `name` stubbed to return `result`."""
+    monkeypatch.setattr(experiment_module, name, lambda *args: result)
+    return run_theory(seed=3, n_trials=1)
+
+
+def _theorem1_failure(seed):
+    """What run_theory(seed) raises on its first trial when theorem1_gap gives (0.0, 1.0)."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(3, 6))
+    spec = random_generative_spec(K, rng)
+    post = random_posterior(spec, rng)
+    j = int(rng.integers(K))
+    return (
+        f"subset-exact probability fell below its exclusive-event bound: lhs=0.0 rhs=1.0 K={K} j={j} "
+        f"probs={spec.subset_probs.tolist()} cl={spec.cl_given_subset.tolist()} posterior={post.tolist()}"
+    )
+
+
+def _not_a_report(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("variant,metric,mean,std\n")
+    return read_report(path)
+
+
+# Refusals that no other test reaches: each call with tmp_path and monkeypatch,
+# the error type it raises and its exact message.
+REFUSALS = [
+    pytest.param(lambda tmp, mp: RunConfig(data_path="unused", regime="semi"), ValueError,
+                 "regime must be one of ('cl', 'clrl', 'supervised')", id="regime"),
+    pytest.param(lambda tmp, mp: _not_a_report(tmp), ValueError, "not a report CSV: fold block missing", id="not-a-report"),
+    pytest.param(lambda tmp, mp: _theory_with(mp, "theorem1_gap", (0.0, 1.0)), experiment_module.TheoryCheckFailure,
+                 _theorem1_failure(3), id="theorem1-failure"),
+    pytest.param(lambda tmp, mp: _theory_with(mp, "consistency_experiment", {"gap": 0.5}),
+                 experiment_module.TheoryCheckFailure, "consistency gap 0.5000 exceeds 0.05: {'gap': 0.5}",
+                 id="consistency-failure"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal_message(tmp_path, monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path, monkeypatch)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_consistency_row_closes_the_theory_checks():
+    rows = run_theory(seed=0, n_trials=0)
+    row = rows[-1]
+    assert (row.scenario, row.rhs) == ("consistency_K5_n5000", 0.05)
+    assert 0.0 <= row.lhs <= row.rhs
+    assert [r.scenario for r in rows[:-1]] == [r.scenario for r in run_theory(seed=0, n_trials=0, consistency=False)]

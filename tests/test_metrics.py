@@ -224,3 +224,18 @@ class TestAveragePrecisionReference:
         # differently on some of them, so these cases can tell the two apart
         assert long_rows >= 3000
         assert sequential_differs > 100
+
+
+# Refusals that no other test reaches: each call and its exact ValueError message.
+REFUSALS = [
+    pytest.param(lambda: evaluate_all([[0.5, np.nan, 0.1]], [[1, 0, 0]]), "scores must be finite", id="nan-score"),
+    pytest.param(lambda: evaluate_all([[0.5, np.inf, 0.1]], [[1, 0, 0]]), "scores must be finite", id="inf-score"),
+    pytest.param(lambda: evaluate_all([[0.5, 0.2, 0.1]], [[1, 2, 0]]), "truth entries must be 0 or 1", id="truth-not-binary"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ from scipy.special import expit
 from comlabel.model import (
     LinearModel,
     forward,
+    head_gradient,
     init_linear,
     load_model,
     predict_labels,
@@ -188,3 +189,48 @@ class TestCheckpoint:
         path.write_text(f"{header}\n0 0 0 0\n")
         with pytest.raises(ValueError, match="^checkpoint header must be 'd K head' with positive integers d and K, got "):
             load_model(path)
+
+
+class TestHeadGradient:
+    @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
+    def test_matches_central_differences(self, head):
+        # the gradient of sum(G_f * head(z)) with respect to the logits z
+        rng = np.random.default_rng(6)
+        model = LinearModel(np.eye(4), np.zeros(4), head)
+        Z, G_f = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        analytic = head_gradient(model, forward(model, Z), G_f)
+        numeric = np.empty_like(Z)
+        for idx in np.ndindex(Z.shape):
+            step = np.zeros_like(Z)
+            step[idx] = 1e-6
+            numeric[idx] = ((G_f * forward(model, Z + step)).sum() - (G_f * forward(model, Z - step)).sum()) / 2e-6
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+def _checkpoint(tmp_path, text):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    return path
+
+
+# Refusals that no other test reaches: each call with tmp_path and its exact ValueError message.
+REFUSALS = [
+    pytest.param(lambda tmp: init_linear(0, 3, "sigmoid", seed=0), "d and n_labels must be positive", id="init-no-features"),
+    pytest.param(lambda tmp: LinearModel(np.zeros((2, 3)), np.zeros(3), "sigmoid"),
+                 "weights must be (K, d) with bias (K,), or (C, K, d) with bias (C, K)", id="bias-shape"),
+    pytest.param(lambda tmp: LinearModel(np.zeros((2, 3, 4, 5)), np.zeros((2, 3, 4)), "sigmoid"),
+                 "weights must be (K, d) with bias (K,), or (C, K, d) with bias (C, K)", id="weights-4d"),
+    pytest.param(lambda tmp: LinearModel(np.full((2, 3), np.nan), np.zeros(2), "sigmoid"),
+                 "model parameters must be finite", id="non-finite"),
+    pytest.param(lambda tmp: load_model(_checkpoint(tmp, "")), "empty checkpoint", id="empty-file"),
+    pytest.param(lambda tmp: load_model(_checkpoint(tmp, "# comment only\n\n")), "empty checkpoint", id="comments-only"),
+    pytest.param(lambda tmp: load_model(_checkpoint(tmp, "2 3 sigmoid\n1 2 3\n")),
+                 "checkpoint declares 3 rows but has 1", id="too-few-rows"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(tmp_path, call, message):
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert str(info.value) == message

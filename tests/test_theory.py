@@ -463,3 +463,33 @@ class TestFullTransition:
         rows = uniform_cl_rows(K)
         np.testing.assert_allclose(rows[_mask_index([0, 1])], [0.0, 0.0, 1.0])
         np.testing.assert_allclose(rows[_mask_index([2])], [0.5, 0.5, 0.0])
+
+
+def _scenario(**changes):
+    """HALF_SCENARIO's float twin with `changes` applied."""
+    fields = dict(dependent=(0, 1), comp_label=2, p_cl=0.1, marginals=(0.5, 0.4), conditionals=((0.5,), (0.5,)))
+    return TheoremScenario(**{**fields, **changes})
+
+
+# Refusals that no other test reaches: each call and its exact ValueError message.
+REFUSALS = [
+    pytest.param(lambda: _scenario(dependent=(0,), marginals=(0.5,), conditionals=((),)),
+                 "a scenario needs at least two dependent labels", id="one-dependent"),
+    pytest.param(lambda: _scenario(dependent=(0, 0)), "dependent labels must be distinct", id="repeated-dependent"),
+    pytest.param(lambda: _scenario(marginals=(0.5,)),
+                 "need one marginal and one conditional chain per dependent label", id="marginal-count"),
+    pytest.param(lambda: _scenario(conditionals=((0.5,),)),
+                 "need one marginal and one conditional chain per dependent label", id="chain-count"),
+    pytest.param(lambda: _scenario(conditionals=((0.5, 0.5), (0.5,))),
+                 "conditional chain 0 must have 1 entries", id="chain-length"),
+    pytest.param(lambda: _scenario(dependent=(0, 1, 3), marginals=(0.5, 0.5, 0.5),
+                                   conditionals=((0.5, 0.5), (0.9, 0.5), (0.5, 0.5))),
+                 "conditional chain 1 exceeds xi", id="chain-above-xi"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

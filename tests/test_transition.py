@@ -406,3 +406,21 @@ class TestLoadTransitionCSV:
         T[2, 2] = 0.5
         with pytest.raises(ValueError, match="^row 2: transition matrix diagonal"):
             validate_transition(T)
+
+
+# Refusals that no other test reaches: each call and its exact ValueError message.
+REFUSALS = [
+    pytest.param(lambda: validate_transition(np.zeros((2, 3))), "transition matrix must be square", id="not-square"),
+    pytest.param(lambda: validate_transition(np.zeros(3)), "transition matrix must be square", id="one-dimensional"),
+    pytest.param(lambda: correct_and_normalize(np.eye(3), np.eye(4)),
+                 "S and C must be square matrices of the same shape", id="shapes-differ"),
+    pytest.param(lambda: correct_and_normalize(np.zeros((2, 3)), np.zeros((2, 3))),
+                 "S and C must be square matrices of the same shape", id="not-square-pair"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("call, message", REFUSALS)
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
