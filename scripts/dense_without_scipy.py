@@ -7,15 +7,20 @@ T (estimated, or read from a file and written back), `eval`, `cv`,
 tables (`clrl` through the estimated transition file, `ablate`,
 `sweep-beta`) on it.  It also converts a dense set larger than
 `PARSE_CHUNK_BYTES` and runs `cv` on it, so that with two usable CPUs or
-more its parse runs in forked workers.  It fails unless every command
-succeeds and SciPy was never imported, in this process or in a worker.  Run it from the repository root with SciPy uninstalled, or
-with `--block-scipy`, which makes SciPy unimportable in this process:
+more its parse runs in forked workers, and runs that `cv` again on the same
+bytes read through a named pipe, which must write the same report.  It
+fails unless every command succeeds and SciPy was never imported, in this
+process or in a worker.  Run it from the repository root with SciPy
+uninstalled, or with `--block-scipy`, which makes SciPy unimportable in
+this process:
 
     PYTHONPATH=src python3 scripts/dense_without_scipy.py [--block-scipy]
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -71,6 +76,17 @@ def main() -> int:
             if cli([str(a) for a in argv]) != 0:
                 print(f"FAIL: comlabel {argv[0]} exited non-zero", file=sys.stderr)
                 return 1
+        # the pipe is written by another process: a thread here would keep the parse from forking
+        os.mkfifo(t / "big.pipe")
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, t / "big.txt", t / "big.pipe"])
+        piped = cli([str(a) for a in ["cv", "--data", t / "big.pipe", "--out", t / "piped.csv", *short_cv]])
+        if writer.wait(60) != 0 or piped != 0:
+            print("FAIL: comlabel cv through a named pipe exited non-zero", file=sys.stderr)
+            return 1
+        if (t / "piped.csv").read_bytes() != (t / "big.csv").read_bytes():
+            print("FAIL: cv through a named pipe wrote another report than on the file", file=sys.stderr)
+            return 1
         blocks = -(-(t / "big.txt").stat().st_size // PARSE_CHUNK_BYTES)
         if blocks < 2:
             print(f"FAIL: the large dense file spans {blocks} parse block", file=sys.stderr)
@@ -79,7 +95,7 @@ def main() -> int:
     if loaded:
         print(f"FAIL: the dense round trip imported {', '.join(loaded)}", file=sys.stderr)
         return 1
-    print("dense round trip ran without SciPy: " + ", ".join(argv[0] for argv in steps))
+    print("dense round trip ran without SciPy: " + ", ".join(argv[0] for argv in steps) + ", cv through a pipe")
     print(f"the large file's parse ran in {min(usable_cpus(), blocks)} processes ({blocks} blocks)")
     return 0
 

@@ -50,7 +50,7 @@ from .experiment import (
 )
 from .metrics import evaluate_all
 from .model import forward, load_model, save_model
-from .optim import DEFAULT_LEARNING_RATE, LEARNING_RATE_GRID, TrainConfig
+from .optim import DEFAULT_LEARNING_RATE, LEARNING_RATE_GRID, NonFiniteGradientError, TrainConfig
 from .transition import load_transition_csv, save_transition_csv
 
 
@@ -420,6 +420,10 @@ def main(argv=None) -> int:
                 return COMMANDS[args.command][0](args)
             except DatasetFormatError as exc:  # of the files a command reads, only --data is a data file
                 raise SystemExit(f"{args.data}: {exc} ({_data_kind(args)})") from None
+            except RuntimeError as exc:  # a diverged training, as itself or as a fold's cause
+                if not any(isinstance(e, NonFiniteGradientError) for e in (exc, exc.__cause__)):
+                    raise
+                raise SystemExit(str(exc)) from None
     except FileNotFoundError as exc:
         if exc.filename is None:
             raise

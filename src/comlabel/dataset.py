@@ -24,10 +24,12 @@ import io
 import math
 import mmap
 import re
+import shutil
 import sys
+import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
@@ -501,22 +503,26 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
     min(usable CPUs, blocks) processes convert the chunks by stride through
     run_shares, writing into arrays on shared mappings: each child
     reopens the file, so only its line count and its first error come back.
-    Otherwise, and when the file cannot be rewound for the first pass, such
-    as a pipe, this process alone converts the chunks into a CSR matrix with
-    every stored token.  A line count other than n wins over any line error,
+    Otherwise this process alone converts the chunks into a CSR matrix with
+    every stored token.  A file that cannot be rewound, such as a pipe, is
+    first spooled into a temporary file and parsed from there; messages
+    still name `path`.  A line count other than n wins over any line error,
     and the lowest-numbered failing chunk raises its first offending line."""
-    with open(path, "rb") as raw:
-        stored = blocks = None
-        if raw.seekable():
-            colons = [block.count(b":") for block in iter(lambda: raw.read(PARSE_CHUNK_BYTES), b"")]
-            stored, blocks = sum(colons), len(colons)
-            raw.seek(0)
+    with ExitStack() as stack:
+        raw, source = stack.enter_context(open(path, "rb")), path
+        if not raw.seekable():  # a pipe: spool it into a file that can be counted and reopened
+            spool = stack.enter_context(tempfile.NamedTemporaryFile())
+            shutil.copyfileobj(raw, spool)
+            spool.seek(0)
+            raw, source = spool.file, spool.name
+        colons = [block.count(b":") for block in iter(lambda: raw.read(PARSE_CHUNK_BYTES), b"")]
+        raw.seek(0)
         with _text_lines(raw) as (header, body):
             if header is None:
                 raise DatasetFormatError("line 1: empty file")
             n, d, K = _parse_header(header)
-            dense = stored is not None and _dense_enough(stored, n, d)
-            W = min(usable_cpus(), blocks) if dense else 1
+            dense = _dense_enough(sum(colons), n, d)
+            W = min(usable_cpus(), len(colons)) if dense else 1
             arrays = _zeros(n, ([((d,), np.float64)] if dense else []) + label_layout(K))
             X = arrays.pop(0) if dense else None
             label_field = label_field_for(K, *arrays)
@@ -533,7 +539,7 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
             def share(r: int) -> tuple[int, tuple[int, DatasetFormatError] | None]:
                 if r == 0:
                     return _convert_share(body, n, d, label_field, put, r, W)
-                with open(path, "rb") as again, _text_lines(again) as (_, lines):
+                with open(source, "rb") as again, _text_lines(again) as (_, lines):
                     return _convert_share(lines, n, d, label_field, put, r, W)
 
             outcomes = run_shares(W, share)

@@ -55,7 +55,6 @@ __all__ = [
     "run_theory",
     "consistency_experiment",
     "write_report",
-    "read_report",
     "write_sweep_csv",
     "write_clrl_csv",
     "write_curve",
@@ -483,22 +482,6 @@ def write_clrl_csv(reports: dict[str, AggregateReport], path: str | Path) -> Non
 def write_curve(curve: list[float], path: str | Path) -> None:
     """A training's loss per epoch."""
     _write_rows([["epoch", "loss"], *([i, _format(v)] for i, v in enumerate(curve))], path)
-
-
-def read_report(path: str | Path) -> AggregateReport:
-    """Parse a report written by write_report back into fold reports."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    reader = list(csv.reader(lines))
-    header = ["fold", *MetricsReport.METRIC_NAMES]
-    try:
-        split = reader.index(header)
-    except ValueError:
-        raise ValueError("not a report CSV: fold block missing") from None
-    folds = []
-    for row in reader[split + 1 :]:
-        vals = [float(v) for v in row[1:]]
-        folds.append(MetricsReport(*vals))
-    return AggregateReport(tuple(folds))
 
 
 def write_theory_csv(rows: list[TheoryRow], path: str | Path) -> None:

@@ -33,21 +33,15 @@ from .dataset import (
 )
 
 __all__ = [
-    "AnchorAssumptionError",
     "TheoremScenario",
     "theorem1_gap",
     "chain_T_values",
-    "anchor_Q",
     "scenario_distortion",
     "corollary3_bound",
     "grid_scenarios",
     "random_generative_spec",
     "random_posterior",
 ]
-
-
-class AnchorAssumptionError(ValueError):
-    """Some label has no anchor support (its singleton subset has probability 0)."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +74,6 @@ def theorem1_gap(spec: GenerativeSpec, posterior, j: int) -> tuple[float, float]
         idx = (1 << k) - 1  # position of the singleton subset {k}
         rhs += float(spec.cl_given_subset[idx, j] * post[idx])
     return lhs, rhs
-
-
-def anchor_Q(spec: GenerativeSpec) -> np.ndarray:
-    """The exclusive-case transition estimate read at anchor points.
-
-    Row k is the complementary-label distribution of the singleton subset {k};
-    every label must have singleton support for its anchor to exist.
-    """
-    K = spec.n_labels
-    unsupported = [k for k in range(K) if spec.subset_probs[(1 << k) - 1] <= 0.0]
-    if unsupported:
-        raise AnchorAssumptionError(f"labels {unsupported} have no singleton support; anchor estimate undefined")
-    rows = [(1 << k) - 1 for k in range(K)]
-    return np.array(spec.cl_given_subset[rows], copy=True)
 
 
 # ---------------------------------------------------------------------------

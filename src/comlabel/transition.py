@@ -8,7 +8,6 @@ with the candidate co-occurrence matrix, zero the diagonal, and row-normalize.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +19,8 @@ __all__ = [
     "correlation_matrix",
     "estimate_initial_S",
     "correct_and_normalize",
-    "check_invertible",
     "uniform_transition",
     "estimate_transition",
-    "TransitionDiagnostics",
     "validate_transition",
     "save_transition_csv",
     "load_transition_csv",
@@ -31,7 +28,6 @@ __all__ = [
 
 _ZERO_ROW_TOL = 1e-12
 ROW_SUM_TOL = 1e-9  # how far a transition row's sum may stray from 1
-NEAR_SINGULAR = 1e-8  # smallest singular value below which T is flagged near-singular
 
 
 def validate_transition(T: np.ndarray, lines: list[int] | None = None) -> None:
@@ -143,29 +139,6 @@ def correct_and_normalize(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     T = M / sums[:, None]
     np.fill_diagonal(T, 0.0)
     return T
-
-
-@dataclass(frozen=True)
-class TransitionDiagnostics:
-    determinant: float
-    smallest_singular_value: float
-    condition: float
-    near_singular: bool
-
-
-def check_invertible(T: np.ndarray) -> TransitionDiagnostics:
-    """Report determinant and conditioning; flag near-singularity below NEAR_SINGULAR."""
-    T = np.asarray(T, dtype=np.float64)
-    det = float(np.linalg.det(T))
-    s = np.linalg.svd(T, compute_uv=False)
-    smallest = float(s[-1])
-    condition = float(s[0] / s[-1]) if smallest > 0 else np.inf
-    return TransitionDiagnostics(
-        determinant=det,
-        smallest_singular_value=smallest,
-        condition=condition,
-        near_singular=smallest < NEAR_SINGULAR,
-    )
 
 
 def estimate_transition(

@@ -125,6 +125,20 @@ def _declared_exports(tree: ast.Module) -> set[str]:
     return set()
 
 
+# Public names that the package itself never reads: references that the tests
+# compare the package against.  Any other public name needs a reader in the package.
+TEST_REFERENCES = {"loss.gradient_check"}
+
+
+def test_every_public_name_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    unread = {f"{stem}.{name}" for stem, tree in trees.items() for name in _declared_exports(tree) - read}
+    assert unread == TEST_REFERENCES
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 class TestImportHygiene:
     def test_no_underscored_name_from_another_module(self, path):

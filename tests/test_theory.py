@@ -12,9 +12,7 @@ from comlabel.dataset import (
     uniform_cl_rows,
 )
 from comlabel.theory import (
-    AnchorAssumptionError,
     TheoremScenario,
-    anchor_Q,
     chain_T_values,
     corollary3_bound,
     grid_scenarios,
@@ -152,32 +150,26 @@ class TestEnumerationLimit:
 
 
 class TestAnchorQ:
+    """The anchor-point table of multi-class CLL: row k is the complementary
+    distribution of the singleton subset {k}, read off the spec."""
+
     def test_uniform_anchor(self):
         K = 4
         spec = make_exclusive_spec(K)
-        Q = anchor_Q(spec)
+        Q = spec.cl_given_subset[[2**k - 1 for k in range(K)]]
         expected = np.full((K, K), 1.0 / (K - 1))
         np.fill_diagonal(expected, 0.0)
         np.testing.assert_allclose(Q, expected)
 
-    def test_missing_singleton_support_named(self):
-        K = 3
-        probs = np.zeros(6)
-        probs[_mask_index([1])] = 0.5
-        probs[_mask_index([2])] = 0.5
-        spec = make_uniform_cl_spec(K, probs)
-        with pytest.raises(AnchorAssumptionError, match=r"\[0\]"):
-            anchor_Q(spec)
-
     def test_rows_are_singleton_tables(self):
         rng = np.random.default_rng(9)
-        spec = random_generative_spec(4, rng)
-        if np.any(spec.subset_probs[[_mask_index([k]) for k in range(4)]] <= 0):
-            pytest.skip("random spec lost singleton support")
-        Q = anchor_Q(spec)
-        for k in range(4):
-            np.testing.assert_array_equal(Q[k], spec.cl_given_subset[_mask_index([k])])
+        K = 4
+        spec = random_generative_spec(K, rng)
+        rows = [2**k - 1 for k in range(K)]
+        np.testing.assert_array_equal(subset_membership(K)[rows], np.eye(K, dtype=np.uint8))
+        Q = spec.cl_given_subset[rows]
         np.testing.assert_array_equal(np.diag(Q), 0.0)
+        np.testing.assert_allclose(Q.sum(axis=1), 1.0)
 
 
 HALF_SCENARIO = TheoremScenario(

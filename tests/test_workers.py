@@ -379,6 +379,18 @@ def _dense_file(tmp_path):
     return path
 
 
+def _parse_piped(parse, path, pipe):
+    """parse(pipe) of a named pipe that another process fills with the bytes
+    of `path`; another thread would make the parse serial by itself."""
+    os.mkfifo(pipe)
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", copy, path, pipe])
+    try:
+        return parse(pipe)
+    finally:
+        assert writer.wait(60) == 0
+
+
 class TestParse:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -439,21 +451,25 @@ class TestParse:
         assert shared.y.tobytes() == serial.y.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_parsed_in_this_process(self, tmp_path, forks):
-        # written by another process, since another thread would make the parse serial by itself
+    def test_pipe_parsed_as_its_file(self, tmp_path, forks):
         path, pipe = _dense_file(tmp_path), tmp_path / "pipe"
-        os.mkfifo(pipe)
-        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
-        writer = subprocess.Popen([sys.executable, "-c", copy, path, pipe])
-        try:
-            piped = parse_multilabel_file(pipe)
-        finally:
-            assert writer.wait(60) == 0
-        assert forks == []
-        assert_no_child()
         want = parse_multilabel_file(path)
         assert len(forks) == 1
+        piped = _parse_piped(parse_multilabel_file, path, pipe)
+        assert len(forks) == 2  # spooled, the pipe is counted and forks as its file does
+        assert_no_child()
+        assert isinstance(piped.features, np.ndarray) and not piped.features.flags.writeable
         assert (piped.features.tobytes(), piped.y.tobytes()) == (want.features.tobytes(), want.y.tobytes())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_worker_exit_on_pipe_names_pipe(self, tmp_path, monkeypatch):
+        path, pipe = _dense_file(tmp_path), tmp_path / "pipe"
+        caller, convert = os.getpid(), dataset._convert
+        monkeypatch.setattr(dataset, "_convert", lambda *args: convert(*args) if os.getpid() == caller else os._exit(3))
+        with pytest.raises(RuntimeError) as info:
+            _parse_piped(parse_multilabel_file, path, pipe)
+        assert str(info.value) == f"parsing {pipe} failed: worker exited with status 3"
+        assert_no_child()
 
     def test_worker_exit_named(self, tmp_path, monkeypatch):
         path = _dense_file(tmp_path)
