@@ -5,7 +5,9 @@ Writes a small random dense data set as CSV, then runs `convert`, `corrupt`
 T (estimated, or read from a file and written back), `eval`, `cv`,
 `estimate-t` (with and without the correlation correction) and the three
 tables (`clrl` through the estimated transition file, `ablate`,
-`sweep-beta`) on it.  It also converts a dense set larger than
+`sweep-beta`) on it.  It converts a CSV whose cells are mostly zero, and
+runs `cv` on a file that writes every cell, half of them zeros, which the
+parser stores dense.  It also converts a dense set larger than
 `PARSE_CHUNK_BYTES` and runs `cv` on it, so that with two usable CPUs or
 more its parse runs in forked workers, and runs that `cv` again on the same
 bytes read through a named pipe, which must write the same report.  It
@@ -38,18 +40,25 @@ def main() -> int:
 
     rng = np.random.default_rng(0)
 
-    def write_csv(directory: Path, prefix: str, n: int, d: int, K: int = 5) -> None:
+    def write_csv(directory: Path, prefix: str, n: int, d: int, K: int = 5, zeros: float = 0.0):
         X = rng.standard_normal((n, d))
+        X[rng.random((n, d)) < zeros] = 0.0
         Y = (X[:, :K] + 0.5 * rng.standard_normal((n, K)) > 0.3).astype(int)
         Y[Y.sum(axis=1) == 0, 0] = 1  # every row needs a relevant label...
         Y[Y.sum(axis=1) == K, 0] = 0  # ...and an irrelevant one
         np.savetxt(directory / f"{prefix}X.csv", X, delimiter=",")
         np.savetxt(directory / f"{prefix}Y.csv", Y, delimiter=",", fmt="%d")
+        return X, Y
 
     with tempfile.TemporaryDirectory() as tmp:
         t = Path(tmp)
         write_csv(t, "", 120, 8)
         write_csv(t, "big", 1200, 24)
+        write_csv(t, "sparse", 120, 8, zeros=0.6)
+        X, Y = write_csv(t, "cells", 120, 8, zeros=0.5)
+        lines = (",".join(map(str, np.flatnonzero(y))) + " " + " ".join(f"{j}:{v!r}" for j, v in enumerate(x))
+                 for x, y in zip(X.tolist(), Y))  # fmt: skip
+        (t / "cells.txt").write_text(f"{X.shape[0]} {X.shape[1]} {Y.shape[1]}\n" + "\n".join(lines) + "\n")
         short_cv = ["--folds", "3", "--epochs", "5"]
         steps = [
             ["convert", "--features-csv", t / "X.csv", "--labels-csv", t / "Y.csv", "--out", t / "full.txt"],
@@ -69,6 +78,9 @@ def main() -> int:
             ["clrl", "--data", t / "full.txt", "--transition-in", t / "T.csv", "--out", t / "clrl.csv", *short_cv],
             ["ablate", "--data", t / "full.txt", "--out", t / "ablate.csv", *short_cv],
             ["sweep-beta", "--data", t / "full.txt", "--betas", "0,1", "--out", t / "sweep.csv", *short_cv],
+            ["convert", "--features-csv", t / "sparseX.csv", "--labels-csv", t / "sparseY.csv", "--out",
+             t / "sparse.txt"],
+            ["cv", "--data", t / "cells.txt", "--out", t / "cells.csv", *short_cv],
             ["convert", "--features-csv", t / "bigX.csv", "--labels-csv", t / "bigY.csv", "--out", t / "big.txt"],
             ["cv", "--data", t / "big.txt", "--out", t / "big.csv", *short_cv],
         ]

@@ -1,7 +1,7 @@
 """The two dataset types, their text formats and numeric tables; preprocessing, splitting, synthesis.
 
-A multi-label dataset couples a feature matrix, dense or CSR by
-`store_features`, with a binary relevance matrix.  Every relevance row must
+A multi-label dataset couples a feature matrix, a dense ndarray or CSR,
+with a binary relevance matrix.  Every relevance row must
 name at least one relevant and one irrelevant label, so that a complementary
 label always exists.  A complementary dataset couples the same kind of
 feature matrix with one complementary label per instance.
@@ -11,11 +11,12 @@ Each chunk's numbers are converted by one C-level call once one regular
 expression has checked the token grammar, and a chunk failing the checks is
 redone line by line with `int()` and `float()`, which give the same values
 and name the first offending line.
-When the file's feature-token count meets the dense rule, chunks are
+When the file's feature tokens fill at least 2/3 of its cells, chunks are
 scattered straight into the dense matrix, by several forked workers when the
 file spans several chunks (`workers.run_shares`); otherwise they are
-assembled into CSR in the calling process.  SciPy is imported only where a
-CSR matrix is built, so dense data needs NumPy alone.
+assembled into CSR in the calling process.  Every data set built from the
+file's rows keeps that form.  SciPy is imported only where a CSR matrix is
+built, so dense data needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -105,27 +106,15 @@ def _csr(*args, **kwargs) -> sp.csr_matrix:
 
 
 def store_features(X) -> np.ndarray | sp.csr_matrix:
-    """Store features as a read-only C-contiguous float64 ndarray when at least
-    2/3 of the cells are stored (nonzero), else as float64 CSR: from 2/3 on, 8
-    bytes per dense cell cost no more than 12 per CSR entry (value and int32
-    column).  A C-contiguous float64 ndarray is frozen in place, like `y`, and
-    a frozen one is taken as stored already and returned as is: datasets built
-    on another's features keep its storage without counting its cells again,
-    and the parser's dense matrix, chosen by its stored-token count, stays
-    dense."""
-    if isinstance(X, np.ndarray) and X.dtype == np.float64 and X.flags.c_contiguous and not X.flags.writeable:
-        return X
+    """Store features in the form given: a SciPy sparse matrix as float64
+    CSR, anything else as a read-only C-contiguous float64 ndarray, frozen in
+    place when it already is one, like `y`.  Only the parser picks a form, so
+    a data set built from another's rows keeps the other's form."""
     sparse = issparse(X)
     X = _csr(X, dtype=np.float64) if sparse else np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
-    if not _dense_enough(X.nnz if sparse else np.count_nonzero(X), *X.shape):
-        return X if sparse else _csr(X)
-    return _freeze(_dense(X))
-
-
-def _dense_enough(stored: int, n: int, d: int) -> bool:
-    return 3 * stored >= 2 * n * d
+    return X if sparse else _freeze(X)
 
 
 def _dense(X) -> np.ndarray:
@@ -498,8 +487,8 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
     that records a line's label field in those arrays and returns the rest
     of the line, its feature tokens.  A first pass counts the file's colons,
     one per feature token in a valid file, and its `PARSE_CHUNK_BYTES`
-    blocks.  When the colons meet the 2/3 rule of `store_features`, each
-    chunk goes straight into the frozen dense matrix returned, and W =
+    blocks.  When the colons fill at least 2/3 of the n x d cells, each
+    chunk goes straight into the dense matrix returned, and W =
     min(usable CPUs, blocks) processes convert the chunks by stride through
     run_shares, writing into arrays on shared mappings: each child
     reopens the file, so only its line count and its first error come back.
@@ -521,7 +510,9 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
             if header is None:
                 raise DatasetFormatError("line 1: empty file")
             n, d, K = _parse_header(header)
-            dense = _dense_enough(sum(colons), n, d)
+            # from 2/3 of the cells stored on, 8 bytes per dense cell cost no
+            # more than 12 per CSR entry (value and int32 column)
+            dense = 3 * sum(colons) >= 2 * n * d
             W = min(usable_cpus(), len(colons)) if dense else 1
             arrays = _zeros(n, ([((d,), np.float64)] if dense else []) + label_layout(K))
             X = arrays.pop(0) if dense else None
@@ -551,7 +542,7 @@ def _parse(path: str | Path, label_layout, label_field_for) -> tuple[np.ndarray 
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     if dense:
-        return _freeze(X), arrays
+        return X, arrays
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts), dtype=np.int64)])
     return _csr((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, d)), arrays
 

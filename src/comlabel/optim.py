@@ -77,7 +77,8 @@ class TrainConfig:
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient turned non-finite; the step is aborted with diagnostics."""
+    """A gradient, or after the last step a parameter, turned non-finite; the
+    training is aborted with diagnostics."""
 
 
 @dataclass
@@ -172,18 +173,23 @@ def _run_loop(
     state = init_adam(P)
     shuffle_rng = np.random.default_rng((cfg.seed, 0xB0))
     losses = []
-    for _ in range(cfg.epochs):
-        perm = shuffle_rng.permutation(ds.n_instances)
-        epoch_loss = np.zeros(rates.size)
-        for start in range(0, ds.n_instances, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            rows = {name: a[idx] for name, a in per_instance.items()}
-            value, gW, gb = batch_objective(model, ds.features[idx], kind, with_values=curve, out=G, **rows, **fixed)
-            adam_step(P, G, state, cfg, rates, named=(gW, gb))
+    # a diverging step overflows quietly: the next gradient check, or the
+    # parameter check after the last step, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            perm = shuffle_rng.permutation(ds.n_instances)
+            epoch_loss = np.zeros(rates.size)
+            for start in range(0, ds.n_instances, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                rows = {name: a[idx] for name, a in per_instance.items()}
+                value, gW, gb = batch_objective(model, ds.features[idx], kind, with_values=curve, out=G, **rows, **fixed)
+                adam_step(P, G, state, cfg, rates, named=(gW, gb))
+                if curve:
+                    epoch_loss += value * idx.size
             if curve:
-                epoch_loss += value * idx.size
-        if curve:
-            losses.append(epoch_loss / ds.n_instances)
+                losses.append(epoch_loss / ds.n_instances)
+    if not np.isfinite(P).all():
+        raise NonFiniteGradientError(f"non-finite parameters after step {state.t}")
     return [
         TrainResult(LinearModel(P[c, :, :d], P[c, :, d], head), [float(e[c]) for e in losses])
         for c in range(rates.size)

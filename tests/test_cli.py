@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,8 +482,23 @@ class TestBadTrainingValue:
 
 
 class TestDivergedTraining:
-    """A training whose gradient turns non-finite exits with the error's own
-    message, which names the fold under cross-validation, and writes nothing."""
+    """A training whose gradient, or whose parameters after the last step,
+    turn non-finite exits with the error's own message, which names the fold
+    under cross-validation; it writes nothing and prints no NumPy warning."""
+
+    @staticmethod
+    def diverge(command, output, epochs, data_file, tmp_path) -> str:
+        data = data_file
+        if command != "cv":
+            data = tmp_path / "comp.txt"
+            run("corrupt", "--data", data_file, "--out", data, "--seed", "0")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # raised as an error, in a forked fold worker too
+            with pytest.raises(SystemExit) as info:
+                run(command, "--data", data, "--lr", "1e300", "--epochs", epochs, output, out)
+        assert not out.exists()
+        return info.value.code
 
     @pytest.mark.parametrize(
         "command, output, prefix",
@@ -490,17 +506,16 @@ class TestDivergedTraining:
         ids=["train", "estimate-t", "cv"],
     )
     def test_exits_with_message(self, command, output, prefix, data_file, tmp_path):
-        data = data_file
-        if command != "cv":
-            data = tmp_path / "comp.txt"
-            run("corrupt", "--data", data_file, "--out", data, "--seed", "0")
-        out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):  # Adam's step divides inf by inf before the gradient is checked
-            with pytest.raises(SystemExit) as info:
-                run(command, "--data", data, "--lr", "1e300", "--epochs", "5", output, out)
         want = rf"{prefix}non-finite gradient in parameter \d+ at index \(\d+, \d+\) \(step \d+\)"
-        assert re.fullmatch(want, info.value.code)
-        assert not out.exists()
+        assert re.fullmatch(want, self.diverge(command, output, "5", data_file, tmp_path))
+
+    @pytest.mark.parametrize(
+        "command, output, prefix", [("train", "--model-out", ""), ("cv", "--out", "fold 0 failed: ")], ids=["train", "cv"]
+    )
+    def test_parameters_checked_after_last_step(self, command, output, prefix, data_file, tmp_path):
+        # one step per epoch: step 2's gradient is finite, but its update leaves NaN parameters
+        got = self.diverge(command, output, "2", data_file, tmp_path)
+        assert got == f"{prefix}non-finite parameters after step 2"
 
 
 class TestDataFileError:

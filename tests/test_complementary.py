@@ -216,8 +216,8 @@ class TestComplementaryIO:
         back = parse_complementary_file(path)
         np.testing.assert_array_equal(back.cl, cds.cl)
         np.testing.assert_array_equal(back.relevant, cds.relevant)
-        assert isinstance(back.features, np.ndarray)
-        assert np.array_equal(back.features, cds.features)
+        assert isinstance(back.features, np.ndarray)  # the file stores every cell of the CSR input
+        assert np.array_equal(back.features, cds.features.toarray())
 
     def test_roundtrip_without_relevant(self, tmp_path):
         y = np.tile([[1, 0, 1]], (5, 1))

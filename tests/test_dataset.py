@@ -170,12 +170,19 @@ class TestParser:
         assert np.array_equal(_dense(ds2.features), _dense(ds.features))
 
     @pytest.mark.parametrize("stored,dense", [(6, True), (5, False)])
-    def test_storage_threshold_is_two_thirds(self, stored, dense):
-        X = np.zeros((3, 3))
-        X.flat[:stored] = 1.0
-        for stored_as in (store_features(X.copy()), store_features(sp.csr_matrix(X))):
-            assert isinstance(stored_as, np.ndarray) == dense
-            assert sp.issparse(stored_as) != dense
+    def test_storage_threshold_is_two_thirds(self, tmp_path, stored, dense):
+        # the first `stored` of the 9 cells are written, every other one a zero:
+        # the parser counts stored tokens, not nonzero values
+        want = np.zeros(9)
+        want[:stored] = np.arange(stored) % 2
+        rows = [" ".join(f"{j}:{want[3 * i + j]:g}" for j in range(3) if 3 * i + j < stored) for i in range(3)]
+        path = tmp_path / "a.txt"
+        path.write_text("3 3 3\n" + "".join(f"{i} {row}\n" for i, row in enumerate(rows)))
+        X = parse_multilabel_file(path).features
+        assert isinstance(X, np.ndarray) == dense
+        if not dense:
+            assert X.nnz == stored
+        assert np.array_equal(_dense(X), want.reshape(3, 3))
 
     @pytest.mark.parametrize("zeros,dense", [("0:0 1:-0.0 2:5.0", True), ("0:-0.0", False)])
     def test_storage_counts_stored_tokens(self, tmp_path, zeros, dense):
@@ -187,12 +194,16 @@ class TestParser:
         if not dense:  # the explicit zero stays stored, with its sign
             assert X.nnz == 4 and X.data[0] == 0.0 and np.signbit(X.data[0])
 
-    def test_frozen_array_kept_as_is(self):
+    def test_given_form_is_kept(self):
+        y = np.eye(3, dtype=np.uint8)
         X = np.zeros((3, 3))
-        X[0, 0] = 1.0  # 1 of 9 cells: a writable array goes to CSR
-        assert sp.issparse(store_features(X.copy()))
-        X.setflags(write=False)
-        assert store_features(X) is X
+        X[0, 0] = 1.0  # 1 of 9 cells stored: an ndarray still, frozen in place
+        assert store_features(X) is X and not X.flags.writeable
+        assert MultiLabelDataset(X, y).features is X
+        full = sp.csr_matrix(np.arange(1, 10).reshape(3, 3))  # every cell stored: CSR still, as float64
+        for stored in (store_features(full), MultiLabelDataset(full, y).features):
+            assert sp.issparse(stored) and stored.format == "csr" and stored.dtype == np.float64
+            assert (stored != full).nnz == 0
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize(

@@ -18,7 +18,15 @@ import pytest
 import scipy.sparse as sp
 
 import comlabel
-from comlabel.dataset import MultiLabelDataset, parse_multilabel_file, write_multilabel_file
+from comlabel.complementary import corrupt_uniform
+from comlabel.dataset import (
+    MultiLabelDataset,
+    kfold_split,
+    parse_multilabel_file,
+    preprocess_topk_labels,
+    write_multilabel_file,
+)
+from comlabel.experiment import _stratified_validation_split, _subset_cds
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dense_without_scipy.py"
 
@@ -66,6 +74,48 @@ class TestDenseWithoutScipy:
         for mode in ("open", "blocked"):
             _fresh("-c", RUN_CLI, mode, "cv", "--data", data, "--out", tmp_path / f"{mode}.csv",
                    "--folds", "3", "--epochs", "3", "--lr", "0.01", "--seed", "4")  # fmt: skip
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+
+def _zero_cell_file(path, n=200, d=6, K=5):
+    """A data file that writes every cell of its n x d features, half of them
+    zeros, which the parser stores dense; each row's labels follow the noisy
+    signs of its first K cells."""
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((n, d))
+    X.flat[rng.permutation(n * d)[: n * d // 2]] = 0.0
+    y = X[:, :K] + 0.5 * rng.standard_normal((n, K)) > 0
+    y[~y.any(axis=1), 0] = True  # every row needs a relevant label...
+    y[y.all(axis=1), 1] = False  # ...and an irrelevant one
+    lines = (",".join(map(str, np.flatnonzero(r))) + " " + " ".join(f"{j}:{v:.17g}" for j, v in enumerate(x))
+             for x, r in zip(X.tolist(), y))  # fmt: skip
+    path.write_text(f"{n} {d} {K}\n" + "\n".join(lines) + "\n")
+    return path
+
+
+class TestZeroCellsStayDense:
+    """A dense-parsed file whose zero cells are written: every data set built
+    from its rows keeps its dense form, so it runs on NumPy alone."""
+
+    def test_derived_sets_stay_dense(self, tmp_path):
+        ds = parse_multilabel_file(_zero_cell_file(tmp_path / "zeros.txt"))
+        assert isinstance(ds.features, np.ndarray) and 3 * np.count_nonzero(ds.features) < 2 * ds.features.size
+        derived = [preprocess_topk_labels(ds, 3)]
+        for fold in kfold_split(ds, 5, seed=0):
+            train = fold.train
+            cds, _ = corrupt_uniform(train, seed=1)
+            fit_idx, val_idx = _stratified_validation_split(cds, 0.1, seed=2)
+            fit_cds = _subset_cds(cds, fit_idx)
+            derived += [train, fold.test, cds, fit_cds, MultiLabelDataset(fit_cds.features, train.y[fit_idx])]
+            assert isinstance(train.features[val_idx], np.ndarray)
+        assert all(isinstance(d.features, np.ndarray) for d in derived)
+
+    def test_cv_runs_with_scipy_blocked(self, tmp_path):
+        # blocked, importing SciPy raises here and in every forked fold worker
+        data = _zero_cell_file(tmp_path / "zeros.txt")
+        for mode in ("open", "blocked"):
+            _fresh("-c", RUN_CLI, mode, "cv", "--data", data, "--out", tmp_path / f"{mode}.csv",
+                   "--folds", "3", "--epochs", "3", "--max-labels", "4", "--seed", "4")  # fmt: skip
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
 
 
